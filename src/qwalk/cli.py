@@ -3,9 +3,11 @@
 Subcommands: simulate, gen-dataset, train, eval, inspect, rerun. Every
 artifact-writing command also writes `<main output>.manifest.json` holding
 the resolved flags, seeds, input/output checksums, and timing; `rerun`
-re-executes a manifest and verifies the regenerated artifacts are
-checksum-identical. Randomized commands either take an explicit --seed or
-generate one and print it, so nothing depends on hidden entropy.
+re-executes a manifest in a temporary directory and verifies the
+regenerated artifacts against the recorded checksums, leaving the recorded
+artifacts and manifest untouched. Randomized commands either take an
+explicit --seed or generate one and print it, so nothing depends on hidden
+entropy.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -18,6 +20,7 @@ import json
 import os
 import secrets
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -383,6 +386,14 @@ _DISPATCH = {
 }
 
 
+def _remap_paths(value, remap: dict):
+    if isinstance(value, str):
+        return remap.get(value, value)
+    if isinstance(value, list):
+        return [_remap_paths(v, remap) for v in value]
+    return value
+
+
 def cmd_rerun(args: argparse.Namespace) -> int:
     if not Path(args.manifest).exists():
         raise UsageError(f"manifest not found: {args.manifest}")
@@ -393,25 +404,36 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     command = manifest.get("command")
     if command not in _DISPATCH:
         raise RuntimeError(f"manifest names unknown command {command!r}")
-    replay = argparse.Namespace(**manifest["args"])
-    if hasattr(replay, "force"):
-        replay.force = True
+    outputs = manifest.get("outputs", {})
     print(f"replaying {command} from {args.manifest}")
-    code = _DISPATCH[command](replay)
-    if code != 0:
-        return code
-    failures = 0
-    for path, recorded in manifest.get("outputs", {}).items():
-        if not Path(path).exists():
-            print(f"MISSING {path}")
-            failures += 1
-            continue
-        fresh = _sha256(path)
-        if fresh == recorded:
-            print(f"ok {path}")
-        else:
-            print(f"MISMATCH {path}: recorded {recorded}, got {fresh}")
-            failures += 1
+    # Replay into a scratch directory so the recorded artifacts and their
+    # manifest survive a mismatch as evidence. Each output keeps its file
+    # name (the suffix selects gzip) in a directory of its own.
+    with tempfile.TemporaryDirectory(prefix="qwalk-rerun-") as scratch:
+        remap = {}
+        for i, recorded_path in enumerate(outputs):
+            slot = Path(scratch, str(i))
+            slot.mkdir()
+            remap[recorded_path] = str(slot / Path(recorded_path).name)
+        replay = argparse.Namespace(
+            **{key: _remap_paths(value, remap) for key, value in manifest["args"].items()}
+        )
+        code = _DISPATCH[command](replay)
+        if code != 0:
+            return code
+        failures = 0
+        for recorded_path, recorded in outputs.items():
+            fresh_path = remap[recorded_path]
+            if not Path(fresh_path).exists():
+                print(f"MISSING {recorded_path}")
+                failures += 1
+                continue
+            fresh = _sha256(fresh_path)
+            if fresh == recorded:
+                print(f"ok {recorded_path}")
+            else:
+                print(f"MISMATCH {recorded_path}: recorded {recorded}, got {fresh}")
+                failures += 1
     return 1 if failures else 0
 
 

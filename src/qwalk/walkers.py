@@ -1,11 +1,13 @@
 """Continuous-time classical and quantum walk simulation and speedup labeling.
 
 The classical walker diffuses under dp/dt = (T - I)p with an absorbing
-target column; the quantum walker evolves a density matrix under a GKSL
-master equation whose single jump operator drains the target into a sink
-vertex. A graph is labeled "quantum" when the sink population crosses the
-detection threshold 1/ln(n) strictly before the classical target
-probability does.
+target column. The quantum walker's only jump moves population from the
+target into a sink that the Hamiltonian never touches, so its graph block
+stays the pure state psi of the no-jump evolution psi' = -i H_eff psi,
+with H_eff = A - (i gamma / 2)|target><target|, and the sink population is
+1 - ||psi||^2. A graph is labeled "quantum" when the sink population
+crosses the detection threshold 1/ln(n) strictly before the classical
+target probability does.
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ LABEL_NAMES = {CLASSICAL: "classical", QUANTUM: "quantum"}
 # record interval doubles, so late, slow dynamics are sampled coarsely
 # while the underlying integration step never changes.
 _WINDOW_RECORDS = 256
-_TRACE_DRIFT_TOL = 1e-6
+# A dissipative H_eff can only shrink the norm; growth means the RK4 step
+# is unstable for this spectrum.
+_NORM_GROWTH_TOL = 1e-6
 
 
 class IntegratorError(RuntimeError):
-    """Density-matrix integration drifted beyond tolerance."""
+    """Pure-state integration gained norm beyond tolerance (step too coarse)."""
 
 
 @dataclass(frozen=True)
@@ -126,28 +130,62 @@ def ctrw_probabilities(sys: ClassicalSystem, t: float) -> np.ndarray:
     return expm(sys.generator * t) @ p0
 
 
-def _gksl_rhs(rho: np.ndarray, h: np.ndarray, target: int, sink: int, gamma: float) -> np.ndarray:
-    out = -1j * (h @ rho - rho @ h)
-    if gamma != 0.0:
-        out[sink, sink] += gamma * rho[target, target]
-        out[target, :] -= 0.5 * gamma * rho[target, :]
-        out[:, target] -= 0.5 * gamma * rho[:, target]
-    return out
+def _effective_hamiltonian(sys: QuantumSystem) -> np.ndarray:
+    # Graph block of the padded Hamiltonian; the sink is the last index.
+    n = sys.sink_index
+    h = sys.hamiltonian[:n, :n].astype(np.complex128)
+    h[sys.v_target, sys.v_target] -= 0.5j * sys.decay_rate
+    return h
 
 
-def _initial_density(sys: QuantumSystem) -> np.ndarray:
+def _rk4_map(h_eff: np.ndarray, step: float) -> np.ndarray:
+    """One classical RK4 step of psi' = -i H_eff psi.
+
+    For a linear system that step is exactly the degree-4 Taylor
+    polynomial of exp(-i step H_eff).
+    """
+    scaled = -1j * step * h_eff
+    op = np.eye(h_eff.shape[0], dtype=np.complex128)
+    term = op
+    for k in (1, 2, 3, 4):
+        term = term @ scaled / k
+        op = op + term
+    return op
+
+
+def _initial_state(sys: QuantumSystem) -> np.ndarray:
+    psi = np.zeros(sys.sink_index, dtype=np.complex128)
+    psi[sys.v_init] = 1.0
+    return psi
+
+
+def _sink_population(sys: QuantumSystem, norm: float) -> float:
+    # Without the jump nothing reaches the sink, whatever RK4 does to the norm.
+    return 1.0 - norm if sys.decay_rate != 0.0 else 0.0
+
+
+def _density(sys: QuantumSystem, psi: np.ndarray, norm: float) -> np.ndarray:
+    n = sys.sink_index
     rho = np.zeros((sys.dim, sys.dim), dtype=np.complex128)
-    rho[sys.v_init, sys.v_init] = 1.0
+    rho[:n, :n] = np.outer(psi, psi.conj())
+    rho[n, n] = _sink_population(sys, norm)
     return rho
+
+
+def _check_norm(prev: float, norm: float, t: float) -> None:
+    if norm - prev > _NORM_GROWTH_TOL:
+        raise IntegratorError(f"state norm grew by {norm - prev:.3e} at t={t:g}; reduce dt")
 
 
 def ctqw_density(sys: QuantumSystem, t_grid, dt: float = 0.01) -> list[np.ndarray]:
     """Density matrices of the quantum walker at the requested times.
 
-    Integrates the GKSL master equation with fixed-step classical
+    Each matrix is |psi><psi| on the graph block plus the sink population
+    1 - ||psi||^2. psi is integrated with fixed-step classical
     fourth-order Runge-Kutta; each grid interval is covered by uniform
-    substeps of size at most `dt`. Raises IntegratorError if the trace
-    drifts by more than 1e-6 (the step is too large for this system).
+    substeps of size at most `dt`. Raises IntegratorError if the norm of
+    psi grows by more than 1e-6 over an interval (the step is too large
+    for this system).
     """
     times = [float(t) for t in t_grid]
     if not times or times[0] != 0.0:
@@ -156,26 +194,17 @@ def ctqw_density(sys: QuantumSystem, t_grid, dt: float = 0.01) -> list[np.ndarra
         raise ValueError("t_grid must be strictly increasing")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    h = sys.hamiltonian
-    target, sink, gamma = sys.v_target, sys.sink_index, sys.decay_rate
-    rho = _initial_density(sys)
-    out = [rho.copy()]
+    h_eff = _effective_hamiltonian(sys)
+    psi = _initial_state(sys)
+    norm = 1.0
+    out = [_density(sys, psi, norm)]
     for t_prev, t_next in zip(times, times[1:]):
         span = t_next - t_prev
         steps = max(1, math.ceil(span / dt - 1e-12))
-        step = span / steps
-        for _ in range(steps):
-            k1 = _gksl_rhs(rho, h, target, sink, gamma)
-            k2 = _gksl_rhs(rho + 0.5 * step * k1, h, target, sink, gamma)
-            k3 = _gksl_rhs(rho + 0.5 * step * k2, h, target, sink, gamma)
-            k4 = _gksl_rhs(rho + step * k3, h, target, sink, gamma)
-            rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        drift = abs(np.trace(rho).real - 1.0)
-        if drift > _TRACE_DRIFT_TOL:
-            raise IntegratorError(
-                f"density-matrix trace drifted by {drift:.3e} at t={t_next:g}; reduce dt"
-            )
-        out.append(rho.copy())
+        psi = np.linalg.matrix_power(_rk4_map(h_eff, span / steps), steps) @ psi
+        prev, norm = norm, float(np.vdot(psi, psi).real)
+        _check_norm(prev, norm, t_next)
+        out.append(_density(sys, psi, norm))
     return out
 
 
@@ -209,43 +238,10 @@ def hitting_time(trace: Trace, p_th: float, t_max: float | None = None) -> float
 # ====== label-path integrator ======
 #
 # Both dynamics are autonomous linear ODEs, so the per-record update is a
-# fixed linear map: exp(Q*delta) for the classical vector and, for the
-# density matrix, the one-step RK4 operator (the degree-4 Taylor polynomial
-# of exp(dt*L), which is exactly what a classical RK4 step produces for a
-# linear system) raised to the record stride. Squaring those maps after
+# fixed linear map: exp(Q*delta) for the classical vector and, for psi, the
+# one-step RK4 map raised to the record stride. Squaring those maps after
 # each window doubles the record interval without changing the integration
 # step.
-
-
-def _liouvillian(sys: QuantumSystem) -> np.ndarray:
-    # Row-major vec convention: vec(A X B) = kron(A, B.T) vec(X).
-    d = sys.dim
-    h = sys.hamiltonian
-    eye = np.eye(d)
-    jump = np.zeros((d, d))
-    jump[sys.sink_index, sys.v_target] = 1.0
-    absorb = np.zeros((d, d))
-    absorb[sys.v_target, sys.v_target] = 1.0
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    lv += sys.decay_rate * (
-        np.kron(jump, jump) - 0.5 * (np.kron(absorb, eye) + np.kron(eye, absorb))
-    )
-    return lv
-
-
-def _rk4_step_operator(liouville: np.ndarray, dt: float) -> np.ndarray:
-    d2 = liouville.shape[0]
-    scaled = dt * liouville
-    op = np.eye(d2, dtype=np.complex128)
-    term = np.eye(d2, dtype=np.complex128)
-    for k in (1, 2, 3, 4):
-        term = term @ scaled / k
-        op = op + term
-    return op
-
-
-def _matrix_power(m: np.ndarray, k: int) -> np.ndarray:
-    return np.linalg.matrix_power(m, k)
 
 
 def _march(
@@ -264,21 +260,19 @@ def _march(
     plotting) or the time cap is passed.
     """
     n = csys.n
-    d = qsys.dim
     delta = dt * stride
     c_chunk = expm(csys.generator * delta)
-    q_chunk = _matrix_power(_rk4_step_operator(_liouvillian(qsys), dt), stride)
+    q_chunk = np.linalg.matrix_power(_rk4_map(_effective_hamiltonian(qsys), dt), stride)
 
     p = np.zeros(n)
     p[csys.v_init] = 1.0
-    v = _initial_density(qsys).reshape(-1)
-    diag_idx = slice(0, d * d, d + 1)
-    sink_flat = qsys.sink_index * d + qsys.sink_index
+    psi = _initial_state(qsys)
+    norm = 1.0
 
     t = 0.0
     times = [0.0]
     c_vals = [float(p[csys.v_target])]
-    q_vals = [float(v[sink_flat].real)]
+    q_vals = [_sink_population(qsys, norm)]
     crossed_c = c_vals[0] > p_th
     crossed_q = q_vals[0] > p_th
     t_stop = cap
@@ -286,16 +280,13 @@ def _march(
     while True:
         for _ in range(_WINDOW_RECORDS):
             p = c_chunk @ p
-            v = q_chunk @ v
+            psi = q_chunk @ psi
             t += delta
-            drift = abs(v[diag_idx].sum().real - 1.0)
-            if drift > _TRACE_DRIFT_TOL:
-                raise IntegratorError(
-                    f"density-matrix trace drifted by {drift:.3e} at t={t:g}; reduce dt"
-                )
+            prev, norm = norm, float(np.vdot(psi, psi).real)
+            _check_norm(prev, norm, t)
             times.append(t)
             c_vals.append(float(p[csys.v_target]))
-            q_vals.append(float(v[sink_flat].real))
+            q_vals.append(_sink_population(qsys, norm))
             if not crossed_c and c_vals[-1] > p_th:
                 crossed_c = True
             if not crossed_q and q_vals[-1] > p_th:

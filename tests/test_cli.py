@@ -291,6 +291,27 @@ def test_rerun_detects_drift(tmp_path, capsys):
     assert "MISMATCH" in text
 
 
+def test_rerun_keeps_its_evidence(tmp_path, capsys):
+    """A mismatch leaves the artifact and manifest alone, so it persists."""
+    out = tmp_path / "d.jsonl"
+    main(["gen-dataset", "random", "--n", "4", "--count", "4", "--seed", "2",
+          "--out", str(out)])
+    manifest_path = tmp_path / "d.jsonl.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"][str(out)] = "sha256:" + "0" * 64
+    manifest_path.write_text(json.dumps(manifest))
+    artifact_bytes, manifest_bytes = out.read_bytes(), manifest_path.read_bytes()
+    capsys.readouterr()
+    for _ in range(2):
+        rc = main(["rerun", str(manifest_path)])
+        text = capsys.readouterr().out
+        assert rc == 1
+        assert f"MISMATCH {out}: recorded sha256:{'0' * 64}" in text
+        assert out.read_bytes() == artifact_bytes
+        assert manifest_path.read_bytes() == manifest_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "d.jsonl.manifest.json"]
+
+
 def test_train_rerun_reproduces_model(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     main(["gen-dataset", "line", "--n", "4", "--out", str(data)])

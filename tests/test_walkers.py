@@ -3,7 +3,8 @@
 Tests verify:
 - detection threshold and horizon defaults
 - classical propagation against a fine-step explicit-Euler oracle
-- quantum propagation against a vectorized-Liouvillian matrix-exponential oracle
+- quantum propagation against a vectorized-Liouvillian matrix-exponential oracle,
+  at small n directly and at benchmark sizes through the label path
 - density-matrix health (trace, Hermiticity, positivity, sink monotonicity)
 - hitting-time interpolation rules and edge cases
 - the three n=3 line labelings and the K_3 golden outcome
@@ -32,6 +33,7 @@ from qwalk import (
     line_graph,
     permute_free_vertices,
     quantum_variant,
+    random_graph,
     write_trace_csv,
 )
 
@@ -163,6 +165,33 @@ def test_ctqw_faster_on_opposite_ends_path():
     tc = hitting_time(Trace(grid, target), p_th)
     assert tq is not None and tc is not None
     assert tq < tc, f"expected quantum first: tq={tq:.3f} tc={tc:.3f}"
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20])
+def test_label_march_matches_oracle_at_benchmark_sizes(n):
+    """The label path's sink curve against the Liouvillian oracle, and
+    against ctqw_density, at record times on both sides of the first
+    window doubling (t = 25.6).
+
+    dt=0.005 with stride 20 keeps the default record grid; at the default
+    dt=0.01 the RK4 truncation alone reaches ~8e-6 on dense n=20 graphs.
+    The raised threshold keeps the march going past the first window.
+    """
+    g = random_graph(n, n)
+    cfg = WalkConfig(dt=0.005, record_stride=20, p_threshold_override=0.9)
+    trace = label_graph(g, cfg, record_traces=True).quantum_trace
+    qsys = quantum_variant(g)
+    sink = qsys.sink_index
+    picks = [1, 64, 256, 257, 300]
+    times = trace.times[picks]
+    assert times[2] < 25.6 + 1e-9 < times[3], "first doubling not bracketed"
+    rhos = ctqw_density(qsys, np.concatenate([[0.0], times]), dt=cfg.dt)[1:]
+    for k, t, rho in zip(picks, times, rhos):
+        ref = liouvillian_expm_density(qsys, t)[sink, sink].real
+        err = abs(trace.values[k] - ref)
+        assert err < 1e-6, f"n={n} t={t:g}: oracle mismatch {err:.2e}"
+        gap = abs(trace.values[k] - rho[sink, sink].real)
+        assert gap < 1e-6, f"n={n} t={t:g}: ctqw_density disagrees by {gap:.2e}"
 
 
 def test_ctqw_rejects_unsorted_grid():
