@@ -55,7 +55,7 @@ from .evaluation import (
     write_metrics_csv,
 )
 from .graphs import Graph, line_graph
-from .walkers import LABEL_NAMES, IntegratorError, WalkConfig, label_graph, write_trace_csv
+from .walkers import LABEL_NAMES, WalkConfig, label_graph, write_trace_csv
 
 _MANIFEST_FORMAT = "qwalk-manifest"
 _MANIFEST_VERSION = 1
@@ -133,8 +133,6 @@ def _walk_config(args: argparse.Namespace) -> WalkConfig:
         gamma=args.gamma,
         p_threshold_override=args.p_th,
         t_max_cap=args.t_max,
-        dt=args.dt,
-        record_stride=args.stride,
     )
 
 
@@ -194,7 +192,9 @@ def _read_graph_file(path, v_init: int, v_target: int) -> Graph:
         line = line.strip()
         if not line:
             continue
-        cells = line.split() if " " in line else list(line)
+        cells = line.split()
+        if len(cells) == 1:
+            cells = list(line)
         try:
             rows.append([int(c) for c in cells])
         except ValueError as exc:
@@ -442,10 +442,6 @@ def cmd_rerun(args: argparse.Namespace) -> int:
 
 def _add_walk_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gamma", type=float, default=1.0, help="sink decay rate (default 1)")
-    sub.add_argument("--dt", type=float, default=0.01, help="integration step (default 0.01)")
-    sub.add_argument(
-        "--stride", type=int, default=10, help="integration steps per trace record (default 10)"
-    )
     sub.add_argument(
         "--p-th", type=float, default=None, help="detection threshold override (default 1/ln n)"
     )
@@ -561,7 +557,6 @@ def main(argv=None) -> int:
         print(f"qwalk: error: {exc}", file=sys.stderr)
         return 2
     except (
-        IntegratorError,
         TrainingError,
         DatasetFormatError,
         ModelFormatError,

@@ -40,6 +40,7 @@ __all__ = [
     "loss",
     "gradients",
     "sgd_step",
+    "predicted_class",
     "predict",
     "export_last_layer",
     "save_model",
@@ -418,10 +419,14 @@ def sgd_step(model: CqcnnModel, grads: dict[str, np.ndarray], lr: float | None =
     )
 
 
+def predicted_class(scores: np.ndarray) -> int:
+    """Argmax of the two output scores; an exact tie goes to the classical class."""
+    return QUANTUM if scores[QUANTUM] > scores[CLASSICAL] else CLASSICAL
+
+
 def predict(model: CqcnnModel, g: Graph) -> int:
-    """Argmax class; an exact tie goes to the classical class."""
-    x = forward(model, g)
-    return QUANTUM if x[QUANTUM] > x[CLASSICAL] else CLASSICAL
+    """Predicted class of g under the model (see predicted_class)."""
+    return predicted_class(forward(model, g))
 
 
 # ====== introspection and persistence ======

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graphs import Graph, enumerate_line_graphs, random_graph
-from .walkers import CLASSICAL, QUANTUM, IntegratorError, WalkConfig, label_graph
+from .walkers import CLASSICAL, QUANTUM, WalkConfig, label_from_hit_times, label_graph
 
 __all__ = [
     "Example",
@@ -43,12 +43,6 @@ class DatasetFormatError(ValueError):
     """A dataset file failed to parse or violated a record invariant."""
 
 
-def _expected_label(t_classical: float | None, t_quantum: float | None) -> int:
-    if t_quantum is not None and (t_classical is None or t_quantum < t_classical):
-        return QUANTUM
-    return CLASSICAL
-
-
 @dataclass(frozen=True)
 class Example:
     """One labeled graph together with the hitting times behind the label."""
@@ -63,7 +57,7 @@ class Example:
     def __post_init__(self) -> None:
         if self.label not in (CLASSICAL, QUANTUM):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
-        if self.label != _expected_label(self.classical_hit_time, self.quantum_hit_time):
+        if self.label != label_from_hit_times(self.classical_hit_time, self.quantum_hit_time):
             raise ValueError("label contradicts the stored hitting times")
         if self.indeterminate and not (
             self.classical_hit_time is None and self.quantum_hit_time is None
@@ -114,9 +108,6 @@ def _config_record(cfg: WalkConfig) -> dict:
         "gamma": cfg.gamma,
         "p_threshold_override": cfg.p_threshold_override,
         "t_max_cap": cfg.t_max_cap,
-        "dt": cfg.dt,
-        "record_stride": cfg.record_stride,
-        "convergence_check": cfg.convergence_check,
     }
 
 
@@ -149,10 +140,7 @@ def _label_example(task: tuple) -> Example:
         n, graph_seed = payload
         graph = random_graph(n, graph_seed)
         provenance = {"kind": "random", "seed": graph_seed}
-    try:
-        outcome = label_graph(graph, cfg)
-    except IntegratorError as exc:
-        raise IntegratorError(f"simulation failed for graph {provenance}: {exc}") from exc
+    outcome = label_graph(graph, cfg)
     return Example(
         graph=graph,
         label=outcome.label,

@@ -16,9 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cqcnn import CqcnnModel, forward, loss_and_gradients, score_loss, sgd_step
+from .cqcnn import CqcnnModel, forward, loss_and_gradients, predicted_class, score_loss, sgd_step
 from .datasets import Dataset
-from .walkers import CLASSICAL, QUANTUM
 
 __all__ = [
     "Metrics",
@@ -65,8 +64,7 @@ def evaluate(
     total_loss = 0.0
     for example in dataset:
         x = forward(model, example.graph)
-        predicted = QUANTUM if x[QUANTUM] > x[CLASSICAL] else CLASSICAL
-        confusion[example.label, predicted] += 1
+        confusion[example.label, predicted_class(x)] += 1
         total_loss += score_loss(x, example.label, kappas, inverse_class_weights)
     total = int(confusion.sum())
     diag = np.diagonal(confusion)

@@ -5,9 +5,9 @@ target column. The quantum walker's only jump moves population from the
 target into a sink that the Hamiltonian never touches, so its graph block
 stays the pure state psi of the no-jump evolution psi' = -i H_eff psi,
 with H_eff = A - (i gamma / 2)|target><target|, and the sink population is
-1 - ||psi||^2. A graph is labeled "quantum" when the sink population
-crosses the detection threshold 1/ln(n) strictly before the classical
-target probability does.
+1 - ||psi||^2. Both are propagated with exact matrix exponentials. A graph
+is labeled "quantum" when the sink population crosses the detection
+threshold 1/ln(n) strictly before the classical target probability does.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ __all__ = [
     "CLASSICAL",
     "QUANTUM",
     "LABEL_NAMES",
-    "IntegratorError",
     "WalkConfig",
     "Trace",
     "WalkOutcome",
     "ctrw_probabilities",
     "ctqw_density",
     "hitting_time",
+    "label_from_hit_times",
     "label_graph",
     "write_trace_csv",
 ]
@@ -39,17 +39,16 @@ CLASSICAL = 0
 QUANTUM = 1
 LABEL_NAMES = {CLASSICAL: "classical", QUANTUM: "quantum"}
 
-# Records per window of the label-path integrator; after each window the
-# record interval doubles, so late, slow dynamics are sampled coarsely
-# while the underlying integration step never changes.
+# The label path propagates with a ladder of exact propagators exp(G h)
+# for h = _BASE_STEP * 2**j, j = -_FINE_LEVELS, ..., J, where the longest
+# step reaches the horizon. Hit times are located on the grid of the
+# shortest step, 0.1 * 2**-24 (about 6e-9).
+_BASE_STEP = 0.1
+_FINE_LEVELS = 24
+# Records per window of a recorded trace; after each window the record
+# interval doubles, starting from _BASE_STEP, so late, slow dynamics are
+# sampled coarsely.
 _WINDOW_RECORDS = 256
-# A dissipative H_eff can only shrink the norm; growth means the RK4 step
-# is unstable for this spectrum.
-_NORM_GROWTH_TOL = 1e-6
-
-
-class IntegratorError(RuntimeError):
-    """Pure-state integration gained norm beyond tolerance (step too coarse)."""
 
 
 @dataclass(frozen=True)
@@ -63,19 +62,12 @@ class WalkConfig:
     gamma: float = 1.0
     p_threshold_override: float | None = None
     t_max_cap: float | None = None
-    dt: float = 0.01
-    record_stride: int = 10
-    convergence_check: bool = False
 
     def __post_init__(self) -> None:
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_max_cap is not None and self.t_max_cap <= 0:
             raise ValueError(f"t_max_cap must be positive, got {self.t_max_cap}")
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
         if self.p_threshold_override is not None and not 0 < self.p_threshold_override < 1:
             raise ValueError("p_threshold_override must lie in (0, 1)")
 
@@ -112,7 +104,7 @@ class WalkOutcome:
     quantum_trace: Trace | None = None
 
 
-# ====== direct integrators (single-time / explicit-grid) ======
+# ====== direct propagation (single-time / explicit-grid) ======
 
 
 def ctrw_probabilities(sys: ClassicalSystem, t: float) -> np.ndarray:
@@ -138,73 +130,43 @@ def _effective_hamiltonian(sys: QuantumSystem) -> np.ndarray:
     return h
 
 
-def _rk4_map(h_eff: np.ndarray, step: float) -> np.ndarray:
-    """One classical RK4 step of psi' = -i H_eff psi.
-
-    For a linear system that step is exactly the degree-4 Taylor
-    polynomial of exp(-i step H_eff).
-    """
-    scaled = -1j * step * h_eff
-    op = np.eye(h_eff.shape[0], dtype=np.complex128)
-    term = op
-    for k in (1, 2, 3, 4):
-        term = term @ scaled / k
-        op = op + term
-    return op
-
-
 def _initial_state(sys: QuantumSystem) -> np.ndarray:
     psi = np.zeros(sys.sink_index, dtype=np.complex128)
     psi[sys.v_init] = 1.0
     return psi
 
 
-def _sink_population(sys: QuantumSystem, norm: float) -> float:
-    # Without the jump nothing reaches the sink, whatever RK4 does to the norm.
-    return 1.0 - norm if sys.decay_rate != 0.0 else 0.0
+def _sink_population(psi: np.ndarray) -> float:
+    return 1.0 - float(np.vdot(psi, psi).real)
 
 
-def _density(sys: QuantumSystem, psi: np.ndarray, norm: float) -> np.ndarray:
+def _density(sys: QuantumSystem, psi: np.ndarray) -> np.ndarray:
     n = sys.sink_index
     rho = np.zeros((sys.dim, sys.dim), dtype=np.complex128)
     rho[:n, :n] = np.outer(psi, psi.conj())
-    rho[n, n] = _sink_population(sys, norm)
+    # Without the jump nothing reaches the sink, whatever rounding does to the norm.
+    rho[n, n] = _sink_population(psi) if sys.decay_rate != 0.0 else 0.0
     return rho
 
 
-def _check_norm(prev: float, norm: float, t: float) -> None:
-    if norm - prev > _NORM_GROWTH_TOL:
-        raise IntegratorError(f"state norm grew by {norm - prev:.3e} at t={t:g}; reduce dt")
-
-
-def ctqw_density(sys: QuantumSystem, t_grid, dt: float = 0.01) -> list[np.ndarray]:
+def ctqw_density(sys: QuantumSystem, t_grid) -> list[np.ndarray]:
     """Density matrices of the quantum walker at the requested times.
 
     Each matrix is |psi><psi| on the graph block plus the sink population
-    1 - ||psi||^2. psi is integrated with fixed-step classical
-    fourth-order Runge-Kutta; each grid interval is covered by uniform
-    substeps of size at most `dt`. Raises IntegratorError if the norm of
-    psi grows by more than 1e-6 over an interval (the step is too large
-    for this system).
+    1 - ||psi||^2. psi is carried across each grid interval by the exact
+    propagator expm(-i H_eff (t_next - t_prev)).
     """
     times = [float(t) for t in t_grid]
     if not times or times[0] != 0.0:
         raise ValueError("t_grid must start at 0")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("t_grid must be strictly increasing")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     h_eff = _effective_hamiltonian(sys)
     psi = _initial_state(sys)
-    norm = 1.0
-    out = [_density(sys, psi, norm)]
+    out = [_density(sys, psi)]
     for t_prev, t_next in zip(times, times[1:]):
-        span = t_next - t_prev
-        steps = max(1, math.ceil(span / dt - 1e-12))
-        psi = np.linalg.matrix_power(_rk4_map(h_eff, span / steps), steps) @ psi
-        prev, norm = norm, float(np.vdot(psi, psi).real)
-        _check_norm(prev, norm, t_next)
-        out.append(_density(sys, psi, norm))
+        psi = expm(-1j * (t_next - t_prev) * h_eff) @ psi
+        out.append(_density(sys, psi))
     return out
 
 
@@ -235,110 +197,117 @@ def hitting_time(trace: Trace, p_th: float, t_max: float | None = None) -> float
     return t_star
 
 
-# ====== label-path integrator ======
-#
-# Both dynamics are autonomous linear ODEs, so the per-record update is a
-# fixed linear map: exp(Q*delta) for the classical vector and, for psi, the
-# one-step RK4 map raised to the record stride. Squaring those maps after
-# each window doubles the record interval without changing the integration
-# step.
+def label_from_hit_times(t_classical: float | None, t_quantum: float | None) -> int:
+    """QUANTUM exactly when the quantum walker crosses and the classical
+    one crosses later or never; CLASSICAL otherwise (ties included)."""
+    if t_quantum is not None and (t_classical is None or t_quantum < t_classical):
+        return QUANTUM
+    return CLASSICAL
 
 
-def _march(
-    csys: ClassicalSystem,
-    qsys: QuantumSystem,
-    p_th: float,
-    cap: float,
-    dt: float,
-    stride: int,
-    extend_for_traces: bool,
-):
-    """Advance both walkers on a shared, window-doubled record grid.
+# ====== label path: binary descent over a propagator ladder ======
 
-    Returns (times, classical curve, quantum curve). Marching stops once
-    both curves have crossed p_th (optionally continuing 25% further for
-    plotting) or the time cap is passed.
+
+def _rung_step(k: int) -> float:
+    return _BASE_STEP * 2.0 ** (k - _FINE_LEVELS)
+
+
+def _ladder(generator: np.ndarray, cap: float) -> list[np.ndarray]:
+    """exp(generator * _rung_step(k)) for k = 0, 1, ..., up to the first
+    step that reaches cap.
+
+    The rungs below _BASE_STEP are one expm at the shortest step squared
+    up; the rest are one expm at _BASE_STEP squared up.
     """
-    n = csys.n
-    delta = dt * stride
-    c_chunk = expm(csys.generator * delta)
-    q_chunk = np.linalg.matrix_power(_rk4_map(_effective_hamiltonian(qsys), dt), stride)
+    rungs = [expm(generator * _rung_step(0))]
+    while len(rungs) < _FINE_LEVELS:
+        rungs.append(rungs[-1] @ rungs[-1])
+    rungs.append(expm(generator * _BASE_STEP))
+    while _rung_step(len(rungs) - 1) < cap:
+        rungs.append(rungs[-1] @ rungs[-1])
+    return rungs
 
-    p = np.zeros(n)
-    p[csys.v_init] = 1.0
-    psi = _initial_state(qsys)
-    norm = 1.0
 
-    t = 0.0
-    times = [0.0]
-    c_vals = [float(p[csys.v_target])]
-    q_vals = [_sink_population(qsys, norm)]
-    crossed_c = c_vals[0] > p_th
-    crossed_q = q_vals[0] > p_th
-    t_stop = cap
+def _hit_time(rungs: list[np.ndarray], state: np.ndarray, value, p_th: float, cap: float):
+    """First time value(state) exceeds p_th, or None if not by cap.
 
+    The curve is non-decreasing, so descending the ladder from its
+    longest step, and taking each step that stays within the horizon and
+    keeps value <= p_th, ends at the last point of the finest grid where
+    the curve is still <= p_th. The crossing lies within one finest step
+    after it; the end of that step is reported. Time is counted exactly,
+    in finest steps.
+    """
+    last = math.floor(cap / _rung_step(0))
+    ticks = 0
+    for k in reversed(range(len(rungs))):
+        if ticks + 2**k > last:
+            continue
+        ahead = rungs[k] @ state
+        if value(ahead) <= p_th:
+            ticks, state = ticks + 2**k, ahead
+    return (ticks + 1) * _rung_step(0) if ticks < last else None
+
+
+def _record(rungs: list[np.ndarray], state: np.ndarray, value, t_stop: float) -> Trace:
+    """Sample the curve on the window-doubled record grid, up to the first
+    record at or past t_stop."""
+    times, values = [0.0], [value(state)]
+    k = _FINE_LEVELS
     while True:
         for _ in range(_WINDOW_RECORDS):
-            p = c_chunk @ p
-            psi = q_chunk @ psi
-            t += delta
-            prev, norm = norm, float(np.vdot(psi, psi).real)
-            _check_norm(prev, norm, t)
-            times.append(t)
-            c_vals.append(float(p[csys.v_target]))
-            q_vals.append(_sink_population(qsys, norm))
-            if not crossed_c and c_vals[-1] > p_th:
-                crossed_c = True
-            if not crossed_q and q_vals[-1] > p_th:
-                crossed_q = True
-            if crossed_c and crossed_q and t_stop == cap:
-                if not extend_for_traces:
-                    return np.array(times), np.array(c_vals), np.array(q_vals)
-                t_stop = min(cap, max(1.25 * t, t + 5.0))
-            if t >= t_stop or t >= cap:
-                return np.array(times), np.array(c_vals), np.array(q_vals)
-        c_chunk = c_chunk @ c_chunk
-        q_chunk = q_chunk @ q_chunk
-        delta *= 2.0
+            state = rungs[k] @ state
+            times.append(times[-1] + _rung_step(k))
+            values.append(value(state))
+            if times[-1] >= t_stop:
+                return Trace(np.array(times), np.array(values))
+        k += 1
 
 
 def label_graph(g: Graph, cfg: WalkConfig = WalkConfig(), record_traces: bool = False) -> WalkOutcome:
     """Run both walkers on g and decide which one detects faster.
 
+    Each hit time is the first point of a grid of step 0.1 * 2**-24 at
+    which the exact curve exceeds p_th, so it lies within 1e-6 relative of
+    the exact crossing (the propagators' rounding dominates the grid).
     The label is quantum exactly when the quantum hitting time exists and
     is strictly smaller than the classical one (or the classical walker
     never crosses). When neither crosses by the horizon the label falls
     back to classical and the outcome is flagged indeterminate.
+
+    With record_traces, both curves are sampled on a record grid whose
+    interval starts at 0.1 and doubles every 256 records, until 25% (at
+    least 5) past the later hit time, or to the horizon if a walker never
+    crosses.
     """
     p_th = cfg.p_threshold(g.n)
     cap = cfg.t_max(g.n)
     csys = classical_variant(g)
     qsys = quantum_variant(g, cfg.gamma)
+    p0 = np.zeros(csys.n)
+    p0[csys.v_init] = 1.0
+    walkers = (
+        (_ladder(csys.generator, cap), p0, lambda p: float(p[csys.v_target])),
+        (_ladder(-1j * _effective_hamiltonian(qsys), cap), _initial_state(qsys), _sink_population),
+    )
+    t_c, t_q = (_hit_time(rungs, start, value, p_th, cap) for rungs, start, value in walkers)
 
-    times, c_vals, q_vals = _march(csys, qsys, p_th, cap, cfg.dt, cfg.record_stride, record_traces)
-    if cfg.convergence_check:
-        times2, c2, q2 = _march(
-            csys, qsys, p_th, cap, cfg.dt / 2.0, cfg.record_stride * 2, record_traces
-        )
-        k = min(len(times), len(times2))
-        err = max(np.abs(c_vals[:k] - c2[:k]).max(), np.abs(q_vals[:k] - q2[:k]).max())
-        if err > 1e-4:
-            raise IntegratorError(f"halved-step curves disagree by {err:.3e}; reduce dt")
-
-    c_trace = Trace(times, c_vals)
-    q_trace = Trace(times, q_vals)
-    t_c = hitting_time(c_trace, p_th, t_max=cap)
-    t_q = hitting_time(q_trace, p_th, t_max=cap)
-    label = QUANTUM if t_q is not None and (t_c is None or t_q < t_c) else CLASSICAL
+    traces = (None, None)
+    if record_traces:
+        t_stop = cap
+        if t_c is not None and t_q is not None:
+            last = max(t_c, t_q)
+            t_stop = min(cap, max(1.25 * last, last + 5.0))
+        traces = tuple(_record(rungs, start, value, t_stop) for rungs, start, value in walkers)
     return WalkOutcome(
         classical_hit_time=t_c,
         quantum_hit_time=t_q,
-        label=label,
+        label=label_from_hit_times(t_c, t_q),
         indeterminate=t_c is None and t_q is None,
         p_threshold=p_th,
         t_max=cap,
-        classical_trace=c_trace if record_traces else None,
-        quantum_trace=q_trace if record_traces else None,
+        classical_trace=traces[0],
+        quantum_trace=traces[1],
     )
 
 

@@ -2,11 +2,12 @@
 
 Everything here deliberately takes a different route from the production
 code: the quantum oracle exponentiates a column-major vectorized
-Liouvillian instead of stepping Runge-Kutta on the density matrix, the
-classical oracle is a fine-step explicit Euler product instead of a
-scaling-and-squaring exponential, and the filter oracles count neighbor
-edges from explicit edge lists with Python loops instead of vectorized
-row/column sums.
+Liouvillian instead of propagating the n-dimensional no-jump state, the
+classical oracles are a fine-step explicit Euler product and a symmetric
+eigendecomposition instead of a scaling-and-squaring exponential, hit
+times are brentq roots instead of a descent over a propagator ladder, and
+the filter oracles count neighbor edges from explicit edge lists with
+Python loops instead of vectorized row/column sums.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import itertools
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
-from qwalk import ClassicalSystem, Graph, QuantumSystem
+from qwalk import ClassicalSystem, Graph, QuantumSystem, quantum_variant
 
 
 # ====== quantum: column-major vectorized Liouvillian + expm ======
@@ -63,6 +65,53 @@ def euler_classical_probabilities(sys: ClassicalSystem, t: float, h: float = 1e-
     steps = max(1, round(t / h))
     step_matrix = np.eye(sys.n) + (t / steps) * sys.generator
     return np.linalg.matrix_power(step_matrix, steps) @ p0
+
+
+# ====== classical: spectral propagation of the unabsorbed block ======
+
+
+def spectral_target_probability(g: Graph, t: float) -> float:
+    """Probability that the classical walker has reached the target by t.
+
+    Off the target, the jump matrix is A_BB D^-1 (D the full degrees), which
+    is similar to the symmetric D^-1/2 A_BB D^-1/2 = V diag(lam) V^T. So the
+    unabsorbed occupations are D^1/2 V exp((lam - 1) t) V^T D^-1/2 p_B(0), and
+    the target holds the rest.
+    """
+    a = g.adjacency.astype(np.float64)
+    keep = [v for v in range(g.n) if v != g.v_target]
+    root_deg = np.sqrt(a.sum(axis=0)[keep])
+    lam, vec = np.linalg.eigh(a[np.ix_(keep, keep)] / np.outer(root_deg, root_deg))
+    p0 = np.zeros(len(keep))
+    p0[keep.index(g.v_init)] = 1.0
+    p_b = root_deg * (vec @ (np.exp((lam - 1.0) * t) * (vec.T @ (p0 / root_deg))))
+    return 1.0 - float(p_b.sum())
+
+
+# ====== hit times: brentq roots of the oracle curves ======
+
+
+def _first_crossing(curve, p_th: float, t_max: float) -> float | None:
+    # Both curves are non-decreasing, so a crossing by t_max is bracketed by [0, t_max].
+    if curve(t_max) <= p_th:
+        return None
+    return brentq(lambda t: curve(t) - p_th, 0.0, t_max, xtol=1e-12, rtol=1e-12)
+
+
+def oracle_hit_times(
+    g: Graph, p_th: float, t_max: float, gamma: float = 1.0
+) -> tuple[float | None, float | None]:
+    """(classical, quantum) first times the detection curves exceed p_th.
+
+    The classical curve is the spectral one above; the quantum curve is the
+    sink entry of the vectorized-Liouvillian density matrix.
+    """
+    sys = quantum_variant(g, gamma)
+    sink = sys.sink_index
+    return (
+        _first_crossing(lambda t: spectral_target_probability(g, t), p_th, t_max),
+        _first_crossing(lambda t: liouvillian_expm_density(sys, t)[sink, sink].real, p_th, t_max),
+    )
 
 
 # ====== filters: explicit edge-list counting ======

@@ -1,11 +1,13 @@
 """Command-line interface: commands, exit codes, manifests, and replay.
 
 Tests verify:
-- simulate on inline line specs and graph files
+- simulate on inline line specs and graph files (packed, space- or
+  tab-separated)
 - gen-dataset line/random flows and overwrite protection
 - train/eval/inspect round trips through real files
 - the exit-code contract (0 ok, 1 runtime failure, 2 usage error)
-- every artifact gets a manifest, and rerun reproduces identical bytes
+- every artifact gets a manifest, and rerun reproduces identical bytes,
+  also from manifests that carry retired walk flags
 """
 from __future__ import annotations
 
@@ -53,6 +55,17 @@ def test_simulate_reads_graph_files(tmp_path, capsys):
     rc = main(["simulate", "--graph", str(spec), "--out", str(tmp_path / "t.csv")])
     assert rc == 0
     assert "label:" in capsys.readouterr().out
+
+
+def test_simulate_reads_tab_separated_graph_files(tmp_path, capsys):
+    spec = tmp_path / "graph.tsv"
+    spec.write_text("0\t1\t1\t0\n1\t0\t1\t0\n1\t1\t0\t1\n0\t0\t1\t0\n")
+    rc = main(["simulate", "--graph", str(spec), "--out", str(tmp_path / "t.csv")])
+    text = capsys.readouterr().out
+    assert rc == 0
+    (packed := tmp_path / "packed.txt").write_text("0110\n1010\n1101\n0010\n")
+    main(["simulate", "--graph", str(packed), "--out", str(tmp_path / "p.csv")])
+    assert capsys.readouterr().out.replace("p.csv", "t.csv") == text
 
 
 def test_simulate_rejects_bad_line_spec(tmp_path, capsys):
@@ -310,6 +323,21 @@ def test_rerun_keeps_its_evidence(tmp_path, capsys):
         assert out.read_bytes() == artifact_bytes
         assert manifest_path.read_bytes() == manifest_bytes
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "d.jsonl.manifest.json"]
+
+
+def test_rerun_accepts_manifests_with_retired_walk_flags(tmp_path, capsys):
+    """Manifests recorded before hit times were located exactly still carry
+    the integration step and record stride; rerun ignores them."""
+    out = tmp_path / "trace.csv"
+    main(["simulate", "--line", "1,3,2", "--out", str(out)])
+    manifest_path = tmp_path / "trace.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["args"].update(dt=0.01, stride=10)
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = main(["rerun", str(manifest_path)])
+    assert rc == 0
+    assert f"ok {out}" in capsys.readouterr().out
 
 
 def test_train_rerun_reproduces_model(tmp_path, capsys):

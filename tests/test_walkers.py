@@ -6,10 +6,13 @@ Tests verify:
 - quantum propagation against a vectorized-Liouvillian matrix-exponential oracle,
   at small n directly and at benchmark sizes through the label path
 - density-matrix health (trace, Hermiticity, positivity, sink monotonicity)
-- hitting-time interpolation rules and edge cases
-- the three n=3 line labelings and the K_3 golden outcome
+- hitting-time interpolation rules and edge cases for recorded traces
+- the three n=3 line labelings and the K_3 golden outcome, with golden hit
+  times from the brentq oracle
+- label-path hit times within 1e-6 relative of the brentq oracle, and
+  independent of the propagator ladder's base step
+- recorded traces that bracket the located hit times
 - invariance under free-vertex relabeling
-- the trace-drift failure mode at too-coarse dt
 """
 from __future__ import annotations
 
@@ -18,11 +21,11 @@ import math
 import numpy as np
 import pytest
 
+import qwalk.walkers
 from qwalk import (
     CLASSICAL,
     QUANTUM,
     Graph,
-    IntegratorError,
     Trace,
     WalkConfig,
     classical_variant,
@@ -37,10 +40,9 @@ from qwalk import (
     write_trace_csv,
 )
 
-from oracles import euler_classical_probabilities, liouvillian_expm_density
+from oracles import euler_classical_probabilities, liouvillian_expm_density, oracle_hit_times
 
 K3 = Graph(np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
-K5 = Graph(np.ones((5, 5), dtype=np.int64) - np.eye(5, dtype=np.int64))
 
 
 # ====== configuration ======
@@ -65,11 +67,7 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         WalkConfig(gamma=0.0)
     with pytest.raises(ValueError):
-        WalkConfig(dt=-0.01)
-    with pytest.raises(ValueError):
         WalkConfig(t_max_cap=0.0)
-    with pytest.raises(ValueError):
-        WalkConfig(record_stride=0)
     with pytest.raises(ValueError):
         WalkConfig(p_threshold_override=1.5)
 
@@ -127,7 +125,7 @@ def test_ctqw_zero_gamma_keeps_sink_empty():
 
 
 def test_ctqw_matches_liouvillian_expm_oracle():
-    """RK4 at dt=0.01 vs exponentiating the vectorized generator."""
+    """The n-dimensional pure state vs exponentiating the vectorized generator."""
     for g in (line_graph(3, [0, 2, 1]), line_graph(5, [2, 0, 4, 1, 3]), K3):
         sys = quantum_variant(g)
         grid = np.array([0.0, 0.8, 3.0, 9.0])
@@ -169,29 +167,27 @@ def test_ctqw_faster_on_opposite_ends_path():
 
 @pytest.mark.parametrize("n", [8, 12, 16, 20])
 def test_label_march_matches_oracle_at_benchmark_sizes(n):
-    """The label path's sink curve against the Liouvillian oracle, and
-    against ctqw_density, at record times on both sides of the first
+    """The label path's recorded sink curve against the Liouvillian oracle,
+    and against ctqw_density, at record times on both sides of the first
     window doubling (t = 25.6).
 
-    dt=0.005 with stride 20 keeps the default record grid; at the default
-    dt=0.01 the RK4 truncation alone reaches ~8e-6 on dense n=20 graphs.
-    The raised threshold keeps the march going past the first window.
+    The raised threshold keeps the trace going past the first window.
     """
     g = random_graph(n, n)
-    cfg = WalkConfig(dt=0.005, record_stride=20, p_threshold_override=0.9)
+    cfg = WalkConfig(p_threshold_override=0.9)
     trace = label_graph(g, cfg, record_traces=True).quantum_trace
     qsys = quantum_variant(g)
     sink = qsys.sink_index
     picks = [1, 64, 256, 257, 300]
     times = trace.times[picks]
     assert times[2] < 25.6 + 1e-9 < times[3], "first doubling not bracketed"
-    rhos = ctqw_density(qsys, np.concatenate([[0.0], times]), dt=cfg.dt)[1:]
+    rhos = ctqw_density(qsys, np.concatenate([[0.0], times]))[1:]
     for k, t, rho in zip(picks, times, rhos):
         ref = liouvillian_expm_density(qsys, t)[sink, sink].real
         err = abs(trace.values[k] - ref)
-        assert err < 1e-6, f"n={n} t={t:g}: oracle mismatch {err:.2e}"
+        assert err < 1e-12, f"n={n} t={t:g}: oracle mismatch {err:.2e}"
         gap = abs(trace.values[k] - rho[sink, sink].real)
-        assert gap < 1e-6, f"n={n} t={t:g}: ctqw_density disagrees by {gap:.2e}"
+        assert gap < 1e-12, f"n={n} t={t:g}: ctqw_density disagrees by {gap:.2e}"
 
 
 def test_ctqw_rejects_unsorted_grid():
@@ -261,15 +257,15 @@ def test_label_three_vertex_lines():
 
 
 def test_label_three_vertex_hit_times():
-    """Golden hitting times for the three n=3 labelings (dt=0.01 grid)."""
+    """Golden hitting times for the three n=3 labelings (brentq oracle roots)."""
     out = label_graph(line_graph(3, [0, 2, 1]))
-    assert abs(out.classical_hit_time - 8.8733) < 1e-3
-    assert abs(out.quantum_hit_time - 7.2439) < 1e-3
+    assert abs(out.classical_hit_time - 8.87297094) < 1e-6
+    assert abs(out.quantum_hit_time - 7.24145345) < 1e-6
     out = label_graph(line_graph(3, [2, 0, 1]))
-    assert abs(out.classical_hit_time - 7.6898) < 1e-3
-    assert abs(out.quantum_hit_time - 10.1697) < 1e-3
+    assert abs(out.classical_hit_time - 7.68970785) < 1e-6
+    assert abs(out.quantum_hit_time - 10.16905736) < 1e-6
     out = label_graph(line_graph(3, [0, 1, 2]))
-    assert abs(out.classical_hit_time - 2.4111) < 1e-3
+    assert abs(out.classical_hit_time - 2.41060722) < 1e-6
     assert out.quantum_hit_time is None
 
 
@@ -277,8 +273,25 @@ def test_label_complete_triangle():
     """Golden outcome for K_3: classical, and the sink never reaches p_th."""
     out = label_graph(K3)
     assert out.label == CLASSICAL
-    assert abs(out.classical_hit_time - 4.8216) < 1e-3
+    assert abs(out.classical_hit_time - 4.82121444) < 1e-6
     assert out.quantum_hit_time is None
+
+
+@pytest.mark.parametrize(
+    "g",
+    [line_graph(3, [0, 2, 1]), line_graph(3, [2, 0, 1]), line_graph(3, [0, 1, 2]), K3,
+     random_graph(8, 8), random_graph(12, 12)],
+    ids=["line132", "line312", "line123", "K3", "random8", "random12"],
+)
+def test_label_hit_times_match_brentq_oracle(g):
+    """Located hit times are within 1e-6 relative of the exact roots, and a
+    walker is reported to never cross exactly when the oracle finds no root."""
+    out = label_graph(g)
+    expect = oracle_hit_times(g, out.p_threshold, out.t_max)
+    for got, ref in zip((out.classical_hit_time, out.quantum_hit_time), expect):
+        assert (got is None) == (ref is None), f"got {got}, oracle {ref}"
+        if ref is not None:
+            assert abs(got - ref) <= 1e-6 * ref, f"got {got!r}, oracle {ref!r}"
 
 
 def test_label_rule_consistency():
@@ -312,29 +325,37 @@ def test_label_relabeling_invariance():
 
 def test_label_records_traces_on_request():
     out = label_graph(line_graph(3, [0, 2, 1]), record_traces=True)
-    for trace in (out.classical_trace, out.quantum_trace):
+    for trace, t_hit in ((out.classical_trace, out.classical_hit_time),
+                         (out.quantum_trace, out.quantum_hit_time)):
         assert trace is not None
         assert trace.times[0] == 0.0
         assert trace.values[0] == 0.0  # walker starts away from the target
         assert np.all(np.diff(trace.values) >= -1e-9)
-    # the recorded curves reproduce the reported hitting times
-    assert abs(hitting_time(out.quantum_trace, out.p_threshold) - out.quantum_hit_time) < 1e-9
-    assert abs(hitting_time(out.classical_trace, out.p_threshold) - out.classical_hit_time) < 1e-9
+        # the recorded curve brackets the located hit time ...
+        k = int(np.searchsorted(trace.times, t_hit))
+        assert 0 < k < len(trace.times)
+        assert trace.values[k - 1] <= out.p_threshold < trace.values[k]
+        # ... and its interpolated crossing lies within that record interval
+        interval = trace.times[k] - trace.times[k - 1]
+        assert abs(hitting_time(trace, out.p_threshold) - t_hit) <= interval
     # default run skips the storage
     bare = label_graph(line_graph(3, [0, 2, 1]))
     assert bare.classical_trace is None and bare.quantum_trace is None
 
 
-def test_label_convergence_check_halves_dt():
-    """The optional self-check reruns at dt/2 and must agree here."""
-    out = label_graph(line_graph(3, [0, 2, 1]), WalkConfig(convergence_check=True))
-    assert out.label == QUANTUM
-
-
-def test_integrator_error_on_coarse_dt():
-    """A dense Hamiltonian at dt=1 drifts the trace past the guard."""
-    with pytest.raises(IntegratorError):
-        label_graph(K5, WalkConfig(dt=1.0))
+@pytest.mark.parametrize("g", [line_graph(3, [0, 2, 1]), random_graph(12, 12)], ids=["line132", "random12"])
+def test_label_independent_of_ladder_base_step(g, monkeypatch):
+    """Moving the propagator ladder onto a different grid (base step 0.1 ->
+    0.07) changes neither the label nor the hit times beyond 1e-7."""
+    base = label_graph(g)
+    monkeypatch.setattr(qwalk.walkers, "_BASE_STEP", 0.07)
+    other = label_graph(g)
+    assert other.label == base.label
+    for a, b in ((base.classical_hit_time, other.classical_hit_time),
+                 (base.quantum_hit_time, other.quantum_hit_time)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert abs(a - b) < 1e-7, f"{a!r} vs {b!r}"
 
 
 # ====== trace export ======
