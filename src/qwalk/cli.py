@@ -404,6 +404,16 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     command = manifest.get("command")
     if command not in _DISPATCH:
         raise RuntimeError(f"manifest names unknown command {command!r}")
+    # An input that changed since the run would make every output mismatch
+    # without saying why; name it and stop instead.
+    drifted = 0
+    for recorded_path, recorded in manifest.get("inputs", {}).items():
+        now = _sha256(recorded_path) if Path(recorded_path).is_file() else "missing"
+        if now != recorded:
+            print(f"DRIFTED {recorded_path}: recorded {recorded}, now {now}")
+            drifted += 1
+    if drifted:
+        return 1
     outputs = manifest.get("outputs", {})
     print(f"replaying {command} from {args.manifest}")
     # Replay into a scratch directory so the recorded artifacts and their

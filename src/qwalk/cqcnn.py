@@ -6,10 +6,16 @@ onto vertices, and a desymmetrization step keeps each undirected edge
 once. Two architectures share this frontend. The "simple" variant is a
 single affine layer over the per-vertex feature vector. The "full"
 variant adds learnable 3x3 convolutions over a stack of repeatedly
-filtered adjacency maps, transition-matrix rows for the special vertices,
-and a rectified hidden layer. Both end in two output neurons (classical,
-quantum) and train by stochastic gradient descent on class-weighted
-cross entropy.
+filtered adjacency maps, each convolved map collapsed onto its vertices,
+plus transition-matrix rows for the special vertices and a rectified
+hidden layer. Both end in two output neurons (classical, quantum) and
+train by stochastic gradient descent on class-weighted cross entropy.
+
+A graph is encoded once into a fixed input row (`encode`); `forward`,
+`score_loss` and `loss_and_gradients` then work on batches of rows. The
+full variant's convolution and the vertex collapse after it are both
+linear, so the row holds the collapsed one-pixel shifts of each channel
+map and the convolution becomes a matrix product with the kernel.
 
 All gradients are hand-derived; there is no autodiff anywhere.
 """
@@ -35,13 +41,12 @@ __all__ = [
     "extract_features",
     "feature_slot",
     "new_model",
+    "encode",
     "forward",
     "score_loss",
-    "loss",
-    "gradients",
+    "loss_and_gradients",
     "sgd_step",
     "predicted_class",
-    "predict",
     "export_last_layer",
     "save_model",
     "load_model",
@@ -212,36 +217,28 @@ def new_model(
     )
 
 
-# ====== full-variant input pipeline ======
+# ====== encoded input rows ======
 
 
-def _shift_stack(m: np.ndarray) -> np.ndarray:
-    """Rows are the 9 one-pixel shifts of m (zero padded), flattened.
-
-    A same-padded 3x3 cross-correlation of m is then a single dot product
-    of the flattened kernel with this stack.
-    """
-    n = m.shape[0]
-    padded = np.zeros((n + 2, n + 2))
-    padded[1:-1, 1:-1] = m
-    rows = [
-        padded[di : di + n, dj : dj + n].reshape(-1) for di in (0, 1, 2) for dj in (0, 1, 2)
-    ]
-    return np.stack(rows)
+def _block_width(n_max: int) -> int:
+    return 9 * _channel_count(n_max) * n_max
 
 
-@dataclass(frozen=True)
-class _FullInput:
-    shift_stack: np.ndarray  # (9 * channels, n_max^2)
-    tail: np.ndarray  # (8 * n_max,) scaled vertex features + transition rows
+def _input_width(model: CqcnnModel) -> int:
+    n_max = model.n_max
+    return 4 * n_max + 1 if model.variant == "simple" else _block_width(n_max) + 8 * n_max
 
 
-def _full_input(g: Graph, n_max: int) -> _FullInput:
-    if g.n > n_max:
-        raise ValueError(f"graph has {g.n} vertices but the model allows {n_max}")
+def _full_row(g: Graph, n_max: int) -> np.ndarray:
+    # Scaled copy of the simple feature block: degree-like features shrink
+    # with n_max so every tail entry stays O(1).
+    phi = extract_features(g, n_max)
+    block = phi[1:].reshape(n_max, 4) * np.array(
+        [1.0 / n_max, 1.0 / n_max**2, 1.0, 1.0]
+    )
+
     a = np.zeros((n_max, n_max))
     a[: g.n, : g.n] = g.adjacency
-
     # Channel stack: the adjacency map plus repeatedly edge-to-edge filtered
     # copies, each rescaled to unit max so deep stages stay O(1).
     channels = [desymmetrize(a)]
@@ -252,152 +249,136 @@ def _full_input(g: Graph, n_max: int) -> _FullInput:
         if peak > 0:
             current = current / peak
         channels.append(desymmetrize(current))
-    stack = np.concatenate([_shift_stack(c) for c in channels], axis=0)
-
-    # Scaled copy of the simple feature block: degree-like features shrink
-    # with n_max so every tail entry stays O(1).
-    phi = extract_features(g, n_max)
-    block = phi[1:].reshape(n_max, 4) * np.array(
-        [1.0 / n_max, 1.0 / n_max**2, 1.0, 1.0]
-    )
+    # The 9 one-pixel shifts (zero padded) of every channel, ordered like the
+    # flattened (channel, 3, 3) kernel, each collapsed onto its vertices.
+    padded = np.pad(np.stack(channels), ((0, 0), (1, 1), (1, 1)))
+    shifts = np.lib.stride_tricks.sliding_window_view(padded, (n_max, n_max), axis=(1, 2))
+    shifts = shifts.reshape(-1, n_max, n_max)
+    etv = shifts.sum(axis=2) + shifts.sum(axis=1) - 2.0 * np.diagonal(shifts, axis1=1, axis2=2)
 
     # One- and two-step transition probabilities into the special vertices.
     t1 = classical_variant(g).transition
     t2 = t1 @ t1
     rows = np.zeros((4, n_max))
-    rows[0, : g.n] = t1[g.v_init]
-    rows[1, : g.n] = t1[g.v_target]
-    rows[2, : g.n] = t2[g.v_init]
-    rows[3, : g.n] = t2[g.v_target]
+    rows[:, : g.n] = [t1[g.v_init], t1[g.v_target], t2[g.v_init], t2[g.v_target]]
 
-    tail = np.concatenate([block.reshape(-1), rows.reshape(-1)])
-    return _FullInput(shift_stack=stack, tail=tail)
+    return np.concatenate([etv.reshape(-1), block.reshape(-1), rows.reshape(-1)])
 
 
-def _forward_full(model: CqcnnModel, g: Graph):
-    """Full-variant forward pass, returning intermediates for backprop."""
+def encode(model: CqcnnModel, graphs: Sequence[Graph]) -> np.ndarray:
+    """Fixed input rows, one per graph, read by forward and loss_and_gradients.
+
+    Simple variant: the extract_features vector. Full variant: the
+    edge-to-vertex collapse of each of the 9*C one-pixel shifts of the C
+    channel maps, a (9*C, n_max) block, then an 8*n_max tail of scaled
+    vertex features and transition rows.
+    """
+    encode_one = extract_features if model.variant == "simple" else _full_row
+    rows = np.empty((len(graphs), _input_width(model)))
+    for i, g in enumerate(graphs):
+        rows[i] = encode_one(g, model.n_max)
+    return rows
+
+
+def _check_inputs(model: CqcnnModel, inputs: np.ndarray) -> None:
+    width = _input_width(model)
+    if inputs.ndim != 2 or inputs.shape[1] != width:
+        raise ValueError(f"this model reads rows of width {width}, got shape {inputs.shape}")
+
+
+def _blocks(inputs: np.ndarray, n_max: int) -> np.ndarray:
+    """(N, 9*C, n_max) view of the collapsed-shift blocks of full-variant rows."""
+    return inputs.reshape(len(inputs), -1, n_max)[:, : 9 * _channel_count(n_max)]
+
+
+def _full_layers(model: CqcnnModel, inputs: np.ndarray):
+    """Hidden-layer input, pre-activation and biased activation per row."""
     n_max = model.n_max
-    inputs = _full_input(g, n_max)
+    ones = np.ones((len(inputs), 1))
+    blocks = _blocks(inputs, n_max)
     conv_w = model.weights["conv"].reshape(n_max, -1)
-    maps = (conv_w @ inputs.shift_stack).reshape(n_max, n_max, n_max)
-    diag = np.einsum("kii->ki", maps)
-    etv_maps = maps.sum(axis=2) + maps.sum(axis=1) - 2.0 * diag
-    conv_feats = etv_maps.reshape(-1) / n_max
-    z = np.concatenate([[1.0], conv_feats, inputs.tail])
-    pre = model.weights["hidden"].T @ z
-    hidden = np.maximum(pre, 0.0)
-    hidden_b = np.concatenate([hidden, [1.0]])
-    x = model.weights["last"].T @ hidden_b
-    return x, (inputs, z, pre, hidden_b)
+    conv_feats = (conv_w @ blocks).reshape(len(inputs), -1) / n_max
+    z = np.concatenate([ones, conv_feats, inputs[:, _block_width(n_max) :]], axis=1)
+    pre = z @ model.weights["hidden"]
+    hidden_b = np.concatenate([np.maximum(pre, 0.0), ones], axis=1)
+    return z, pre, hidden_b
 
 
-def forward(model: CqcnnModel, g: Graph) -> np.ndarray:
-    """Two raw output scores (classical, quantum)."""
+def forward(model: CqcnnModel, inputs: np.ndarray) -> np.ndarray:
+    """Raw output scores (classical, quantum), one row per encoded input row."""
+    _check_inputs(model, inputs)
     if model.variant == "simple":
-        return model.weights["last"].T @ extract_features(g, model.n_max)
-    x, _ = _forward_full(model, g)
-    return x
+        return inputs @ model.weights["last"]
+    return _full_layers(model, inputs)[2] @ model.weights["last"]
 
 
 # ====== loss, gradients, optimizer ======
 
 
-def _class_weight(kappas: Sequence[float], label: int, inverse: bool) -> float:
-    kappa = kappas[label]
-    if not inverse:
-        return kappa
-    if kappa <= 0:
-        raise ValueError(f"cannot invert zero class fraction for label {label}")
-    return 1.0 / kappa
-
-
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max()
-    return shifted - np.log(np.exp(shifted).sum())
+def _cross_entropy(x: np.ndarray, labels, kappas, inverse: bool) -> tuple[float, np.ndarray]:
+    """Mean class-weighted cross entropy of rows of scores (max-subtracted
+    softmax) and its gradient with respect to the scores."""
+    labels = np.asarray(labels, dtype=np.intp)
+    if len(labels) != len(x):
+        raise ValueError(f"{len(labels)} labels for {len(x)} rows of scores")
+    weight = np.asarray(kappas, dtype=np.float64)[labels]
+    if inverse:
+        if np.any(weight <= 0):
+            label = int(labels[np.argmax(weight <= 0)])
+            raise ValueError(f"cannot invert zero class fraction for label {label}")
+        weight = 1.0 / weight
+    shifted = x - x.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(len(labels))
+    g_x = np.exp(log_p)
+    g_x[rows, labels] -= 1.0
+    g_x *= weight[:, None] / len(labels)
+    return float(np.mean(-weight * log_p[rows, labels])), g_x
 
 
 def score_loss(
-    x: np.ndarray,
-    label: int,
+    scores: np.ndarray,
+    labels,
     kappas: Sequence[float] = (0.5, 0.5),
     inverse_class_weights: bool = False,
 ) -> float:
-    """Class-weighted cross entropy given the two raw output scores."""
-    weight = _class_weight(kappas, label, inverse_class_weights)
-    return float(-weight * _log_softmax(x)[label])
-
-
-def loss(
-    model: CqcnnModel,
-    example,
-    kappas: Sequence[float] = (0.5, 0.5),
-    inverse_class_weights: bool = False,
-) -> float:
-    """Class-weighted cross entropy of one example (max-subtracted softmax)."""
-    x = forward(model, example.graph)
-    return score_loss(x, example.label, kappas, inverse_class_weights)
-
-
-def _output_gradient(x: np.ndarray, label: int, weight: float) -> tuple[float, np.ndarray]:
-    log_p = _log_softmax(x)
-    g_x = weight * (np.exp(log_p) - np.eye(2)[label])
-    return float(-weight * log_p[label]), g_x
-
-
-def _zero_gradients(model: CqcnnModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(w) for name, w in model.weights.items()}
+    """Mean class-weighted cross entropy over (N, 2) rows of raw output
+    scores and their N labels."""
+    return _cross_entropy(scores, labels, kappas, inverse_class_weights)[0]
 
 
 def loss_and_gradients(
     model: CqcnnModel,
-    batch: Sequence,
+    inputs: np.ndarray,
+    labels,
     kappas: Sequence[float] = (0.5, 0.5),
     inverse_class_weights: bool = False,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Batch-mean loss and matching analytic gradients for every weight."""
-    if not batch:
+    """Batch-mean loss and matching analytic gradients for every weight,
+    over encoded input rows and their labels."""
+    _check_inputs(model, inputs)
+    if len(inputs) == 0:
         raise ValueError("batch must be nonempty")
-    grads = _zero_gradients(model)
-    total = 0.0
+    if model.variant == "simple":
+        value, g_x = _cross_entropy(
+            inputs @ model.weights["last"], labels, kappas, inverse_class_weights
+        )
+        return value, {"last": inputs.T @ g_x}
+
     n_max = model.n_max
-    for example in batch:
-        weight = _class_weight(kappas, example.label, inverse_class_weights)
-        if model.variant == "simple":
-            phi = extract_features(example.graph, n_max)
-            x = model.weights["last"].T @ phi
-            value, g_x = _output_gradient(x, example.label, weight)
-            grads["last"] += np.outer(phi, g_x)
-        else:
-            x, (inputs, z, pre, hidden_b) = _forward_full(model, example.graph)
-            value, g_x = _output_gradient(x, example.label, weight)
-            grads["last"] += np.outer(hidden_b, g_x)
-            g_hidden = model.weights["last"][:-1, :] @ g_x
-            g_pre = np.where(pre > 0.0, g_hidden, 0.0)
-            grads["hidden"] += np.outer(z, g_pre)
-            g_z = model.weights["hidden"] @ g_pre
-            g_etv = g_z[1 : 1 + n_max * n_max].reshape(n_max, n_max) / n_max
-            g_maps = g_etv[:, :, None] + g_etv[:, None, :]
-            idx = np.arange(n_max)
-            g_maps[:, idx, idx] = 0.0
-            grads["conv"] += (
-                g_maps.reshape(n_max, -1) @ inputs.shift_stack.T
-            ).reshape(model.weights["conv"].shape)
-        total += value
-    scale = 1.0 / len(batch)
-    for name in grads:
-        grads[name] *= scale
-    return total * scale, grads
-
-
-def gradients(
-    model: CqcnnModel,
-    batch: Sequence,
-    kappas: Sequence[float] = (0.5, 0.5),
-    inverse_class_weights: bool = False,
-) -> dict[str, np.ndarray]:
-    """Batch-mean analytic gradients of the class-weighted cross entropy."""
-    _, grads = loss_and_gradients(model, batch, kappas, inverse_class_weights)
-    return grads
+    z, pre, hidden_b = _full_layers(model, inputs)
+    value, g_x = _cross_entropy(
+        hidden_b @ model.weights["last"], labels, kappas, inverse_class_weights
+    )
+    g_pre = np.where(pre > 0.0, g_x @ model.weights["last"][:-1, :].T, 0.0)
+    g_z = g_pre @ model.weights["hidden"].T
+    g_conv = g_z[:, 1 : 1 + n_max * n_max].reshape(len(inputs), n_max, n_max) / n_max
+    conv = np.einsum("bki,bqi->kq", g_conv, _blocks(inputs, n_max))
+    return value, {
+        "conv": conv.reshape(model.weights["conv"].shape),
+        "hidden": z.T @ g_pre,
+        "last": hidden_b.T @ g_x,
+    }
 
 
 def sgd_step(model: CqcnnModel, grads: dict[str, np.ndarray], lr: float | None = None) -> CqcnnModel:
@@ -419,14 +400,10 @@ def sgd_step(model: CqcnnModel, grads: dict[str, np.ndarray], lr: float | None =
     )
 
 
-def predicted_class(scores: np.ndarray) -> int:
-    """Argmax of the two output scores; an exact tie goes to the classical class."""
-    return QUANTUM if scores[QUANTUM] > scores[CLASSICAL] else CLASSICAL
-
-
-def predict(model: CqcnnModel, g: Graph) -> int:
-    """Predicted class of g under the model (see predicted_class)."""
-    return predicted_class(forward(model, g))
+def predicted_class(scores: np.ndarray) -> np.ndarray:
+    """Argmax of each row of two output scores; an exact tie goes to the
+    classical class."""
+    return np.where(scores[..., QUANTUM] > scores[..., CLASSICAL], QUANTUM, CLASSICAL)
 
 
 # ====== introspection and persistence ======

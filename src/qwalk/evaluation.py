@@ -3,9 +3,11 @@
 evaluate() is strictly read-only on the model. train() runs an
 epoch/batch schedule of with-replacement SGD and records a history row
 per epoch: training loss always, test metrics on a fixed cadence and on
-the final epoch. Metrics with a zero denominator (no examples or no
-predictions of a class) are reported as None, never as 0, so ensemble
-averages are not dragged toward zero by undefined entries.
+the final epoch. Both encode each dataset's graphs into input rows once
+(`cqcnn.encode`) and score them in batches; a training batch is a slice
+of the encoded training rows. Metrics with a zero denominator (no
+examples or no predictions of a class) are reported as None, never as 0,
+so ensemble averages are not dragged toward zero by undefined entries.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .cqcnn import CqcnnModel, forward, loss_and_gradients, predicted_class, score_loss, sgd_step
+from .cqcnn import (
+    CqcnnModel,
+    encode,
+    forward,
+    loss_and_gradients,
+    predicted_class,
+    score_loss,
+    sgd_step,
+)
 from .datasets import Dataset
 
 __all__ = [
@@ -60,12 +70,14 @@ def evaluate(
     """
     if kappas is None:
         kappas = dataset.class_fractions
+    rows = encode(model, [e.graph for e in dataset])
+    return _metrics(model, rows, dataset.labels, kappas, inverse_class_weights)
+
+
+def _metrics(model, rows, labels, kappas, inverse_class_weights) -> Metrics:
+    x = forward(model, rows)
     confusion = np.zeros((2, 2), dtype=np.int64)
-    total_loss = 0.0
-    for example in dataset:
-        x = forward(model, example.graph)
-        confusion[example.label, predicted_class(x)] += 1
-        total_loss += score_loss(x, example.label, kappas, inverse_class_weights)
+    np.add.at(confusion, (labels, predicted_class(x)), 1)
     total = int(confusion.sum())
     diag = np.diagonal(confusion)
     row_sums = confusion.sum(axis=1)
@@ -77,7 +89,7 @@ def evaluate(
         float(diag[c] / col_sums[c]) if col_sums[c] > 0 else None for c in (0, 1)
     )
     return Metrics(
-        mean_loss=total_loss / total,
+        mean_loss=score_loss(x, labels, kappas, inverse_class_weights),
         accuracy=float(diag.sum()) / total,
         confusion=confusion,
         precision=precision,
@@ -115,10 +127,11 @@ def _as_test_list(test_set) -> list[Dataset]:
     return list(test_set)
 
 
-def _test_columns(model: CqcnnModel, tests: list[Dataset], row: dict) -> None:
-    for i, test in enumerate(tests):
+def _test_columns(model: CqcnnModel, tests: list[tuple], row: dict) -> None:
+    """Metrics of each (rows, labels, class fractions) test set into row."""
+    for i, (rows, labels, kappas) in enumerate(tests):
         suffix = "" if len(tests) == 1 else f"_{i + 1}"
-        m = evaluate(model, test)
+        m = _metrics(model, rows, labels, kappas, False)
         row[f"test_loss{suffix}"] = m.mean_loss
         row[f"test_accuracy{suffix}"] = m.accuracy
         for c, name in enumerate(_CLASS_NAMES):
@@ -139,18 +152,22 @@ def train(
     each gets its own suffixed history columns. Epoch 0 records the
     untrained baseline; zero-epoch schedules return an empty history.
     """
-    tests = _as_test_list(test_set)
     if schedule.epochs == 0:
         return model, []
     kappas = train_set.class_fractions
     rng = np.random.default_rng(schedule.seed)
-    examples = train_set.examples
+    rows = encode(model, [e.graph for e in train_set])
+    labels = train_set.labels
+    tests = [
+        (encode(model, [e.graph for e in test]), test.labels, test.class_fractions)
+        for test in _as_test_list(test_set)
+    ]
 
     first: dict = {
         "epoch": 0,
-        "train_loss": evaluate(
-            model, train_set, kappas, schedule.inverse_class_weights
-        ).mean_loss,
+        "train_loss": score_loss(
+            forward(model, rows), labels, kappas, schedule.inverse_class_weights
+        ),
     }
     _test_columns(model, tests, first)
     history = [first]
@@ -158,10 +175,9 @@ def train(
     for epoch in range(1, schedule.epochs + 1):
         epoch_loss = 0.0
         for _ in range(schedule.batches_per_epoch):
-            picks = rng.integers(0, len(examples), size=schedule.batch_size)
-            batch = [examples[i] for i in picks]
+            picks = rng.integers(0, len(rows), size=schedule.batch_size)
             value, grads = loss_and_gradients(
-                model, batch, kappas, schedule.inverse_class_weights
+                model, rows[picks], labels[picks], kappas, schedule.inverse_class_weights
             )
             if not math.isfinite(value):
                 raise TrainingError(f"loss became non-finite at epoch {epoch}")

@@ -5,9 +5,11 @@ code: the quantum oracle exponentiates a column-major vectorized
 Liouvillian instead of propagating the n-dimensional no-jump state, the
 classical oracles are a fine-step explicit Euler product and a symmetric
 eigendecomposition instead of a scaling-and-squaring exponential, hit
-times are brentq roots instead of a descent over a propagator ladder, and
-the filter oracles count neighbor edges from explicit edge lists with
-Python loops instead of vectorized row/column sums.
+times are brentq roots instead of a descent over a propagator ladder, the
+filter oracles count neighbor edges from explicit edge lists with Python
+loops instead of vectorized row/column sums, and the full classifier's
+scores come from an explicit 3x3 convolution loop over the channel maps
+instead of kernel-weighted sums of precomputed, collapsed shifts.
 """
 
 from __future__ import annotations
@@ -195,3 +197,68 @@ def _connected(a: np.ndarray) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == n
+
+
+# ====== full-variant forward pass: explicit loops ======
+
+
+def brute_full_scores(model, g: Graph) -> list[float]:
+    """(classical, quantum) scores of the full variant, transcribed with loops.
+
+    The channel maps come from brute_ete, each one desymmetrized, and every
+    learned map is an explicit same-padded 3x3 cross-correlation of the
+    channel stack collapsed by brute_etv, instead of the package's
+    collapsed one-pixel shifts weighted by the kernel.
+    """
+    n_max = model.n_max
+    a = np.zeros((n_max, n_max))
+    a[: g.n, : g.n] = g.adjacency
+
+    def upper(m):
+        return np.array([[m[i][j] if j >= i else 0.0 for j in range(n_max)] for i in range(n_max)])
+
+    channels = [upper(a)]
+    current = a
+    for _ in range(max(1, int(np.ceil(np.log2(n_max))))):
+        current = brute_ete(current)
+        peak = max(abs(v) for row in current for v in row)
+        if peak > 0:
+            current = current / peak
+        channels.append(upper(current))
+
+    kernel = model.weights["conv"]
+    z = [1.0]
+    for k in range(n_max):
+        conv = np.zeros((n_max, n_max))
+        for i in range(n_max):
+            for j in range(n_max):
+                total = 0.0
+                for c, ch in enumerate(channels):
+                    for di in (-1, 0, 1):
+                        for dj in (-1, 0, 1):
+                            if 0 <= i + di < n_max and 0 <= j + dj < n_max:
+                                total += kernel[k, c, di + 1, dj + 1] * ch[i + di][j + dj]
+                conv[i][j] = total
+        z.extend(v / n_max for v in brute_etv(conv))
+
+    degree = brute_etv(upper(a))
+    spread = brute_etv(upper(brute_ete(a)))
+    for v in range(n_max):
+        z.extend([degree[v] / n_max, spread[v] / n_max**2, a[g.v_init][v], a[g.v_target][v]])
+
+    # Column u of the walk matrix spreads over u's neighbours; the target absorbs.
+    deg = [sum(a[k][u] for k in range(g.n)) for u in range(g.n)]
+    step = [[(1.0 if i == u else 0.0) if u == g.v_target else a[i][u] / deg[u]
+             for u in range(g.n)] for i in range(g.n)]
+    two = [[sum(step[i][k] * step[k][u] for k in range(g.n)) for u in range(g.n)]
+           for i in range(g.n)]
+    for matrix, v in ((step, g.v_init), (step, g.v_target), (two, g.v_init), (two, g.v_target)):
+        z.extend(matrix[v][u] if u < g.n else 0.0 for u in range(n_max))
+
+    w_hidden, w_last = model.weights["hidden"], model.weights["last"]
+    hidden = []
+    for h in range(w_hidden.shape[1]):
+        pre = sum(z[r] * w_hidden[r, h] for r in range(len(z)))
+        hidden.append(max(pre, 0.0))
+    hidden.append(1.0)
+    return [sum(hidden[h] * w_last[h, c] for h in range(len(hidden))) for c in (0, 1)]

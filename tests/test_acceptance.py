@@ -33,10 +33,8 @@ from qwalk import (
     etv_filter,
     evaluate,
     feature_slot,
-    gradients,
     label_graph,
     line_graph,
-    loss,
     merge,
     new_model,
     permute_free_vertices,

@@ -8,17 +8,21 @@ Tests verify:
 - the exit-code contract (0 ok, 1 runtime failure, 2 usage error)
 - every artifact gets a manifest, and rerun reproduces identical bytes,
   also from manifests that carry retired walk flags
+- rerun names each drifted or missing input and does not replay
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwalk
 from qwalk import load, load_model
 from qwalk.cli import main
 
@@ -251,10 +255,17 @@ def test_unknown_command_exits_2():
 
 
 def test_console_entry_point():
-    """The installed script wires argv through to main()."""
+    """The installed script wires argv through to main().
+
+    The child process finds the same qwalk package this test imported,
+    installed or not.
+    """
+    package_root = str(Path(qwalk.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
     proc = subprocess.run(
         [sys.executable, "-m", "qwalk.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("qwalk ")
@@ -323,6 +334,37 @@ def test_rerun_keeps_its_evidence(tmp_path, capsys):
         assert out.read_bytes() == artifact_bytes
         assert manifest_path.read_bytes() == manifest_bytes
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "d.jsonl.manifest.json"]
+
+
+def test_rerun_names_drifted_inputs_and_does_not_replay(tmp_path, capsys):
+    """A changed or missing input is named with both checksums and the
+    replay is skipped; matching inputs print nothing."""
+    data, other = tmp_path / "d.jsonl", tmp_path / "e.jsonl"
+    for path, seed in ((data, "3"), (other, "4")):
+        main(["gen-dataset", "random", "--n", "4", "--count", "6", "--seed", seed,
+              "--out", str(path)])
+    model_path = tmp_path / "m.json"
+    main(["train", "--train", str(data), "--test", str(other), "--epochs", "5",
+          "--seed", "1", "--model-out", str(model_path)])
+    manifest_path = tmp_path / "m.json.manifest.json"
+    recorded = json.loads(manifest_path.read_text())["inputs"][str(data)]
+    main(["gen-dataset", "random", "--n", "4", "--count", "6", "--seed", "5",
+          "--out", str(data), "--force"])
+    model_bytes = model_path.read_bytes()
+    capsys.readouterr()
+
+    rc = main(["rerun", str(manifest_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines == [f"DRIFTED {data}: recorded {recorded}, now sha256:{_sha(data)}"]
+    assert model_path.read_bytes() == model_bytes
+
+    data.unlink()
+    rc = main(["rerun", str(manifest_path)])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"DRIFTED {data}: recorded {recorded}, now missing"
+    ]
 
 
 def test_rerun_accepts_manifests_with_retired_walk_flags(tmp_path, capsys):

@@ -1,49 +1,69 @@
-"""Network filters, features, loss, gradients, optimizer, and persistence.
+"""Network filters, features, encoded rows, loss, gradients, optimizer,
+and persistence.
+
+Every forward, loss and gradient check scores rows from `encode`, so the
+batched path is the only one under test.
 
 Tests verify:
 - ETE/ETV filter worked values and brute-force oracle agreement
 - feature extraction layout, padding, and relabeling equivariance
+- encoded row widths, batch consistency, and width checks
+- full-variant scores against a loop-convolution oracle at n_max 4, 7, 15
 - weighted cross-entropy worked values and limits
 - analytic gradients against central finite differences (both variants)
 - SGD update arithmetic and the descent property
 - prediction tie-breaking and monotone-transform invariance
 - last-layer export layout (29 rows per class at n_max=7)
-- model file round-trips and malformed-file rejection
+- model file round-trips (bit-exact weights over generated models,
+  hypothesis) and malformed-file rejection
 """
 from __future__ import annotations
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qwalk import (
     CLASSICAL,
     QUANTUM,
+    CqcnnModel,
     Example,
     ModelFormatError,
     build_line_dataset,
     desymmetrize,
+    encode,
     ete_filter,
     etv_filter,
     export_last_layer,
     extract_features,
     feature_slot,
     forward,
-    gradients,
     line_graph,
     load_model,
-    loss,
+    loss_and_gradients,
     new_model,
     permute_free_vertices,
-    predict,
+    predicted_class,
+    random_graph,
     save_model,
     score_loss,
     sgd_step,
 )
 
-from oracles import brute_ete, brute_ete_from_edges, brute_etv, connected_graphs
+from oracles import (
+    brute_ete,
+    brute_ete_from_edges,
+    brute_etv,
+    brute_full_scores,
+    connected_graphs,
+)
 
 PATH4 = np.array([
     [0, 1, 0, 0],
@@ -64,6 +84,24 @@ def _example(labeling, label):
     if label == QUANTUM:
         return Example(graph=g, label=QUANTUM, classical_hit_time=9.0, quantum_hit_time=7.0)
     return Example(graph=g, label=CLASSICAL, classical_hit_time=3.0, quantum_hit_time=None)
+
+
+def _rows(model, examples):
+    """Encoded input rows and labels of a batch of examples."""
+    return encode(model, [e.graph for e in examples]), [e.label for e in examples]
+
+
+def _scores(model, g):
+    return forward(model, encode(model, [g]))[0]
+
+
+def _gradients(model, examples, kappas):
+    return loss_and_gradients(model, *_rows(model, examples), kappas=kappas)[1]
+
+
+def _batch_loss(model, examples, kappas):
+    rows, labels = _rows(model, examples)
+    return score_loss(forward(model, rows), labels, kappas=kappas)
 
 
 # ====== fixed filters ======
@@ -215,7 +253,7 @@ def test_forward_zero_weights_gives_zero_scores():
         zeroed = model.copy()
         for w in zeroed.weights.values():
             w[:] = 0.0
-        x = forward(zeroed, line_graph(4, [0, 1, 2, 3]))
+        x = _scores(zeroed, line_graph(4, [0, 1, 2, 3]))
         assert np.array_equal(x, [0.0, 0.0])
 
 
@@ -225,14 +263,66 @@ def test_forward_simple_is_affine_in_features():
     for labeling in ([0, 1, 2, 3, 4], [2, 0, 3, 1, 4]):
         g = line_graph(5, labeling)
         f = extract_features(g, model.n_max)
-        assert np.allclose(forward(model, g), model.weights["last"].T @ f)
+        assert np.array_equal(encode(model, [g])[0], f)
+        assert np.allclose(_scores(model, g), model.weights["last"].T @ f)
 
 
 def test_forward_full_shapes():
     model = new_model("full", n_max=6, seed=1)
-    x = forward(model, line_graph(4, [0, 2, 1, 3]))
+    x = _scores(model, line_graph(4, [0, 2, 1, 3]))
     assert x.shape == (2,)
     assert np.all(np.isfinite(x))
+
+
+def test_encoded_row_widths():
+    """Simple rows are the 4*n_max+1 feature vector; full rows hold the
+    (9*C, n_max) collapsed-shift block (C = ceil(log2 n_max) + 1) and the
+    8*n_max tail: 795 entries at n_max 15."""
+    graphs = [line_graph(4, [0, 2, 1, 3]), line_graph(3, [0, 1, 2])]
+    for n_max, simple, full in ((4, 17, 140), (7, 29, 308), (15, 61, 795)):
+        assert encode(new_model("simple", n_max, seed=0), graphs).shape == (2, simple)
+        assert encode(new_model("full", n_max, seed=0), graphs).shape == (2, full)
+
+
+def test_forward_batch_matches_single_rows():
+    """Scoring a batch equals scoring each of its rows alone."""
+    graphs = [line_graph(5, lab) for lab in ([0, 1, 2, 3, 4], [2, 0, 3, 1, 4])]
+    graphs.append(random_graph(6, 3))
+    for variant in ("simple", "full"):
+        model = new_model(variant, n_max=6, seed=4)
+        rows = encode(model, graphs)
+        batch = forward(model, rows)
+        assert batch.shape == (3, 2)
+        for row, x in zip(rows, batch):
+            assert np.allclose(forward(model, row[None, :])[0], x, rtol=1e-13, atol=0)
+
+
+def test_forward_rejects_rows_of_another_width():
+    simple = new_model("simple", n_max=5, seed=0)
+    full = new_model("full", n_max=5, seed=0)
+    g = line_graph(4, [0, 1, 2, 3])
+    with pytest.raises(ValueError):
+        forward(full, encode(simple, [g]))
+    with pytest.raises(ValueError):
+        forward(simple, encode(new_model("simple", n_max=6, seed=0), [g]))
+    with pytest.raises(ValueError):
+        encode(full, [line_graph(6, [0, 1, 2, 3, 4, 5])])
+
+
+@pytest.mark.parametrize("n_max", [4, 7, 15])
+def test_forward_full_matches_loop_oracle(n_max):
+    """Full-variant scores equal an explicit loop convolution of the channel
+    stack, collapsed vertex by vertex, on zero-padded graphs smaller than
+    n_max."""
+    graphs = [random_graph(n_max - 1, 11 * n_max), line_graph(3, [0, 2, 1])]
+    if n_max > 4:
+        graphs.append(random_graph(n_max - 2, 11 * n_max + 1))
+    for seed in (1, 2):
+        model = new_model("full", n_max=n_max, seed=seed)
+        got = forward(model, encode(model, graphs))
+        for g, x in zip(graphs, got):
+            want = brute_full_scores(model, g)
+            assert np.abs(x - want).max() < 1e-10, (g.n, x, want)
 
 
 # ====== loss ======
@@ -240,43 +330,62 @@ def test_forward_full_shapes():
 
 def test_loss_uniform_scores():
     """Equal scores cost kappa * ln 2."""
-    got = score_loss(np.array([0.0, 0.0]), CLASSICAL, kappas=(0.5, 0.5))
+    got = score_loss(np.array([[0.0, 0.0]]), [CLASSICAL], kappas=(0.5, 0.5))
     assert abs(got - 0.5 * math.log(2)) < 1e-12
     # through the model path as well
     model = new_model("simple", n_max=3, seed=0)
     zeroed = model.copy()
     zeroed.weights["last"][:] = 0.0
     ex = _example([0, 1, 2], CLASSICAL)
-    assert abs(loss(zeroed, ex, kappas=(0.5, 0.5)) - 0.3466) < 1e-4
+    assert abs(_batch_loss(zeroed, [ex], kappas=(0.5, 0.5)) - 0.3466) < 1e-4
 
 
 def test_loss_worked_example():
     """x = (1, 0), class 0, kappa 0.6 -> 0.6 ln(1 + e^-1)."""
-    got = score_loss(np.array([1.0, 0.0]), CLASSICAL, kappas=(0.6, 0.4))
+    got = score_loss(np.array([[1.0, 0.0]]), [CLASSICAL], kappas=(0.6, 0.4))
     assert abs(got - 0.6 * math.log(1 + math.exp(-1))) < 1e-12
     assert abs(got - 0.188) < 1e-3
 
 
 def test_loss_saturates_to_zero():
-    got = score_loss(np.array([60.0, 0.0]), CLASSICAL, kappas=(0.5, 0.5))
+    got = score_loss(np.array([[60.0, 0.0]]), [CLASSICAL], kappas=(0.5, 0.5))
     assert 0.0 <= got < 1e-12
 
 
 def test_loss_is_nonnegative():
     rng = np.random.default_rng(12)
     for _ in range(200):
-        x = rng.normal(scale=5.0, size=2)
+        x = rng.normal(scale=5.0, size=(1, 2))
         label = int(rng.integers(2))
         kappa = rng.uniform(0.05, 0.95)
-        assert score_loss(x, label, kappas=(kappa, 1 - kappa)) >= 0.0
+        assert score_loss(x, [label], kappas=(kappa, 1 - kappa)) >= 0.0
 
 
 def test_loss_inverse_weighting_switch():
-    x = np.array([0.0, 0.0])
-    plain = score_loss(x, QUANTUM, kappas=(0.8, 0.2))
-    inverse = score_loss(x, QUANTUM, kappas=(0.8, 0.2), inverse_class_weights=True)
+    x = np.array([[0.0, 0.0]])
+    plain = score_loss(x, [QUANTUM], kappas=(0.8, 0.2))
+    inverse = score_loss(x, [QUANTUM], kappas=(0.8, 0.2), inverse_class_weights=True)
     assert abs(plain - 0.2 * math.log(2)) < 1e-12
     assert abs(inverse - 5.0 * math.log(2)) < 1e-12
+
+
+def test_loss_of_rows_is_their_mean():
+    """score_loss over rows is the mean of its one-row values, and it is the
+    loss that loss_and_gradients reports."""
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(5, 2))
+    labels = [0, 1, 1, 0, 1]
+    for inverse in (False, True):
+        rows = [score_loss(x[i : i + 1], labels[i : i + 1], (0.7, 0.3), inverse) for i in range(5)]
+        assert abs(score_loss(x, labels, (0.7, 0.3), inverse) - np.mean(rows)) < 1e-15
+    with pytest.raises(ValueError):
+        score_loss(x, labels[:4])
+    batch = [_example([0, 2, 1, 3], QUANTUM), _example([0, 1, 2, 3], CLASSICAL)]
+    for variant in ("simple", "full"):
+        model = new_model(variant, n_max=5, seed=2)
+        rows, batch_labels = _rows(model, batch)
+        value, _ = loss_and_gradients(model, rows, batch_labels, kappas=(0.6, 0.4))
+        assert value == score_loss(forward(model, rows), batch_labels, kappas=(0.6, 0.4))
 
 
 # ====== gradients ======
@@ -292,7 +401,8 @@ def _finite_difference_check(variant: str, pairs: int, seed: int) -> float:
         model = new_model(variant, n_max=4, seed=int(rng.integers(1 << 31)), hidden_width=6)
         ex = _example(labelings[k % 3], QUANTUM if k % 2 else CLASSICAL)
         kappas = (0.7, 0.3)
-        grads = gradients(model, [ex], kappas=kappas)
+        rows, labels = _rows(model, [ex])
+        _, grads = loss_and_gradients(model, rows, labels, kappas=kappas)
         for name, grad in grads.items():
             flat = model.weights[name].reshape(-1)
             gflat = grad.reshape(-1)
@@ -300,9 +410,9 @@ def _finite_difference_check(variant: str, pairs: int, seed: int) -> float:
                 perturbed = model.copy()
                 pflat = perturbed.weights[name].reshape(-1)
                 pflat[idx] += h
-                up = loss(perturbed, ex, kappas=kappas)
+                up = score_loss(forward(perturbed, rows), labels, kappas=kappas)
                 pflat[idx] -= 2 * h
-                down = loss(perturbed, ex, kappas=kappas)
+                down = score_loss(forward(perturbed, rows), labels, kappas=kappas)
                 fd = (up - down) / (2 * h)
                 denom = max(abs(fd), abs(gflat[idx]), 1.0)
                 worst = max(worst, abs(fd - gflat[idx]) / denom)
@@ -326,7 +436,7 @@ def test_gradients_vanish_when_saturated():
     zeroed.weights["last"][:] = 0.0
     zeroed.weights["last"][0, CLASSICAL] = 40.0  # bias slot drives the margin
     batch = [_example([0, 1, 2], CLASSICAL), _example([2, 0, 1], CLASSICAL)]
-    grads = gradients(zeroed, batch, kappas=(0.5, 0.5))
+    grads = _gradients(zeroed, batch, kappas=(0.5, 0.5))
     norm = max(np.abs(g).max() for g in grads.values())
     assert norm < 1e-6, f"saturated gradient norm {norm:.2e}"
 
@@ -334,8 +444,8 @@ def test_gradients_vanish_when_saturated():
 def test_gradient_of_duplicated_batch_equals_single():
     model = new_model("full", n_max=4, seed=3)
     ex = _example([0, 2, 1, 3], QUANTUM)
-    single = gradients(model, [ex], kappas=(0.5, 0.5))
-    tripled = gradients(model, [ex, ex, ex], kappas=(0.5, 0.5))
+    single = _gradients(model, [ex], kappas=(0.5, 0.5))
+    tripled = _gradients(model, [ex, ex, ex], kappas=(0.5, 0.5))
     for name in single:
         assert np.allclose(single[name], tripled[name], atol=1e-15)
 
@@ -344,9 +454,9 @@ def test_gradient_is_batch_mean():
     model = new_model("simple", n_max=3, seed=9)
     e1 = _example([0, 1, 2], CLASSICAL)
     e2 = _example([0, 2, 1], QUANTUM)
-    g1 = gradients(model, [e1], kappas=(0.5, 0.5))["last"]
-    g2 = gradients(model, [e2], kappas=(0.5, 0.5))["last"]
-    both = gradients(model, [e1, e2], kappas=(0.5, 0.5))["last"]
+    g1 = _gradients(model, [e1], kappas=(0.5, 0.5))["last"]
+    g2 = _gradients(model, [e2], kappas=(0.5, 0.5))["last"]
+    both = _gradients(model, [e1, e2], kappas=(0.5, 0.5))["last"]
     assert np.allclose(both, (g1 + g2) / 2.0)
 
 
@@ -368,7 +478,7 @@ def test_sgd_scalar_arithmetic():
 
 def test_sgd_zero_lr_is_identity():
     model = new_model("full", n_max=4, seed=2)
-    grads = gradients(model, [_example([0, 1, 2, 3], CLASSICAL)], kappas=(0.5, 0.5))
+    grads = _gradients(model, [_example([0, 1, 2, 3], CLASSICAL)], kappas=(0.5, 0.5))
     same = sgd_step(model, grads, lr=0.0)
     for name in model.weights:
         assert np.array_equal(same.weights[name], model.weights[name])
@@ -384,7 +494,7 @@ def test_sgd_rejects_negative_lr():
 def test_sgd_leaves_input_model_alone():
     model = new_model("simple", n_max=3, seed=4)
     before = model.weights["last"].copy()
-    grads = gradients(model, [_example([0, 2, 1], QUANTUM)], kappas=(0.5, 0.5))
+    grads = _gradients(model, [_example([0, 2, 1], QUANTUM)], kappas=(0.5, 0.5))
     sgd_step(model, grads, lr=0.5)
     assert np.array_equal(model.weights["last"], before)
 
@@ -395,9 +505,9 @@ def test_sgd_descends_on_a_fixed_batch():
         model = new_model(variant, n_max=4, seed=11)
         batch = [_example([0, 2, 1, 3], QUANTUM), _example([0, 1, 2, 3], CLASSICAL)]
         kappas = (0.5, 0.5)
-        before = sum(loss(model, e, kappas) for e in batch) / len(batch)
-        stepped = sgd_step(model, gradients(model, batch, kappas=kappas), lr=1e-4)
-        after = sum(loss(stepped, e, kappas) for e in batch) / len(batch)
+        before = _batch_loss(model, batch, kappas)
+        stepped = sgd_step(model, _gradients(model, batch, kappas=kappas), lr=1e-4)
+        after = _batch_loss(stepped, batch, kappas)
         assert after < before, f"{variant}: loss rose from {before} to {after}"
 
 
@@ -408,16 +518,17 @@ def test_predict_tie_goes_classical():
     model = new_model("simple", n_max=3, seed=0)
     zeroed = model.copy()
     zeroed.weights["last"][:] = 0.0
-    assert predict(zeroed, line_graph(3, [0, 2, 1])) == CLASSICAL
+    assert predicted_class(_scores(zeroed, line_graph(3, [0, 2, 1]))) == CLASSICAL
 
 
 def test_predict_matches_argmax():
     model = new_model("simple", n_max=4, seed=6)
-    for labeling in ([0, 1, 2, 3], [1, 3, 0, 2], [3, 2, 1, 0]):
-        g = line_graph(4, labeling)
-        x = forward(model, g)
+    graphs = [line_graph(4, lab) for lab in ([0, 1, 2, 3], [1, 3, 0, 2], [3, 2, 1, 0])]
+    scores = forward(model, encode(model, graphs))
+    for x, got in zip(scores, predicted_class(scores)):
         expect = QUANTUM if x[QUANTUM] > x[CLASSICAL] else CLASSICAL
-        assert predict(model, g) == expect
+        assert got == expect
+        assert predicted_class(x) == expect
 
 
 def test_predict_invariant_under_monotone_output_transforms():
@@ -425,15 +536,16 @@ def test_predict_invariant_under_monotone_output_transforms():
     both bias weights (x -> x + c) leave every prediction unchanged."""
     model = new_model("simple", n_max=4, seed=7)
     graphs = [line_graph(4, lab) for lab in ([0, 1, 2, 3], [0, 2, 1, 3], [2, 0, 3, 1])]
-    base = [predict(model, g) for g in graphs]
+    rows = encode(model, graphs)
+    base = predicted_class(forward(model, rows)).tolist()
 
     scaled = model.copy()
     scaled.weights["last"][:] *= 2.0
-    assert [predict(scaled, g) for g in graphs] == base
+    assert predicted_class(forward(scaled, rows)).tolist() == base
 
     shifted = model.copy()
     shifted.weights["last"][0, :] += 3.5  # bias slot feeds both outputs
-    assert [predict(shifted, g) for g in graphs] == base
+    assert predicted_class(forward(shifted, rows)).tolist() == base
 
 
 # ====== export and persistence ======
@@ -476,6 +588,48 @@ def test_model_roundtrip(tmp_path):
         assert back.seed == model.seed
         for name in model.weights:
             assert np.array_equal(back.weights[name], model.weights[name]), name
+
+
+@st.composite
+def _models(draw) -> CqcnnModel:
+    """Either variant with arbitrary finite weights of the right shapes."""
+    shape = new_model(
+        draw(st.sampled_from(["simple", "full"])),
+        n_max=draw(st.integers(3, 5)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        learning_rate=draw(st.floats(min_value=0.0, max_value=1.0)),
+        hidden_width=draw(st.integers(1, 4)),
+    )
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    weights = {
+        name: draw(arrays(np.float64, w.shape, elements=finite))
+        for name, w in shape.weights.items()
+    }
+    return CqcnnModel(
+        variant=shape.variant,
+        n_max=shape.n_max,
+        weights=weights,
+        hidden_width=shape.hidden_width,
+        learning_rate=shape.learning_rate,
+        seed=shape.seed,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=_models())
+def test_model_roundtrip_is_bit_exact(model):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "m.json"
+        save_model(model, path)
+        back = load_model(path)
+    assert (back.variant, back.n_max, back.hidden_width, back.seed) == (
+        model.variant, model.n_max, model.hidden_width, model.seed
+    )
+    assert back.learning_rate == model.learning_rate
+    assert set(back.weights) == set(model.weights)
+    for name, w in model.weights.items():
+        assert back.weights[name].shape == w.shape
+        assert back.weights[name].tobytes() == w.tobytes(), name
 
 
 def test_model_file_is_deterministic(tmp_path):

@@ -5,16 +5,21 @@ Tests verify:
 - random datasets are deterministic under a seed, independent of workers
 - split/merge arithmetic and disjointness
 - indeterminate handling
-- byte-exact serialization round-trips (plain and gzip)
+- byte-exact serialization round-trips (plain and gzip), also over
+  generated datasets (hypothesis)
 - loader rejections name the offending line
 """
 from __future__ import annotations
 
 import gzip
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwalk import (
     CLASSICAL,
@@ -22,9 +27,11 @@ from qwalk import (
     Dataset,
     DatasetFormatError,
     Example,
+    Graph,
     build_line_dataset,
     build_random_dataset,
     drop_indeterminate,
+    label_from_hit_times,
     label_graph,
     line_graph,
     load,
@@ -209,6 +216,77 @@ def test_save_load_roundtrip_gzip(tmp_path):
     save(d, path)
     back = load(path)
     assert all(a == b for a, b in zip(d.examples, back.examples))
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**12), 10**12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+)
+_JSON_DICTS = st.dictionaries(
+    st.text(max_size=6),
+    st.one_of(_JSON_LEAVES, st.lists(_JSON_LEAVES, max_size=3)),
+    max_size=3,
+)
+_HIT_TIMES = st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e6))
+
+
+@st.composite
+def _examples(draw) -> Example:
+    """A connected graph (random spanning tree plus extra edges), distinct
+    endpoints, hit times or an indeterminate flag, and JSON provenance."""
+    n = draw(st.integers(3, 8))
+    a = np.zeros((n, n), dtype=np.int64)
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        a[u, v] = a[v, u] = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                a[i, j] = a[j, i] = 1
+    v_init = draw(st.integers(0, n - 1))
+    v_target = draw(st.integers(0, n - 1).filter(lambda v: v != v_init))
+    indeterminate = draw(st.booleans())
+    t_c, t_q = (None, None) if indeterminate else (draw(_HIT_TIMES), draw(_HIT_TIMES))
+    return Example(
+        graph=Graph(a, v_init, v_target),
+        label=label_from_hit_times(t_c, t_q),
+        classical_hit_time=t_c,
+        quantum_hit_time=t_q,
+        indeterminate=indeterminate,
+        provenance=draw(_JSON_DICTS),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    examples=st.lists(_examples(), min_size=1, max_size=5),
+    split_tag=st.sampled_from(["train", "test", "unsplit"]),
+    metadata=_JSON_DICTS,
+    suffix=st.sampled_from([".jsonl", ".jsonl.gz"]),
+)
+def test_save_load_roundtrip_keeps_every_field(examples, split_tag, metadata, suffix):
+    d = Dataset(examples=tuple(examples), split_tag=split_tag, metadata=metadata)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / f"d{suffix}"
+        save(d, path)
+        back = load(path)
+    assert back.split_tag == split_tag
+    assert back.metadata == metadata
+    assert len(back) == len(d)
+    for a, b in zip(d.examples, back.examples):
+        assert np.array_equal(a.graph.adjacency, b.graph.adjacency)
+        assert (a.graph.v_init, a.graph.v_target) == (b.graph.v_init, b.graph.v_target)
+        assert a.label == b.label
+        assert a.indeterminate == b.indeterminate
+        assert a.provenance == b.provenance
+        for t_a, t_b in ((a.classical_hit_time, b.classical_hit_time),
+                         (a.quantum_hit_time, b.quantum_hit_time)):
+            assert (t_a is None) == (t_b is None)
+            if t_a is not None:
+                assert np.float64(t_a).tobytes() == np.float64(t_b).tobytes()
 
 
 def test_save_is_byte_deterministic(tmp_path):
