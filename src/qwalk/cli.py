@@ -5,7 +5,9 @@ artifact-writing command also writes `<main output>.manifest.json` holding
 the resolved flags, seeds, input/output checksums, and timing; `rerun`
 re-executes a manifest in a temporary directory and verifies the
 regenerated artifacts against the recorded checksums, leaving the recorded
-artifacts and manifest untouched. Randomized commands either take an
+artifacts and manifest untouched. Relative paths in a manifest are taken
+from the manifest's directory, so it replays from any working directory.
+Randomized commands either take an
 explicit --seed or generate one and print it, so nothing depends on hidden
 entropy.
 
@@ -58,7 +60,13 @@ from .graphs import Graph, line_graph
 from .walkers import LABEL_NAMES, WalkConfig, label_graph, write_trace_csv
 
 _MANIFEST_FORMAT = "qwalk-manifest"
-_MANIFEST_VERSION = 1
+# Version 2 records relative paths against the manifest's directory;
+# version 1 recorded them against the working directory of the run.
+_MANIFEST_VERSION = 2
+# Arguments that name files or directories, in any command.
+_PATH_ARGS = (
+    "graph", "out", "train", "test", "model_out", "history_out", "model", "data", "ensemble",
+)
 
 
 class UsageError(Exception):
@@ -86,13 +94,15 @@ def _manifest_path(main_output) -> str:
     return str(main_output) + ".manifest.json"
 
 
-def _args_record(args: argparse.Namespace) -> dict:
-    record = {}
-    for key, value in vars(args).items():
-        if key in ("func", "command"):
-            continue
-        record[key] = value
-    return record
+def _map_paths(key: str, value, fn):
+    """Apply `fn` to the path, or each path in the list, of a path argument."""
+    if key not in _PATH_ARGS:
+        return value
+    if isinstance(value, str):
+        return fn(value)
+    if isinstance(value, list):
+        return [fn(v) for v in value]
+    return value
 
 
 def _write_manifest(
@@ -103,17 +113,31 @@ def _write_manifest(
     started: float,
     main_output,
 ) -> str:
+    """Write the run's manifest, with relative paths taken from its directory.
+
+    The manifest then replays from any working directory, and the run's
+    directory may move as a whole.
+    """
+    path = _manifest_path(main_output)
+    home = os.path.dirname(path) or os.curdir
+
+    def relative(p) -> str:
+        return str(p) if os.path.isabs(p) else os.path.relpath(p, home)
+
     manifest = {
         "format": _MANIFEST_FORMAT,
         "version": _MANIFEST_VERSION,
         "tool_version": __version__,
         "command": command,
-        "args": _args_record(args),
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "args": {
+            key: _map_paths(key, value, relative)
+            for key, value in vars(args).items()
+            if key not in ("func", "command")
+        },
+        "inputs": {relative(p): _sha256(p) for p in inputs},
+        "outputs": {relative(p): _sha256(p) for p in outputs},
         "duration_seconds": time.monotonic() - started,
     }
-    path = _manifest_path(main_output)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -386,14 +410,6 @@ _DISPATCH = {
 }
 
 
-def _remap_paths(value, remap: dict):
-    if isinstance(value, str):
-        return remap.get(value, value)
-    if isinstance(value, list):
-        return [_remap_paths(v, remap) for v in value]
-    return value
-
-
 def cmd_rerun(args: argparse.Namespace) -> int:
     if not Path(args.manifest).exists():
         raise UsageError(f"manifest not found: {args.manifest}")
@@ -404,13 +420,19 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     command = manifest.get("command")
     if command not in _DISPATCH:
         raise RuntimeError(f"manifest names unknown command {command!r}")
+    home = Path(args.manifest).parent if manifest.get("version", 1) >= 2 else Path()
+
+    def resolve(p: str) -> str:
+        return str(home / p)  # an absolute p stays as it is
+
     # An input that changed since the run would make every output mismatch
     # without saying why; name it and stop instead.
     drifted = 0
     for recorded_path, recorded in manifest.get("inputs", {}).items():
-        now = _sha256(recorded_path) if Path(recorded_path).is_file() else "missing"
+        path = resolve(recorded_path)
+        now = _sha256(path) if Path(path).is_file() else "missing"
         if now != recorded:
-            print(f"DRIFTED {recorded_path}: recorded {recorded}, now {now}")
+            print(f"DRIFTED {path}: recorded {recorded}, now {now}")
             drifted += 1
     if drifted:
         return 1
@@ -426,7 +448,10 @@ def cmd_rerun(args: argparse.Namespace) -> int:
             slot.mkdir()
             remap[recorded_path] = str(slot / Path(recorded_path).name)
         replay = argparse.Namespace(
-            **{key: _remap_paths(value, remap) for key, value in manifest["args"].items()}
+            **{
+                key: _map_paths(key, value, lambda p: remap.get(p) or resolve(p))
+                for key, value in manifest["args"].items()
+            }
         )
         code = _DISPATCH[command](replay)
         if code != 0:
@@ -434,15 +459,16 @@ def cmd_rerun(args: argparse.Namespace) -> int:
         failures = 0
         for recorded_path, recorded in outputs.items():
             fresh_path = remap[recorded_path]
+            shown = resolve(recorded_path)
             if not Path(fresh_path).exists():
-                print(f"MISSING {recorded_path}")
+                print(f"MISSING {shown}")
                 failures += 1
                 continue
             fresh = _sha256(fresh_path)
             if fresh == recorded:
-                print(f"ok {recorded_path}")
+                print(f"ok {shown}")
             else:
-                print(f"MISMATCH {recorded_path}: recorded {recorded}, got {fresh}")
+                print(f"MISMATCH {shown}: recorded {recorded}, got {fresh}")
                 failures += 1
     return 1 if failures else 0
 

@@ -14,12 +14,13 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, enumerate_line_graphs, random_graph
-from .walkers import CLASSICAL, QUANTUM, WalkConfig, label_from_hit_times, label_graph
+from .graphs import Graph, _line_labelings, line_graph, random_graph
+from .walkers import CLASSICAL, QUANTUM, WalkConfig, WalkOutcome, label_from_hit_times, label_graph
 
 __all__ = [
     "Example",
@@ -111,36 +112,7 @@ def _config_record(cfg: WalkConfig) -> dict:
     }
 
 
-def _path_sequence(g: Graph) -> list[int]:
-    """Recover a line graph's vertex order, smaller endpoint reading first."""
-    degrees = g.adjacency.sum(axis=0)
-    ends = np.nonzero(degrees == 1)[0]
-    if ends.size != 2 or not np.all((degrees == 1) | (degrees == 2)):
-        raise ValueError("graph is not a line graph")
-    best: list[int] | None = None
-    for start in ends:
-        seq = [int(start)]
-        prev = -1
-        while len(seq) < g.n:
-            neighbors = np.nonzero(g.adjacency[seq[-1]])[0]
-            step = int(neighbors[0]) if int(neighbors[0]) != prev else int(neighbors[1])
-            prev = seq[-1]
-            seq.append(step)
-        if best is None or seq < best:
-            best = seq
-    assert best is not None
-    return best
-
-
-def _label_example(task: tuple) -> Example:
-    kind, payload, cfg = task
-    if kind == "line":
-        graph, provenance = payload
-    else:
-        n, graph_seed = payload
-        graph = random_graph(n, graph_seed)
-        provenance = {"kind": "random", "seed": graph_seed}
-    outcome = label_graph(graph, cfg)
+def _example(graph: Graph, outcome: WalkOutcome, provenance: dict) -> Example:
     return Example(
         graph=graph,
         label=outcome.label,
@@ -151,25 +123,51 @@ def _label_example(task: tuple) -> Example:
     )
 
 
-def _run_tasks(tasks: list[tuple], jobs: int) -> list[Example]:
-    if jobs <= 1 or len(tasks) < 2:
-        return [_label_example(t) for t in tasks]
-    chunk = max(1, len(tasks) // (jobs * 8))
+def _random_example(seed: int, n: int, cfg: WalkConfig) -> Example:
+    graph = random_graph(n, seed)
+    return _example(graph, label_graph(graph, cfg), {"kind": "random", "seed": seed})
+
+
+def _map(fn, items: list, jobs: int) -> list:
+    if jobs <= 1 or len(items) < 2:
+        return [fn(x) for x in items]
+    chunk = max(1, len(items) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_label_example, tasks, chunksize=chunk))
+        return list(pool.map(fn, items, chunksize=chunk))
 
 
 def build_line_dataset(n: int, cfg: WalkConfig = WalkConfig(), jobs: int = 1) -> Dataset:
-    """Label every distinct line graph on n vertices (n!/2 of them)."""
+    """Label every distinct line graph on n vertices (n!/2 of them).
+
+    The walks on a path depend only on the positions i and j of the start
+    (vertex 0) and the target (vertex 1) along it, up to reversal, so the
+    graphs fall into n(n-1)/2 classes keyed by min((i, j), (n-1-i, n-1-j)).
+    One representative per class, 0 at i, 1 at j and 2..n-1 in order
+    elsewhere, is labeled (`jobs` spreads these over workers), and every
+    graph of the class carries its outcome. Examples come in lexicographic
+    order of their labeling, which each records as provenance.
+    """
     if not 3 <= n <= 10:
         raise ValueError(f"n must lie in [3, 10], got {n}")
-    tasks = [
-        ("line", (g, {"kind": "line", "labeling": _path_sequence(g)}), cfg)
-        for g in enumerate_line_graphs(n)
-    ]
-    examples = _run_tasks(tasks, jobs)
+    labelings = list(_line_labelings(n))
+    keys = []
+    for perm in labelings:
+        i, j = perm.index(0), perm.index(1)
+        keys.append(min((i, j), (n - 1 - i, n - 1 - j)))
+    classes = list(dict.fromkeys(keys))
+    representatives = []
+    for i, j in classes:
+        rest = iter(range(2, n))
+        representatives.append(
+            line_graph(n, [0 if p == i else 1 if p == j else next(rest) for p in range(n)])
+        )
+    outcomes = dict(zip(classes, _map(partial(label_graph, cfg=cfg), representatives, jobs)))
+    examples = tuple(
+        _example(line_graph(n, perm), outcomes[key], {"kind": "line", "labeling": list(perm)})
+        for perm, key in zip(labelings, keys)
+    )
     metadata = {"kind": "line", "n": n, "config": _config_record(cfg)}
-    return Dataset(tuple(examples), "unsplit", metadata)
+    return Dataset(examples, "unsplit", metadata)
 
 
 def build_random_dataset(
@@ -183,8 +181,8 @@ def build_random_dataset(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     child_seeds = np.random.default_rng(seed).integers(2**63, size=count)
-    tasks = [("random", (n, int(s)), cfg) for s in child_seeds]
-    examples = _run_tasks(tasks, jobs)
+    label = partial(_random_example, n=n, cfg=cfg)
+    examples = _map(label, [int(s) for s in child_seeds], jobs)
     metadata = {"kind": "random", "n": n, "count": count, "seed": seed, "config": _config_record(cfg)}
     return Dataset(tuple(examples), "unsplit", metadata)
 
@@ -299,7 +297,7 @@ def _parse_example(record: dict, lineno: int) -> Example:
         value = record.get(key)
         if value is not None and not isinstance(value, (int, float)):
             fail(f"{key} must be a number or null")
-    adjacency = np.array([int(c) for c in bits], dtype=np.int64).reshape(n, n)
+    adjacency = (np.frombuffer(bits.encode("ascii"), np.uint8) - 48).reshape(n, n)
     try:
         graph = Graph(adjacency, record["v_init"], record["v_target"])
         return Example(

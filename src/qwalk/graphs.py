@@ -59,7 +59,7 @@ class Graph:
         n = a.shape[0]
         if n < 3:
             raise ValueError(f"need at least 3 vertices, got {n}")
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         a = a.astype(np.int64)
         if (a != a.T).any():
@@ -151,6 +151,11 @@ def line_graph(n: int, labeling) -> Graph:
     return Graph(a)
 
 
+def _line_labelings(n: int):
+    """Each labeling of the n-vertex path that reads no later than its reverse."""
+    return (perm for perm in itertools.permutations(range(n)) if perm <= perm[::-1])
+
+
 def enumerate_line_graphs(n: int) -> list[Graph]:
     """All distinct path graphs on n vertices, one per reversal pair.
 
@@ -159,11 +164,7 @@ def enumerate_line_graphs(n: int) -> list[Graph]:
     """
     if not 3 <= n <= 12:
         raise ValueError(f"n must be in [3, 12], got {n}")
-    out = []
-    for perm in itertools.permutations(range(n)):
-        if perm <= perm[::-1]:
-            out.append(line_graph(n, perm))
-    return out
+    return [line_graph(n, perm) for perm in _line_labelings(n)]
 
 
 def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:

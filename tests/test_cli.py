@@ -8,6 +8,8 @@ Tests verify:
 - the exit-code contract (0 ok, 1 runtime failure, 2 usage error)
 - every artifact gets a manifest, and rerun reproduces identical bytes,
   also from manifests that carry retired walk flags
+- relative manifest paths resolve against the manifest's directory
+  (version 2) or the working directory (version 1)
 - rerun names each drifted or missing input and does not replay
 """
 from __future__ import annotations
@@ -380,6 +382,53 @@ def test_rerun_accepts_manifests_with_retired_walk_flags(tmp_path, capsys):
     rc = main(["rerun", str(manifest_path)])
     assert rc == 0
     assert f"ok {out}" in capsys.readouterr().out
+
+
+def test_rerun_resolves_paths_against_the_manifest(tmp_path, capsys, monkeypatch):
+    """Relative paths are recorded from the manifest's directory, so a run
+    replays from any working directory, also after its directory moved."""
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    main(["gen-dataset", "line", "--n", "4", "--out", "d.jsonl"])
+    main(["train", "--train", "d.jsonl", "--test", "./d.jsonl", "--epochs", "5", "--seed", "1",
+          "--model-out", "m.json"])
+    manifest = json.loads((run / "m.json.manifest.json").read_text())
+    assert list(manifest["inputs"]) == ["d.jsonl"]
+    assert manifest["args"]["test"] == ["d.jsonl"]
+    model_bytes = (run / "m.json").read_bytes()
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+
+    rc = main(["rerun", "run/m.json.manifest.json"])
+    text = capsys.readouterr().out
+    assert rc == 0, text
+    assert "DRIFTED" not in text
+    assert "ok run/m.json" in text.splitlines()
+    assert (run / "m.json").read_bytes() == model_bytes
+
+    run.rename(tmp_path / "moved")
+    monkeypatch.chdir(tmp_path / "moved")
+    assert main(["rerun", str(tmp_path / "moved" / "m.json.manifest.json")]) == 0
+    assert f"ok {tmp_path / 'moved' / 'm.json'}" in capsys.readouterr().out
+
+
+def test_rerun_reads_version_1_paths_against_the_working_directory(tmp_path, capsys,
+                                                                  monkeypatch):
+    """Manifests written before version 2 recorded paths as given on the
+    command line, relative to the working directory of the run."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    main(["gen-dataset", "random", "--n", "4", "--count", "3", "--seed", "6",
+          "--out", "sub/d.jsonl"])
+    manifest_path = tmp_path / "sub" / "d.jsonl.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.update(version=1, outputs={"sub/d.jsonl": manifest["outputs"]["d.jsonl"]})
+    manifest["args"]["out"] = "sub/d.jsonl"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["rerun", "sub/d.jsonl.manifest.json"]) == 0
+    assert "ok sub/d.jsonl" in capsys.readouterr().out.splitlines()
 
 
 def test_train_rerun_reproduces_model(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Dataset construction, splitting, and the line-per-example file format.
 
 Tests verify:
-- exhaustive line datasets carry the expected sizes and label mix
+- exhaustive line datasets carry the expected sizes and label mix, label
+  one representative per start/target placement class, give every class
+  member its outcome bit for bit, record the smaller path reading as
+  provenance, and do not depend on the worker count
 - random datasets are deterministic under a seed, independent of workers
 - split/merge arithmetic and disjointness
 - indeterminate handling
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -97,6 +101,72 @@ def test_line_dataset_rerun_is_identical():
     again = build_line_dataset(4)
     assert list(again.labels) == list(LINES4.labels)
     assert all(a == b for a, b in zip(again.examples, LINES4.examples))
+
+
+def _path_reading(g: Graph) -> list[int]:
+    """The lexicographically smaller of the two vertex sequences along a path."""
+    ends = [v for v in range(g.n) if g.adjacency[v].sum() == 1]
+    readings = []
+    for start in ends:
+        seq = [start]
+        while len(seq) < g.n:
+            seq.append(next(int(u) for u in np.nonzero(g.adjacency[seq[-1]])[0]
+                            if len(seq) < 2 or u != seq[-2]))
+        readings.append(seq)
+    return min(readings)
+
+
+def _line_class(reading: list[int]) -> tuple[int, int]:
+    """Positions of start and target along the path, up to reversal."""
+    n, i, j = len(reading), reading.index(0), reading.index(1)
+    return min((i, j), (n - 1 - i, n - 1 - j))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_line_provenance_is_the_smaller_path_reading(n):
+    d = build_line_dataset(n)
+    labelings = [e.provenance["labeling"] for e in d]
+    assert labelings == [_path_reading(e.graph) for e in d]
+    assert labelings == sorted(labelings)
+    assert all(e.provenance["kind"] == "line" for e in d)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_line_class_members_share_the_representative_outcome(n):
+    """Records whose start and target sit at the same path positions (up to
+    reversal) carry bit-identical hit times and label: those of the path
+    with 0 at i, 1 at j and 2..n-1 in order on the other positions."""
+    classes: dict = {}
+    for e in build_line_dataset(n):
+        classes.setdefault(_line_class(_path_reading(e.graph)), []).append(e)
+    assert len(classes) == n * (n - 1) // 2
+    for (i, j), members in classes.items():
+        rest = iter(range(2, n))
+        outcome = label_graph(line_graph(n, [0 if p == i else 1 if p == j else next(rest)
+                                             for p in range(n)]))
+        expected = (outcome.label, outcome.classical_hit_time, outcome.quantum_hit_time,
+                    outcome.indeterminate)
+        for e in members:
+            assert (e.label, e.classical_hit_time, e.quantum_hit_time, e.indeterminate) == expected
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_line_dataset_labels_each_class_once(n, monkeypatch):
+    calls = []
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return label_graph(g, *args, **kwargs)
+
+    monkeypatch.setattr("qwalk.datasets.label_graph", counting)
+    d = build_line_dataset(n)
+    assert len(calls) == n * (n - 1) // 2
+    assert len(d) == math.factorial(n) // 2
+
+
+def test_line_dataset_worker_count_does_not_change_content():
+    """Equal examples: same graph, label, bit-identical hit times, provenance."""
+    assert build_line_dataset(5, jobs=2).examples == build_line_dataset(5, jobs=1).examples
 
 
 def test_random_dataset_determinism():
