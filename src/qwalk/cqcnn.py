@@ -16,6 +16,10 @@ A graph is encoded once into a fixed input row (`encode`); `forward`,
 full variant's convolution and the vertex collapse after it are both
 linear, so the row holds the collapsed one-pixel shifts of each channel
 map and the convolution becomes a matrix product with the kernel.
+`encode` is one stacked kernel per variant: the filters are row and
+column sums over the last two axes, so they run on blocks of zero-padded
+graphs at once, and each shift's collapse comes from window sums of those
+sums, without building the shifted maps.
 
 All gradients are hand-derived; there is no autodiff anywhere.
 """
@@ -29,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, classical_variant
+from .graphs import Graph
 from .walkers import CLASSICAL, QUANTUM
 
 __all__ = [
@@ -54,6 +58,8 @@ __all__ = [
 
 _MODEL_FORMAT = "qwalk-model"
 _MODEL_VERSION = 1
+# Graphs per stacked block in `encode`; bounds its working memory.
+_BLOCK_GRAPHS = 64
 
 
 class ModelFormatError(ValueError):
@@ -61,6 +67,25 @@ class ModelFormatError(ValueError):
 
 
 # ====== fixed graph filters ======
+# Each filter is one formula over the last two axes, so it runs on a single
+# matrix or on a stack of them; the public functions check one square matrix.
+
+
+def _square(m) -> np.ndarray:
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _ete(m: np.ndarray) -> np.ndarray:
+    rows = m.sum(axis=-1, keepdims=True)
+    cols = m.sum(axis=-2, keepdims=True)
+    return (rows + cols - 2.0 * m) * m
+
+
+def _etv(m: np.ndarray) -> np.ndarray:
+    return m.sum(axis=-1) + m.sum(axis=-2) - 2.0 * np.diagonal(m, axis1=-2, axis2=-1)
 
 
 def ete_filter(m: np.ndarray) -> np.ndarray:
@@ -68,12 +93,7 @@ def ete_filter(m: np.ndarray) -> np.ndarray:
 
     out[i][j] = (rowsum[i] + colsum[j] - 2*m[i][j]) * m[i][j]
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    rows = m.sum(axis=1, keepdims=True)
-    cols = m.sum(axis=0, keepdims=True)
-    return (rows + cols - 2.0 * m) * m
+    return _ete(_square(m))
 
 
 def etv_filter(m: np.ndarray) -> np.ndarray:
@@ -81,18 +101,12 @@ def etv_filter(m: np.ndarray) -> np.ndarray:
 
     out[i] = rowsum[i] + colsum[i] - 2*m[i][i]
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m.sum(axis=1) + m.sum(axis=0) - 2.0 * np.diagonal(m)
+    return _etv(_square(m))
 
 
 def desymmetrize(m: np.ndarray) -> np.ndarray:
     """Zero the strictly lower triangle so each undirected edge appears once."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return np.triu(m)
+    return np.triu(_square(m))
 
 
 def feature_slot(vertex: int, feature: int) -> int:
@@ -102,6 +116,27 @@ def feature_slot(vertex: int, feature: int) -> int:
     return 1 + 4 * vertex + (feature - 1)
 
 
+def _check_size(g: Graph, n_max: int) -> None:
+    if g.n > n_max:
+        raise ValueError(f"graph has {g.n} vertices but the model allows {n_max}")
+
+
+def _vertex_features(a: np.ndarray, v_init: np.ndarray, v_target: np.ndarray) -> np.ndarray:
+    """(B, n_max, 4) features of a (B, n_max, n_max) stack of zero-padded
+    adjacency matrices: degree, neighboring-edge total, start and target
+    adjacency."""
+    take = np.arange(len(a))
+    return np.stack(
+        [_etv(np.triu(a)), _etv(np.triu(_ete(a))), a[take, v_init], a[take, v_target]],
+        axis=-1,
+    )
+
+
+def _write_simple_rows(rows, index, a: np.ndarray, v_init, v_target) -> None:
+    rows[index, 0] = 1.0
+    rows[index, 1:] = _vertex_features(a, v_init, v_target).reshape(len(a), -1)
+
+
 def extract_features(g: Graph, n_max: int) -> np.ndarray:
     """Per-vertex feature vector of length 4*n_max + 1 (bias slot first).
 
@@ -109,17 +144,12 @@ def extract_features(g: Graph, n_max: int) -> np.ndarray:
     of the edges meeting the vertex, features 3 and 4 flag adjacency to
     the start and target vertices. Vertices beyond g.n are zero-padded.
     """
-    if g.n > n_max:
-        raise ValueError(f"graph has {g.n} vertices but the model allows {n_max}")
-    a = g.adjacency.astype(np.float64)
-    f1 = etv_filter(desymmetrize(a))
-    f2 = etv_filter(desymmetrize(ete_filter(a)))
-    f3 = a[g.v_init]
-    f4 = a[g.v_target]
-    out = np.zeros(4 * n_max + 1)
-    out[0] = 1.0
-    out[1 : 1 + 4 * g.n] = np.stack([f1, f2, f3, f4], axis=1).reshape(-1)
-    return out
+    _check_size(g, n_max)
+    a = np.zeros((1, n_max, n_max))
+    a[0, : g.n, : g.n] = g.adjacency
+    row = np.empty((1, 4 * n_max + 1))
+    _write_simple_rows(row, [0], a, [g.v_init], [g.v_target])
+    return row[0]
 
 
 # ====== model ======
@@ -229,40 +259,62 @@ def _input_width(model: CqcnnModel) -> int:
     return 4 * n_max + 1 if model.variant == "simple" else _block_width(n_max) + 8 * n_max
 
 
-def _full_row(g: Graph, n_max: int) -> np.ndarray:
+def _shift_collapses(m: np.ndarray) -> np.ndarray:
+    """(B, 3, 3, n_max) edge-to-vertex collapse of the 9 zero-padded one-pixel
+    shifts of each map in a (B, n_max, n_max) stack, ordered like a 3x3 kernel.
+
+    Shift (di, dj) of a map reads p[di + i, dj + j] of its copy p inside a
+    zero border, so its row sums are windows of p's row sums over columns
+    dj..dj+n_max-1, its column sums windows of p's column sums over rows
+    di..di+n_max-1, and its diagonal is p[di + i, dj + i]; no shifted map is
+    built.
+    """
+    b, n_max = len(m), m.shape[-1]
+    p = np.zeros((b, n_max + 2, n_max + 2))
+    p[:, 1:-1, 1:-1] = m
+    window = np.lib.stride_tricks.sliding_window_view
+    row_sums = np.stack([p[:, :, d : d + n_max].sum(2) for d in range(3)], axis=1)
+    col_sums = np.stack([p[:, d : d + n_max].sum(1) for d in range(3)], axis=1)
+    i, d = np.arange(n_max), np.arange(3)
+    etv = window(row_sums, n_max, axis=-1).swapaxes(1, 2) + window(col_sums, n_max, axis=-1)
+    etv -= 2.0 * p[:, d[:, None, None] + i, d[None, :, None] + i]
+    return etv
+
+
+def _write_full_rows(rows, index, a: np.ndarray, n: int, v_init, v_target) -> None:
+    b, n_max = len(a), a.shape[-1]
+    take = np.arange(b)
+    # Channel stack: the adjacency map plus repeatedly edge-to-edge filtered
+    # copies, each rescaled to unit max per graph so deep stages stay O(1),
+    # and each desymmetrized before its shifts are collapsed.
+    span = 9 * n_max
+    current = a
+    for c in range(_channel_count(n_max)):
+        if c:
+            current = _ete(current)
+            peak = np.abs(current).max(axis=(1, 2))
+            current = current / np.where(peak > 0, peak, 1.0)[:, None, None]
+        rows[index, c * span : (c + 1) * span] = _shift_collapses(np.triu(current)).reshape(b, -1)
+
     # Scaled copy of the simple feature block: degree-like features shrink
     # with n_max so every tail entry stays O(1).
-    phi = extract_features(g, n_max)
-    block = phi[1:].reshape(n_max, 4) * np.array(
-        [1.0 / n_max, 1.0 / n_max**2, 1.0, 1.0]
-    )
+    width = _block_width(n_max)
+    scale = np.array([1.0 / n_max, 1.0 / n_max**2, 1.0, 1.0])
+    features = _vertex_features(a, v_init, v_target) * scale
+    rows[index, width : width + 4 * n_max] = features.reshape(b, -1)
 
-    a = np.zeros((n_max, n_max))
-    a[: g.n, : g.n] = g.adjacency
-    # Channel stack: the adjacency map plus repeatedly edge-to-edge filtered
-    # copies, each rescaled to unit max so deep stages stay O(1).
-    channels = [desymmetrize(a)]
-    current = a
-    for _ in range(_ete_stage_count(n_max)):
-        current = ete_filter(current)
-        peak = np.abs(current).max()
-        if peak > 0:
-            current = current / peak
-        channels.append(desymmetrize(current))
-    # The 9 one-pixel shifts (zero padded) of every channel, ordered like the
-    # flattened (channel, 3, 3) kernel, each collapsed onto its vertices.
-    padded = np.pad(np.stack(channels), ((0, 0), (1, 1), (1, 1)))
-    shifts = np.lib.stride_tricks.sliding_window_view(padded, (n_max, n_max), axis=(1, 2))
-    shifts = shifts.reshape(-1, n_max, n_max)
-    etv = shifts.sum(axis=2) + shifts.sum(axis=1) - 2.0 * np.diagonal(shifts, axis1=1, axis2=2)
-
-    # One- and two-step transition probabilities into the special vertices.
-    t1 = classical_variant(g).transition
+    # One- and two-step transition probabilities into the special vertices,
+    # from the column-stochastic walk matrix with an absorbing target.
+    adjacency = a[:, :n, :n]
+    t1 = adjacency / adjacency.sum(axis=1, keepdims=True)
+    t1[take, :, v_target] = 0.0
+    t1[take, v_target, v_target] = 1.0
     t2 = t1 @ t1
-    rows = np.zeros((4, n_max))
-    rows[:, : g.n] = [t1[g.v_init], t1[g.v_target], t2[g.v_init], t2[g.v_target]]
-
-    return np.concatenate([etv.reshape(-1), block.reshape(-1), rows.reshape(-1)])
+    transitions = np.zeros((b, 4, n_max))
+    transitions[:, :, :n] = np.stack(
+        [t1[take, v_init], t1[take, v_target], t2[take, v_init], t2[take, v_target]], axis=1
+    )
+    rows[index, width + 4 * n_max :] = transitions.reshape(b, -1)
 
 
 def encode(model: CqcnnModel, graphs: Sequence[Graph]) -> np.ndarray:
@@ -272,11 +324,35 @@ def encode(model: CqcnnModel, graphs: Sequence[Graph]) -> np.ndarray:
     edge-to-vertex collapse of each of the 9*C one-pixel shifts of the C
     channel maps, a (9*C, n_max) block, then an 8*n_max tail of scaled
     vertex features and transition rows.
+
+    Graphs are encoded in stacked blocks: grouped by vertex count (input
+    order kept within a group) and zero-padded into (B, n_max, n_max)
+    stacks of at most 64 graphs, which every filter processes over its last
+    two axes at once. Each block writes its rows straight into the returned
+    array, so the working memory does not grow with the number of graphs.
+    The collapse of each one-pixel shift comes from window sums of the row
+    and column sums of the zero-bordered channel map plus one diagonal
+    gather, so no shifted map is built. A row does not depend on the other
+    graphs in the list.
     """
-    encode_one = extract_features if model.variant == "simple" else _full_row
-    rows = np.empty((len(graphs), _input_width(model)))
+    n_max = model.n_max
+    groups: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
-        rows[i] = encode_one(g, model.n_max)
+        _check_size(g, n_max)
+        groups.setdefault(g.n, []).append(i)
+    rows = np.empty((len(graphs), _input_width(model)))
+    for n, members in groups.items():
+        for start in range(0, len(members), _BLOCK_GRAPHS):
+            index = members[start : start + _BLOCK_GRAPHS]
+            block = [graphs[i] for i in index]
+            a = np.zeros((len(block), n_max, n_max))
+            a[:, :n, :n] = np.stack([g.adjacency for g in block])
+            v_init = np.array([g.v_init for g in block])
+            v_target = np.array([g.v_target for g in block])
+            if model.variant == "simple":
+                _write_simple_rows(rows, index, a, v_init, v_target)
+            else:
+                _write_full_rows(rows, index, a, n, v_init, v_target)
     return rows
 
 

@@ -234,9 +234,10 @@ def drop_indeterminate(d: Dataset) -> Dataset:
 
 
 def _example_record(e: Example) -> dict:
+    bits = (e.graph.adjacency.reshape(-1) + 48).astype(np.uint8)  # ASCII "0" and "1"
     return {
         "n": e.graph.n,
-        "adjacency": "".join(str(int(b)) for b in e.graph.adjacency.reshape(-1)),
+        "adjacency": bits.tobytes().decode("ascii"),
         "v_init": e.graph.v_init,
         "v_target": e.graph.v_target,
         "label": e.label,

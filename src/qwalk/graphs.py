@@ -27,17 +27,13 @@ __all__ = [
 
 
 def _is_connected(adjacency: np.ndarray) -> bool:
+    # Squaring the walk-length-<=1 reachability k times covers every walk of
+    # length <= 2^k; the clamp to 1 keeps the entries from overflowing.
     n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(adjacency[u])[0]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
+    reach = np.eye(n) + adjacency
+    for _ in range((n - 1).bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    return bool(reach[0].all())
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,9 +7,11 @@ classical oracles are a fine-step explicit Euler product and a symmetric
 eigendecomposition instead of a scaling-and-squaring exponential, hit
 times are brentq roots instead of a descent over a propagator ladder, the
 filter oracles count neighbor edges from explicit edge lists with Python
-loops instead of vectorized row/column sums, and the full classifier's
-scores come from an explicit 3x3 convolution loop over the channel maps
-instead of kernel-weighted sums of precomputed, collapsed shifts.
+loops instead of vectorized row/column sums, encoded input rows are
+built graph by graph from explicitly shifted maps instead of window sums
+over stacked blocks, and the full classifier's scores come from an
+explicit 3x3 convolution loop over the channel maps instead of
+kernel-weighted sums of precomputed, collapsed shifts.
 """
 
 from __future__ import annotations
@@ -199,7 +201,89 @@ def _connected(a: np.ndarray) -> bool:
     return len(seen) == n
 
 
-# ====== full-variant forward pass: explicit loops ======
+# ====== encoded rows and full-variant forward pass: explicit loops ======
+
+
+def _upper(m) -> np.ndarray:
+    n = len(m)
+    return np.array([[m[i][j] if j >= i else 0.0 for j in range(n)] for i in range(n)])
+
+
+def _loop_channels(a: np.ndarray) -> list[np.ndarray]:
+    """The desymmetrized channel maps: the padded adjacency, then repeated
+    brute_ete passes, each rescaled to unit peak."""
+    n_max = len(a)
+    channels = [_upper(a)]
+    current = a
+    for _ in range(max(1, int(np.ceil(np.log2(n_max))))):
+        current = brute_ete(current)
+        peak = max(abs(v) for row in current for v in row)
+        if peak > 0:
+            current = current / peak
+        channels.append(_upper(current))
+    return channels
+
+
+def _loop_vertex_features(g: Graph, a: np.ndarray) -> list[list[float]]:
+    """Per padded vertex: degree, neighboring-edge total, start and target bits."""
+    degree = brute_etv(_upper(a))
+    spread = brute_etv(_upper(brute_ete(a)))
+    return [[degree[v], spread[v], a[g.v_init][v], a[g.v_target][v]] for v in range(len(a))]
+
+
+def _loop_transition_rows(g: Graph, n_max: int) -> list[float]:
+    """One- and two-step walk probabilities out of the start and the target,
+    zero-padded to n_max each. Column u of the walk matrix spreads over u's
+    neighbours; the target absorbs."""
+    a = g.adjacency
+    deg = [sum(int(a[k][u]) for k in range(g.n)) for u in range(g.n)]
+    step = [[(1.0 if i == u else 0.0) if u == g.v_target else a[i][u] / deg[u]
+             for u in range(g.n)] for i in range(g.n)]
+    two = [[sum(step[i][k] * step[k][u] for k in range(g.n)) for u in range(g.n)]
+           for i in range(g.n)]
+    out = []
+    for matrix, v in ((step, g.v_init), (step, g.v_target), (two, g.v_init), (two, g.v_target)):
+        out.extend(matrix[v][u] if u < g.n else 0.0 for u in range(n_max))
+    return out
+
+
+def _padded(g: Graph, n_max: int) -> np.ndarray:
+    if g.n > n_max:
+        raise ValueError(f"graph has {g.n} vertices but the model allows {n_max}")
+    a = np.zeros((n_max, n_max))
+    a[: g.n, : g.n] = g.adjacency
+    return a
+
+
+def loop_encoded_row(model, g: Graph) -> np.ndarray:
+    """The input row `encode` gives one graph, built graph by graph with loops.
+
+    Simple variant: the bias, then per vertex its degree, neighboring-edge
+    total and start/target adjacency. Full variant: brute_etv of each
+    explicitly shifted, zero-padded copy of every channel map (channel,
+    then row offset, then column offset), the vertex features scaled by
+    (1/n_max, 1/n_max**2, 1, 1), and the transition rows.
+    """
+    n_max = model.n_max
+    a = _padded(g, n_max)
+    features = _loop_vertex_features(g, a)
+    if model.variant == "simple":
+        return np.array([1.0] + [x for f in features for x in f])
+    row = []
+    for ch in _loop_channels(a):
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                shifted = np.zeros((n_max, n_max))
+                for i in range(n_max):
+                    for j in range(n_max):
+                        if 0 <= i + di < n_max and 0 <= j + dj < n_max:
+                            shifted[i, j] = ch[i + di][j + dj]
+                row.extend(brute_etv(shifted))
+    scale = (1.0 / n_max, 1.0 / n_max**2, 1.0, 1.0)
+    for f in features:
+        row.extend(x * s for x, s in zip(f, scale))
+    row.extend(_loop_transition_rows(g, n_max))
+    return np.array(row)
 
 
 def brute_full_scores(model, g: Graph) -> list[float]:
@@ -211,20 +295,8 @@ def brute_full_scores(model, g: Graph) -> list[float]:
     collapsed one-pixel shifts weighted by the kernel.
     """
     n_max = model.n_max
-    a = np.zeros((n_max, n_max))
-    a[: g.n, : g.n] = g.adjacency
-
-    def upper(m):
-        return np.array([[m[i][j] if j >= i else 0.0 for j in range(n_max)] for i in range(n_max)])
-
-    channels = [upper(a)]
-    current = a
-    for _ in range(max(1, int(np.ceil(np.log2(n_max))))):
-        current = brute_ete(current)
-        peak = max(abs(v) for row in current for v in row)
-        if peak > 0:
-            current = current / peak
-        channels.append(upper(current))
+    a = _padded(g, n_max)
+    channels = _loop_channels(a)
 
     kernel = model.weights["conv"]
     z = [1.0]
@@ -241,19 +313,9 @@ def brute_full_scores(model, g: Graph) -> list[float]:
                 conv[i][j] = total
         z.extend(v / n_max for v in brute_etv(conv))
 
-    degree = brute_etv(upper(a))
-    spread = brute_etv(upper(brute_ete(a)))
-    for v in range(n_max):
-        z.extend([degree[v] / n_max, spread[v] / n_max**2, a[g.v_init][v], a[g.v_target][v]])
-
-    # Column u of the walk matrix spreads over u's neighbours; the target absorbs.
-    deg = [sum(a[k][u] for k in range(g.n)) for u in range(g.n)]
-    step = [[(1.0 if i == u else 0.0) if u == g.v_target else a[i][u] / deg[u]
-             for u in range(g.n)] for i in range(g.n)]
-    two = [[sum(step[i][k] * step[k][u] for k in range(g.n)) for u in range(g.n)]
-           for i in range(g.n)]
-    for matrix, v in ((step, g.v_init), (step, g.v_target), (two, g.v_init), (two, g.v_target)):
-        z.extend(matrix[v][u] if u < g.n else 0.0 for u in range(n_max))
+    for degree, spread, to_start, to_target in _loop_vertex_features(g, a):
+        z.extend([degree / n_max, spread / n_max**2, to_start, to_target])
+    z.extend(_loop_transition_rows(g, n_max))
 
     w_hidden, w_last = model.weights["hidden"], model.weights["last"]
     hidden = []

@@ -8,6 +8,10 @@ Tests verify:
 - ETE/ETV filter worked values and brute-force oracle agreement
 - feature extraction layout, padding, and relabeling equivariance
 - encoded row widths, batch consistency, and width checks
+- encoded rows against a graph-by-graph loop oracle at n_max 4, 7, 15, 20
+  over lists that mix vertex counts and cross a 64-graph block, bit for
+  bit wherever the arithmetic is exact; rows independent of the list a
+  graph is encoded in; encode's working memory independent of list length
 - full-variant scores against a loop-convolution oracle at n_max 4, 7, 15
 - weighted cross-entropy worked values and limits
 - analytic gradients against central finite differences (both variants)
@@ -22,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +40,7 @@ from qwalk import (
     QUANTUM,
     CqcnnModel,
     Example,
+    Graph,
     ModelFormatError,
     build_line_dataset,
     desymmetrize,
@@ -63,6 +69,7 @@ from oracles import (
     brute_etv,
     brute_full_scores,
     connected_graphs,
+    loop_encoded_row,
 )
 
 PATH4 = np.array([
@@ -307,6 +314,86 @@ def test_forward_rejects_rows_of_another_width():
         forward(simple, encode(new_model("simple", n_max=6, seed=0), [g]))
     with pytest.raises(ValueError):
         encode(full, [line_graph(6, [0, 1, 2, 3, 4, 5])])
+
+
+def _mixed_graphs(n_max: int, seed: int) -> tuple[list[Graph], list[int]]:
+    """A pool of graphs and a list of 69 + n_max indices into it: 70
+    three-vertex graphs, more than one 64-graph block of one size, shuffled
+    among one graph of every size 3..n_max and one more of n_max. Start and
+    target sit on random vertices."""
+    rng = np.random.default_rng(seed)
+
+    def placed(n):
+        v_init, v_target = rng.choice(n, size=2, replace=False)
+        return Graph(random_graph(n, rng).adjacency, int(v_init), int(v_target))
+
+    pool = [placed(3) for _ in range(12)] + [placed(n) for n in range(3, n_max + 1)]
+    pool.append(placed(n_max))
+    order = [int(k) for k in rng.integers(0, 12, size=70)] + list(range(12, len(pool)))
+    rng.shuffle(order)
+    return pool, order
+
+
+@pytest.mark.parametrize("n_max", [4, 7, 15, 20])
+def test_encode_matches_loop_oracle(n_max):
+    """Rows equal the graph-by-graph loop oracle. Simple rows, and the parts
+    of full rows made by exact arithmetic (integer sums of the adjacency
+    channel, scaled vertex features, one-step transition rows), match bit
+    for bit; the rest are sums of rounded floats that the oracle adds in
+    another order, so they match to a few ulps of n_max-term sums."""
+    pool, order = _mixed_graphs(n_max, seed=n_max)
+    graphs = [pool[k] for k in order]
+    for variant in ("simple", "full"):
+        model = new_model(variant, n_max, seed=0)
+        rows = encode(model, graphs)
+        want = np.array([loop_encoded_row(model, g) for g in pool])[order]
+        assert rows.shape == want.shape
+        if variant == "simple":
+            assert np.array_equal(rows, want)
+            continue
+        width = rows.shape[1] - 8 * n_max
+        exact = np.r_[0 : 9 * n_max, width : width + 6 * n_max]
+        assert np.array_equal(rows[:, exact], want[:, exact])
+        tolerance = 4 * n_max * np.finfo(float).eps * np.abs(want).max()
+        assert np.abs(rows - want).max() <= tolerance
+
+
+def test_encoded_row_does_not_depend_on_the_list():
+    """A graph's row is the same, bit for bit, whether it is encoded alone
+    or inside a list that mixes sizes and spans several blocks."""
+    pool, order = _mixed_graphs(9, seed=5)
+    graphs = [pool[k] for k in order]
+    for variant in ("simple", "full"):
+        model = new_model(variant, 9, seed=0)
+        alone = np.array([encode(model, [g])[0] for g in graphs])
+        assert encode(model, graphs).tobytes() == alone.tobytes()
+
+
+def test_encode_empty_and_oversized_lists():
+    for variant, width in (("simple", 21), ("full", 220)):
+        model = new_model(variant, n_max=5, seed=0)
+        assert encode(model, []).shape == (0, width)
+        with pytest.raises(ValueError, match="6 vertices but the model allows 5"):
+            encode(model, [line_graph(4, [0, 1, 2, 3]), line_graph(6, [0, 1, 2, 3, 4, 5])])
+
+
+def test_encode_memory_does_not_grow_with_the_list():
+    """Encoding 600 n=15 graphs (full variant) needs at most 256 KiB more
+    working memory, beyond the returned rows, than encoding 300."""
+    model = new_model("full", n_max=15, seed=0)
+    graphs = [random_graph(15, seed) for seed in range(300)]
+
+    def working_bytes(graph_list):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            rows = encode(model, graph_list)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - rows.nbytes
+
+    assert working_bytes(graphs + graphs) <= working_bytes(graphs) + 256 * 1024
 
 
 @pytest.mark.parametrize("n_max", [4, 7, 15])
