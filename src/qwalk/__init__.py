@@ -7,9 +7,7 @@ the adjacency matrix.
 """
 
 from .graphs import (
-    ClassicalSystem,
     Graph,
-    QuantumSystem,
     classical_variant,
     enumerate_line_graphs,
     line_graph,
@@ -81,8 +79,6 @@ __all__ = [
     "__version__",
     # graphs
     "Graph",
-    "ClassicalSystem",
-    "QuantumSystem",
     "line_graph",
     "enumerate_line_graphs",
     "random_connected_graph",

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _absorbing_walk
 from .walkers import CLASSICAL, QUANTUM
 
 __all__ = [
@@ -305,10 +305,7 @@ def _write_full_rows(rows, index, a: np.ndarray, n: int, v_init, v_target) -> No
 
     # One- and two-step transition probabilities into the special vertices,
     # from the column-stochastic walk matrix with an absorbing target.
-    adjacency = a[:, :n, :n]
-    t1 = adjacency / adjacency.sum(axis=1, keepdims=True)
-    t1[take, :, v_target] = 0.0
-    t1[take, v_target, v_target] = 1.0
+    t1 = _absorbing_walk(a[:, :n, :n], v_target)
     t2 = t1 @ t1
     transitions = np.zeros((b, 4, n_max))
     transitions[:, :, :n] = np.stack(

@@ -1,8 +1,14 @@
-"""Graph construction, sampling, and walk-specific matrix variants.
+"""Graph construction, sampling, and the two walk models of a graph.
 
 Vertices are 0-based indices. Every constructor marks vertex 0 as the
 walker's starting vertex and vertex 1 as the detection target, so a path
 graph is "interesting" exactly when those two sit far apart along it.
+
+The walk models are plain n x n matrices read straight from a `Graph`:
+the classical walker's column-stochastic jump matrix with the target made
+absorbing, and the quantum walker's effective Hamiltonian
+A - (i gamma / 2)|target><target|, whose anti-Hermitian part is the
+target's leak into the sink.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "ClassicalSystem",
-    "QuantumSystem",
     "line_graph",
     "enumerate_line_graphs",
     "random_graph",
@@ -91,39 +95,6 @@ class Graph:
             and self.adjacency.shape == other.adjacency.shape
             and bool((self.adjacency == other.adjacency).all())
         )
-
-
-@dataclass(frozen=True)
-class ClassicalSystem:
-    """Column-stochastic jump matrix with the target made absorbing."""
-
-    transition: np.ndarray
-    generator: np.ndarray
-    v_init: int
-    v_target: int
-
-    @property
-    def n(self) -> int:
-        return self.transition.shape[0]
-
-
-@dataclass(frozen=True)
-class QuantumSystem:
-    """Hamiltonian padded with a sink row/column plus the decay rate.
-
-    The jump operator is implicit: it moves population from ``v_target``
-    to ``sink_index`` (the padded last index) at rate ``decay_rate``.
-    """
-
-    hamiltonian: np.ndarray
-    decay_rate: float
-    sink_index: int
-    v_init: int
-    v_target: int
-
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
 
 
 # ====== constructors ======
@@ -213,46 +184,41 @@ def permute_free_vertices(g: Graph, perm) -> Graph:
     return Graph(a, v_init=g.v_init, v_target=g.v_target)
 
 
-# ====== simulation variants ======
+# ====== walk models ======
 
 
-def classical_variant(g: Graph) -> ClassicalSystem:
-    """Transition matrix for the classical walk with an absorbing target.
+def _absorbing_walk(a: np.ndarray, v_target) -> np.ndarray:
+    """(B, n, n) jump matrices of a (B, n, n) stack of float adjacency
+    matrices, one target per graph.
 
-    Column u (u != target) spreads uniformly over u's neighbors; the
-    target column is the unit vector at the target, so the walker cannot
-    leave once it arrives.
+    Column u spreads uniformly over u's neighbours; each target column is
+    the unit vector at its target, so the walker cannot leave once it
+    arrives.
     """
-    n = g.n
-    a = g.adjacency.astype(np.float64)
-    degree = a.sum(axis=0)
-    if (degree == 0).any():
-        raise ValueError("graph has an isolated vertex")
-    t = a / degree[np.newaxis, :]
-    t[:, g.v_target] = 0.0
-    t[g.v_target, g.v_target] = 1.0
-    q = t - np.eye(n)
+    take = np.arange(len(a))
+    t = a / a.sum(axis=1, keepdims=True)
+    t[take, :, v_target] = 0.0
+    t[take, v_target, v_target] = 1.0
+    return t
+
+
+def classical_variant(g: Graph) -> np.ndarray:
+    """Read-only n x n column-stochastic jump matrix T of the classical
+    walk, with the target made absorbing; the walker's generator is T - I."""
+    t = _absorbing_walk(g.adjacency[np.newaxis].astype(np.float64), [g.v_target])[0]
     t.setflags(write=False)
-    q.setflags(write=False)
-    return ClassicalSystem(transition=t, generator=q, v_init=g.v_init, v_target=g.v_target)
+    return t
 
 
-def quantum_variant(g: Graph, gamma: float = 1.0) -> QuantumSystem:
-    """Hamiltonian for the quantum walk, padded with a decoupled sink.
+def quantum_variant(g: Graph, gamma: float = 1.0) -> np.ndarray:
+    """Read-only n x n effective Hamiltonian A - (i gamma / 2)|target><target|.
 
-    The sink row and column are zero; only the dissipative jump (rate
-    `gamma`) connects the target to the sink.
+    It drives the quantum walker's no-jump state; the imaginary part at the
+    target is its decay, at rate `gamma`, into the sink.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    n = g.n
-    h = np.zeros((n + 1, n + 1), dtype=np.float64)
-    h[:n, :n] = g.adjacency
+    h = g.adjacency.astype(np.complex128)
+    h[g.v_target, g.v_target] -= 0.5j * float(gamma)
     h.setflags(write=False)
-    return QuantumSystem(
-        hamiltonian=h,
-        decay_rate=float(gamma),
-        sink_index=n,
-        v_init=g.v_init,
-        v_target=g.v_target,
-    )
+    return h

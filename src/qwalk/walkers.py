@@ -1,10 +1,12 @@
 """Continuous-time classical and quantum walk simulation and speedup labeling.
 
-The classical walker diffuses under dp/dt = (T - I)p with an absorbing
-target column. The quantum walker's only jump moves population from the
-target into a sink that the Hamiltonian never touches, so its graph block
-stays the pure state psi of the no-jump evolution psi' = -i H_eff psi,
-with H_eff = A - (i gamma / 2)|target><target|, and the sink population is
+Both walkers take their n x n models straight from the graph. The
+classical walker diffuses under dp/dt = (T - I)p, with T the jump matrix
+of `classical_variant` and its absorbing target column. The quantum
+walker's only jump moves population from the target into a sink that the
+Hamiltonian never touches, so its graph block stays the pure state psi of
+the no-jump evolution psi' = -i H_eff psi, with H_eff = `quantum_variant`
+= A - (i gamma / 2)|target><target|, and the sink population is
 1 - ||psi||^2. Both are propagated with exact matrix exponentials. A graph
 is labeled "quantum" when the sink population crosses the detection
 threshold 1/ln(n) strictly before the classical target probability does.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .graphs import ClassicalSystem, Graph, QuantumSystem, classical_variant, quantum_variant
+from .graphs import Graph, classical_variant, quantum_variant
 
 __all__ = [
     "CLASSICAL",
@@ -107,66 +109,49 @@ class WalkOutcome:
 # ====== direct propagation (single-time / explicit-grid) ======
 
 
-def ctrw_probabilities(sys: ClassicalSystem, t: float) -> np.ndarray:
-    """Occupation probabilities of the classical walker at time t.
+def ctrw_probabilities(g: Graph, t: float) -> np.ndarray:
+    """Occupation probabilities of the classical walker on g at time t.
 
     Exact propagation of dp/dt = (T - I)p from the unit vector at the
     start vertex, via the scaling-and-squaring matrix exponential.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    p0 = np.zeros(sys.n)
-    p0[sys.v_init] = 1.0
+    p0 = np.eye(g.n)[g.v_init]
     if t == 0:
         return p0
-    return expm(sys.generator * t) @ p0
-
-
-def _effective_hamiltonian(sys: QuantumSystem) -> np.ndarray:
-    # Graph block of the padded Hamiltonian; the sink is the last index.
-    n = sys.sink_index
-    h = sys.hamiltonian[:n, :n].astype(np.complex128)
-    h[sys.v_target, sys.v_target] -= 0.5j * sys.decay_rate
-    return h
-
-
-def _initial_state(sys: QuantumSystem) -> np.ndarray:
-    psi = np.zeros(sys.sink_index, dtype=np.complex128)
-    psi[sys.v_init] = 1.0
-    return psi
+    return expm((classical_variant(g) - np.eye(g.n)) * t) @ p0
 
 
 def _sink_population(psi: np.ndarray) -> float:
     return 1.0 - float(np.vdot(psi, psi).real)
 
 
-def _density(sys: QuantumSystem, psi: np.ndarray) -> np.ndarray:
-    n = sys.sink_index
-    rho = np.zeros((sys.dim, sys.dim), dtype=np.complex128)
-    rho[:n, :n] = np.outer(psi, psi.conj())
-    # Without the jump nothing reaches the sink, whatever rounding does to the norm.
-    rho[n, n] = _sink_population(psi) if sys.decay_rate != 0.0 else 0.0
-    return rho
-
-
-def ctqw_density(sys: QuantumSystem, t_grid) -> list[np.ndarray]:
-    """Density matrices of the quantum walker at the requested times.
+def ctqw_density(g: Graph, t_grid, gamma: float = 1.0) -> list[np.ndarray]:
+    """(n+1) x (n+1) density matrices of the quantum walker on g at the
+    requested times, the sink at index g.n.
 
     Each matrix is |psi><psi| on the graph block plus the sink population
-    1 - ||psi||^2. psi is carried across each grid interval by the exact
-    propagator expm(-i H_eff (t_next - t_prev)).
+    1 - ||psi||^2. psi starts at the start vertex and is carried across
+    each grid interval by the exact propagator expm(-i H_eff (t_next - t_prev)).
     """
     times = [float(t) for t in t_grid]
     if not times or times[0] != 0.0:
         raise ValueError("t_grid must start at 0")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("t_grid must be strictly increasing")
-    h_eff = _effective_hamiltonian(sys)
-    psi = _initial_state(sys)
-    out = [_density(sys, psi)]
-    for t_prev, t_next in zip(times, times[1:]):
-        psi = expm(-1j * (t_next - t_prev) * h_eff) @ psi
-        out.append(_density(sys, psi))
+    h_eff = quantum_variant(g, gamma)
+    n = g.n
+    psi = np.eye(n, dtype=np.complex128)[g.v_init]
+    out = []
+    for k, t in enumerate(times):
+        if k:
+            psi = expm(-1j * (t - times[k - 1]) * h_eff) @ psi
+        rho = np.zeros((n + 1, n + 1), dtype=np.complex128)
+        rho[:n, :n] = np.outer(psi, psi.conj())
+        # Without the jump nothing reaches the sink, whatever rounding does to the norm.
+        rho[n, n] = _sink_population(psi) if gamma != 0.0 else 0.0
+        out.append(rho)
     return out
 
 
@@ -282,13 +267,10 @@ def label_graph(g: Graph, cfg: WalkConfig = WalkConfig(), record_traces: bool = 
     """
     p_th = cfg.p_threshold(g.n)
     cap = cfg.t_max(g.n)
-    csys = classical_variant(g)
-    qsys = quantum_variant(g, cfg.gamma)
-    p0 = np.zeros(csys.n)
-    p0[csys.v_init] = 1.0
+    p0 = np.eye(g.n)[g.v_init]
     walkers = (
-        (_ladder(csys.generator, cap), p0, lambda p: float(p[csys.v_target])),
-        (_ladder(-1j * _effective_hamiltonian(qsys), cap), _initial_state(qsys), _sink_population),
+        (_ladder(classical_variant(g) - np.eye(g.n), cap), p0, lambda p: float(p[g.v_target])),
+        (_ladder(-1j * quantum_variant(g, cfg.gamma), cap), p0.astype(np.complex128), _sink_population),
     )
     t_c, t_q = (_hit_time(rungs, start, value, p_th, cap) for rungs, start, value in walkers)
 

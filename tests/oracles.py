@@ -1,10 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here deliberately takes a different route from the production
-code: the quantum oracle exponentiates a column-major vectorized
-Liouvillian instead of propagating the n-dimensional no-jump state, the
-classical oracles are a fine-step explicit Euler product and a symmetric
-eigendecomposition instead of a scaling-and-squaring exponential, hit
+code and builds its own matrices from the adjacency; nothing but `Graph`
+is imported from the package. The quantum oracle exponentiates a
+column-major vectorized Liouvillian over the graph padded with a sink
+instead of propagating the n-dimensional no-jump state, the classical
+oracles are a fine-step explicit Euler product over a walk matrix built
+with loops and a symmetric eigendecomposition instead of a
+scaling-and-squaring exponential, hit
 times are brentq roots instead of a descent over a propagator ladder, the
 filter oracles count neighbor edges from explicit edge lists with Python
 loops instead of vectorized row/column sums, encoded input rows are
@@ -22,32 +25,37 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from qwalk import ClassicalSystem, Graph, QuantumSystem, quantum_variant
+from qwalk import Graph
 
 
 # ====== quantum: column-major vectorized Liouvillian + expm ======
 
 
-def liouvillian_expm_density(sys: QuantumSystem, t: float) -> np.ndarray:
-    """rho(t) by exponentiating the vectorized generator (column-major vec).
+def liouvillian_expm_density(g: Graph, t: float, gamma: float = 1.0) -> np.ndarray:
+    """(n+1) x (n+1) rho(t), the sink at index n, by exponentiating the
+    vectorized generator (column-major vec).
 
-    With vec stacking columns, vec(A X B) = kron(B.T, A) vec(X), so
+    The Hamiltonian is the adjacency padded with a zero sink row and
+    column; the one jump L = |sink><target| acts at rate gamma. With vec
+    stacking columns, vec(A X B) = kron(B.T, A) vec(X), so
       -i[H, rho]            -> -i (kron(I, H) - kron(H.T, I))
       L rho Ldag            -> kron(conj(L), L)
       -1/2 {LdagL, rho}     -> -1/2 (kron(I, LdagL) + kron(LdagL.T, I))
     """
-    d = sys.dim
-    h = sys.hamiltonian.astype(np.complex128)
+    n = g.n
+    d = n + 1
+    h = np.zeros((d, d), dtype=np.complex128)
+    h[:n, :n] = g.adjacency
     eye = np.eye(d)
     jump = np.zeros((d, d))
-    jump[sys.sink_index, sys.v_target] = 1.0
+    jump[n, g.v_target] = 1.0
     ldl = jump.T @ jump
     lv = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    lv += sys.decay_rate * (
+    lv += gamma * (
         np.kron(jump.conj(), jump) - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
     )
     rho0 = np.zeros((d, d), dtype=np.complex128)
-    rho0[sys.v_init, sys.v_init] = 1.0
+    rho0[g.v_init, g.v_init] = 1.0
     vec = rho0.reshape(-1, order="F")
     out = expm(lv * t) @ vec
     return out.reshape(d, d, order="F")
@@ -56,18 +64,28 @@ def liouvillian_expm_density(sys: QuantumSystem, t: float) -> np.ndarray:
 # ====== classical: explicit fine-step Euler ======
 
 
-def euler_classical_probabilities(sys: ClassicalSystem, t: float, h: float = 1e-5) -> np.ndarray:
-    """p(t) as (I + h Q)^N p(0), evaluated via a matrix power for speed.
+def loop_walk_matrix(g: Graph) -> list[list[float]]:
+    """The classical jump matrix, entry by entry: column u spreads over u's
+    neighbours, and the target column stays at the target."""
+    a = g.adjacency
+    deg = [sum(int(a[k][u]) for k in range(g.n)) for u in range(g.n)]
+    return [[(1.0 if i == u else 0.0) if u == g.v_target else a[i][u] / deg[u]
+             for u in range(g.n)] for i in range(g.n)]
 
-    This is exactly the explicit Euler iterate at step h = t / N; only the
-    grouping of the multiplications differs.
+
+def euler_classical_probabilities(g: Graph, t: float, h: float = 1e-5) -> np.ndarray:
+    """p(t) as (I + h (T - I))^N p(0), evaluated via a matrix power for speed.
+
+    T is `loop_walk_matrix`. This is exactly the explicit Euler iterate at
+    step h = t / N; only the grouping of the multiplications differs.
     """
-    p0 = np.zeros(sys.n)
-    p0[sys.v_init] = 1.0
+    p0 = np.zeros(g.n)
+    p0[g.v_init] = 1.0
     if t == 0:
         return p0
     steps = max(1, round(t / h))
-    step_matrix = np.eye(sys.n) + (t / steps) * sys.generator
+    generator = np.array(loop_walk_matrix(g)) - np.eye(g.n)
+    step_matrix = np.eye(g.n) + (t / steps) * generator
     return np.linalg.matrix_power(step_matrix, steps) @ p0
 
 
@@ -110,11 +128,12 @@ def oracle_hit_times(
     The classical curve is the spectral one above; the quantum curve is the
     sink entry of the vectorized-Liouvillian density matrix.
     """
-    sys = quantum_variant(g, gamma)
-    sink = sys.sink_index
+    sink = g.n
     return (
         _first_crossing(lambda t: spectral_target_probability(g, t), p_th, t_max),
-        _first_crossing(lambda t: liouvillian_expm_density(sys, t)[sink, sink].real, p_th, t_max),
+        _first_crossing(
+            lambda t: liouvillian_expm_density(g, t, gamma)[sink, sink].real, p_th, t_max
+        ),
     )
 
 
@@ -233,12 +252,8 @@ def _loop_vertex_features(g: Graph, a: np.ndarray) -> list[list[float]]:
 
 def _loop_transition_rows(g: Graph, n_max: int) -> list[float]:
     """One- and two-step walk probabilities out of the start and the target,
-    zero-padded to n_max each. Column u of the walk matrix spreads over u's
-    neighbours; the target absorbs."""
-    a = g.adjacency
-    deg = [sum(int(a[k][u]) for k in range(g.n)) for u in range(g.n)]
-    step = [[(1.0 if i == u else 0.0) if u == g.v_target else a[i][u] / deg[u]
-             for u in range(g.n)] for i in range(g.n)]
+    zero-padded to n_max each, from `loop_walk_matrix`."""
+    step = loop_walk_matrix(g)
     two = [[sum(step[i][k] * step[k][u] for k in range(g.n)) for u in range(g.n)]
            for i in range(g.n)]
     out = []

@@ -25,7 +25,6 @@ from qwalk import (
     WalkConfig,
     build_line_dataset,
     build_random_dataset,
-    classical_variant,
     ctqw_density,
     ctrw_probabilities,
     ensemble_stats,
@@ -38,7 +37,6 @@ from qwalk import (
     merge,
     new_model,
     permute_free_vertices,
-    quantum_variant,
     random_graph,
     split,
     train,
@@ -85,25 +83,23 @@ def test_criterion_2_simulation_properties():
     worst_oracle = 0.0
     worst_relabel = 0.0
     for g in population:
-        qsys = quantum_variant(g)
-        rhos = ctqw_density(qsys, health_grid)
+        rhos = ctqw_density(g, health_grid)
         sink = []
         for t, rho in zip(health_grid, rhos):
             assert abs(np.trace(rho).real - 1.0) < 1e-6, f"trace drift (n={g.n}, t={t})"
             assert np.abs(rho - rho.conj().T).max() < 1e-8, f"non-Hermitian (n={g.n}, t={t})"
-            sink.append(rho[qsys.sink_index, qsys.sink_index].real)
+            sink.append(rho[g.n, g.n].real)
         assert np.all(np.diff(sink) >= -1e-9), f"sink not monotone (n={g.n})"
 
         for t in (2.0, 6.0):
-            ref = liouvillian_expm_density(qsys, t)
+            ref = liouvillian_expm_density(g, t)
             idx = int(np.where(health_grid == t)[0][0])
             err = np.abs(rhos[idx] - ref).max()
             worst_oracle = max(worst_oracle, err)
             assert err < 1e-5, f"oracle mismatch {err:.2e} (n={g.n}, t={t})"
 
-        csys = classical_variant(g)
         for t in (0.7, 3.0, 9.0):
-            p = ctrw_probabilities(csys, t)
+            p = ctrw_probabilities(g, t)
             assert abs(p.sum() - 1.0) < 1e-9, f"probability leak (n={g.n}, t={t})"
 
         free = [v for v in range(g.n) if v not in (g.v_init, g.v_target)]

@@ -3,8 +3,10 @@
 Tests verify:
 - Graph validation rejects malformed adjacency input
 - line graphs and their exhaustive enumeration (n!/2, all distinct)
-- classical variant is column-stochastic with an absorbing target
-- quantum variant pads a symmetric Hamiltonian with a zero sink row/column
+- classical variant is a read-only column-stochastic n x n jump matrix with
+  an absorbing target, generating the walk through T - I
+- quantum variant is the read-only n x n effective Hamiltonian: the
+  adjacency off the target diagonal, -i gamma/2 at (target, target)
 - random connected graphs are uniform over the target support
 """
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 from qwalk import (
     Graph,
     classical_variant,
+    ctrw_probabilities,
     enumerate_line_graphs,
     line_graph,
     permute_free_vertices,
@@ -23,7 +26,7 @@ from qwalk import (
     random_graph,
 )
 
-from oracles import connected_graphs
+from oracles import connected_graphs, loop_walk_matrix
 
 PATH4 = np.array([
     [0, 1, 0, 0],
@@ -119,25 +122,29 @@ def test_enumerate_line_graphs_distinct():
     assert len(keys) == len(graphs)
 
 
-# ====== simulation variants ======
+# ====== walk models ======
 
 
 def test_classical_variant_columns():
-    """Columns sum to one; the target column is the target unit vector."""
+    """Columns sum to one; the target column is the target unit vector;
+    every entry matches the loop-built walk matrix; the matrix is read-only."""
     g = line_graph(4, [0, 2, 1, 3])
-    sys = classical_variant(g)
-    sums = sys.transition.sum(axis=0)
+    t = classical_variant(g)
+    assert t.shape == (4, 4)
+    sums = t.sum(axis=0)
     assert np.allclose(sums, 1.0)
     target_col = np.zeros(4)
     target_col[g.v_target] = 1.0
-    assert np.array_equal(sys.transition[:, g.v_target], target_col)
+    assert np.array_equal(t[:, g.v_target], target_col)
+    assert np.allclose(t, loop_walk_matrix(g), rtol=0.0, atol=1e-15)
+    assert not t.flags.writeable
 
 
 def test_classical_variant_worked_example():
     """Path 1-2-3: vertex 0 sends all mass to 1, vertex 2 splits nowhere
     (degree 1), and column 1 is absorbing."""
     g = line_graph(3, [0, 1, 2])
-    t = classical_variant(g).transition
+    t = classical_variant(g)
     expect = np.array([
         [0.0, 0.0, 0.0],
         [1.0, 1.0, 1.0],
@@ -147,28 +154,32 @@ def test_classical_variant_worked_example():
 
 
 def test_classical_generator_is_transition_minus_identity():
+    """The classical walk's generator is T - I: from the start vertex, the
+    walk's initial velocity is T's start column minus the start unit vector."""
     g = line_graph(5, [0, 3, 1, 4, 2])
-    sys = classical_variant(g)
-    assert np.allclose(sys.generator, sys.transition - np.eye(5))
+    t = classical_variant(g)
+    h = 1e-7
+    velocity = (ctrw_probabilities(g, h) - ctrw_probabilities(g, 0.0)) / h
+    assert np.allclose(velocity, (t - np.eye(5))[:, g.v_init], atol=1e-6)
 
 
 def test_quantum_variant_shape_and_symmetry():
-    """Hamiltonian is the adjacency padded with a zero sink row/column."""
+    """H_eff is n x n: the adjacency off the target diagonal, -i gamma/2 at
+    (target, target), read-only."""
     g = line_graph(4, [0, 1, 2, 3])
-    sys = quantum_variant(g)
-    assert sys.dim == 5
-    assert sys.sink_index == 4
-    h = sys.hamiltonian
+    h = quantum_variant(g)
+    assert h.shape == (4, 4)
+    assert not h.flags.writeable
+    off = np.ones((4, 4), dtype=bool)
+    off[g.v_target, g.v_target] = False
+    assert np.array_equal(h[off], g.adjacency[off])
+    assert h[g.v_target, g.v_target] == -0.5j
     assert np.array_equal(h, h.T)
-    assert np.all(h[sys.sink_index, :] == 0)
-    assert np.all(h[:, sys.sink_index] == 0)
-    assert np.array_equal(h[:4, :4], g.adjacency)
-    assert sys.decay_rate == 1.0
 
 
 def test_quantum_variant_custom_gamma():
     g = line_graph(3, [0, 1, 2])
-    assert quantum_variant(g, gamma=0.25).decay_rate == 0.25
+    assert quantum_variant(g, gamma=0.25)[g.v_target, g.v_target] == -0.125j
     with pytest.raises(ValueError):
         quantum_variant(g, gamma=-1.0)
 

@@ -28,14 +28,12 @@ from qwalk import (
     Graph,
     Trace,
     WalkConfig,
-    classical_variant,
     ctqw_density,
     ctrw_probabilities,
     hitting_time,
     label_graph,
     line_graph,
     permute_free_vertices,
-    quantum_variant,
     random_graph,
     write_trace_csv,
 )
@@ -76,32 +74,31 @@ def test_config_rejects_bad_values():
 
 
 def test_ctrw_initial_condition():
-    sys = classical_variant(line_graph(4, [0, 1, 2, 3]))
-    p = ctrw_probabilities(sys, 0.0)
+    p = ctrw_probabilities(line_graph(4, [0, 1, 2, 3]), 0.0)
     assert np.array_equal(p, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_ctrw_conserves_probability():
-    sys = classical_variant(line_graph(5, [0, 3, 1, 4, 2]))
+    g = line_graph(5, [0, 3, 1, 4, 2])
     for t in (0.1, 1.0, 7.5, 40.0):
-        p = ctrw_probabilities(sys, t)
+        p = ctrw_probabilities(g, t)
         assert abs(p.sum() - 1.0) < 1e-9, f"t={t}: sum={p.sum()}"
         assert np.all(p >= -1e-12)
 
 
 def test_ctrw_matches_euler_oracle():
     """Matrix-exponential propagation agrees with fine-step explicit Euler."""
-    sys = classical_variant(line_graph(3, [0, 2, 1]))
+    g = line_graph(3, [0, 2, 1])
     for t in (0.5, 2.0, 6.0):
-        got = ctrw_probabilities(sys, t)
-        ref = euler_classical_probabilities(sys, t)
+        got = ctrw_probabilities(g, t)
+        ref = euler_classical_probabilities(g, t)
         err = np.abs(got - ref).max()
         assert err < 1e-5, f"t={t}: euler mismatch {err:.2e}"
 
 
 def test_ctrw_target_probability_monotone():
-    sys = classical_variant(line_graph(3, [0, 2, 1]))
-    values = [ctrw_probabilities(sys, t)[sys.v_target] for t in np.linspace(0, 20, 81)]
+    g = line_graph(3, [0, 2, 1])
+    values = [ctrw_probabilities(g, t)[g.v_target] for t in np.linspace(0, 20, 81)]
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-12), "absorbing target lost probability"
 
@@ -110,8 +107,7 @@ def test_ctrw_target_probability_monotone():
 
 
 def test_ctqw_initial_condition():
-    sys = quantum_variant(line_graph(3, [0, 2, 1]))
-    rho = ctqw_density(sys, [0.0])[0]
+    rho = ctqw_density(line_graph(3, [0, 2, 1]), [0.0])[0]
     expect = np.zeros((4, 4), dtype=complex)
     expect[0, 0] = 1.0
     assert np.array_equal(rho, expect)
@@ -119,34 +115,33 @@ def test_ctqw_initial_condition():
 
 def test_ctqw_zero_gamma_keeps_sink_empty():
     """Coherent dynamics never populates the sink."""
-    sys = quantum_variant(line_graph(3, [0, 2, 1]), gamma=0.0)
-    for rho in ctqw_density(sys, np.linspace(0.0, 12.0, 7)):
-        assert rho[sys.sink_index, sys.sink_index].real == 0.0
+    g = line_graph(3, [0, 2, 1])
+    for rho in ctqw_density(g, np.linspace(0.0, 12.0, 7), gamma=0.0):
+        assert rho[g.n, g.n].real == 0.0
 
 
 def test_ctqw_matches_liouvillian_expm_oracle():
     """The n-dimensional pure state vs exponentiating the vectorized generator."""
     for g in (line_graph(3, [0, 2, 1]), line_graph(5, [2, 0, 4, 1, 3]), K3):
-        sys = quantum_variant(g)
         grid = np.array([0.0, 0.8, 3.0, 9.0])
-        rhos = ctqw_density(sys, grid)
+        rhos = ctqw_density(g, grid)
         for t, rho in zip(grid, rhos):
-            ref = liouvillian_expm_density(sys, t)
+            ref = liouvillian_expm_density(g, t)
             err = np.abs(rho - ref).max()
             assert err < 1e-5, f"n={g.n} t={t}: oracle mismatch {err:.2e}"
 
 
 def test_ctqw_density_health():
     """Trace, Hermiticity, positivity proxy, and sink monotonicity."""
-    sys = quantum_variant(line_graph(4, [0, 2, 3, 1]))
+    g = line_graph(4, [0, 2, 3, 1])
     grid = np.linspace(0.0, 15.0, 31)
-    rhos = ctqw_density(sys, grid)
+    rhos = ctqw_density(g, grid)
     sink = []
     for t, rho in zip(grid, rhos):
         assert abs(np.trace(rho).real - 1.0) < 1e-6, f"trace drift at t={t}"
         assert np.abs(rho - rho.conj().T).max() < 1e-8, f"non-Hermitian at t={t}"
         assert np.all(np.diag(rho).real >= -1e-9), f"negative population at t={t}"
-        sink.append(rho[sys.sink_index, sys.sink_index].real)
+        sink.append(rho[g.n, g.n].real)
     assert np.all(np.diff(sink) >= -1e-9), "sink population decreased"
 
 
@@ -154,11 +149,9 @@ def test_ctqw_faster_on_opposite_ends_path():
     """On path 1-3-2 the sink crosses p_th before the classical target."""
     g = line_graph(3, [0, 2, 1])
     p_th = 1.0 / math.log(3)
-    qsys = quantum_variant(g)
-    csys = classical_variant(g)
     grid = np.linspace(0.0, 9.0, 181)
-    sink = np.array([r[qsys.sink_index, qsys.sink_index].real for r in ctqw_density(qsys, grid)])
-    target = np.array([ctrw_probabilities(csys, t)[csys.v_target] for t in grid])
+    sink = np.array([r[g.n, g.n].real for r in ctqw_density(g, grid)])
+    target = np.array([ctrw_probabilities(g, t)[g.v_target] for t in grid])
     tq = hitting_time(Trace(grid, sink), p_th)
     tc = hitting_time(Trace(grid, target), p_th)
     assert tq is not None and tc is not None
@@ -176,14 +169,13 @@ def test_label_march_matches_oracle_at_benchmark_sizes(n):
     g = random_graph(n, n)
     cfg = WalkConfig(p_threshold_override=0.9)
     trace = label_graph(g, cfg, record_traces=True).quantum_trace
-    qsys = quantum_variant(g)
-    sink = qsys.sink_index
+    sink = g.n
     picks = [1, 64, 256, 257, 300]
     times = trace.times[picks]
     assert times[2] < 25.6 + 1e-9 < times[3], "first doubling not bracketed"
-    rhos = ctqw_density(qsys, np.concatenate([[0.0], times]))[1:]
+    rhos = ctqw_density(g, np.concatenate([[0.0], times]))[1:]
     for k, t, rho in zip(picks, times, rhos):
-        ref = liouvillian_expm_density(qsys, t)[sink, sink].real
+        ref = liouvillian_expm_density(g, t)[sink, sink].real
         err = abs(trace.values[k] - ref)
         assert err < 1e-12, f"n={n} t={t:g}: oracle mismatch {err:.2e}"
         gap = abs(trace.values[k] - rho[sink, sink].real)
@@ -191,11 +183,11 @@ def test_label_march_matches_oracle_at_benchmark_sizes(n):
 
 
 def test_ctqw_rejects_unsorted_grid():
-    sys = quantum_variant(line_graph(3, [0, 1, 2]))
+    g = line_graph(3, [0, 1, 2])
     with pytest.raises(ValueError):
-        ctqw_density(sys, [1.0, 0.5])
+        ctqw_density(g, [1.0, 0.5])
     with pytest.raises(ValueError):
-        ctqw_density(sys, [0.5, 1.0])  # must start at 0
+        ctqw_density(g, [0.5, 1.0])  # must start at 0
 
 
 # ====== hitting times ======
