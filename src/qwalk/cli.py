@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._io import write_atomic
 from .cqcnn import (
     ModelFormatError,
     export_last_layer,
@@ -138,9 +139,7 @@ def _write_manifest(
         "outputs": {relative(p): _sha256(p) for p in outputs},
         "duration_seconds": time.monotonic() - started,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_atomic(path, (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"))
     return path
 
 
@@ -360,8 +359,7 @@ def _inspect_single(model, out) -> None:
     lines.extend(
         f"{r['vertex']},{r['feature']},{r['class']},{r['weight']!r}" for r in rows
     )
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(out, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _inspect_ensemble(models: list, out) -> None:
@@ -375,8 +373,7 @@ def _inspect_ensemble(models: list, out) -> None:
         f"{r['vertex']},{r['feature']},{r['class']},{r['weight']!r},{float(dev)!r}"
         for r, dev in zip(rows, deviations)
     )
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(out, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:

@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._io import write_atomic
 from .graphs import Graph, _absorbing_walk
 from .walkers import CLASSICAL, QUANTUM
 
@@ -203,14 +204,6 @@ class CqcnnModel:
             got = self.weights[name].shape
             if got != shape:
                 raise ValueError(f"weight {name!r} must have shape {shape}, got {got}")
-
-    @property
-    def last_layer_weights(self) -> np.ndarray:
-        return self.weights["last"]
-
-    @property
-    def learnable_conv(self) -> np.ndarray | None:
-        return self.weights.get("conv")
 
     def copy(self) -> "CqcnnModel":
         return CqcnnModel(
@@ -523,9 +516,8 @@ def save_model(model: CqcnnModel, path) -> None:
         "seed": model.seed,
         "weights": {name: w.tolist() for name, w in model.weights.items()},
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(record, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    text = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    write_atomic(path, text.encode("utf-8"))
 
 
 def load_model(path) -> CqcnnModel:

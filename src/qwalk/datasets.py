@@ -10,6 +10,7 @@ bitstring, endpoint indices, label, hitting times, and provenance.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -19,6 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._io import write_atomic
 from .graphs import Graph, _line_labelings, line_graph, random_graph
 from .walkers import CLASSICAL, QUANTUM, WalkConfig, WalkOutcome, label_from_hit_times, label_graph
 
@@ -44,6 +46,10 @@ class DatasetFormatError(ValueError):
     """A dataset file failed to parse or violated a record invariant."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Example:
     """One labeled graph together with the hitting times behind the label."""
@@ -56,8 +62,13 @@ class Example:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.label not in (CLASSICAL, QUANTUM):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
+        if not _is_int(self.label) or self.label not in (CLASSICAL, QUANTUM):
+            raise ValueError(f"label must be the integer 0 or 1, got {self.label!r}")
+        for name in ("classical_hit_time", "quantum_hit_time"):
+            t = getattr(self, name)
+            number = _is_int(t) or isinstance(t, float)
+            if t is not None and not (number and math.isfinite(t) and t >= 0):
+                raise ValueError(f"{name} must be None or a finite number >= 0, got {t!r}")
         if self.label != label_from_hit_times(self.classical_hit_time, self.quantum_hit_time):
             raise ValueError("label contradicts the stored hitting times")
         if self.indeterminate and not (
@@ -253,7 +264,7 @@ def save(d: Dataset, path) -> None:
 
     Output bytes are a pure function of the dataset (sorted keys, shortest
     round-trip floats, zeroed gzip timestamp), so identical datasets give
-    identical files.
+    identical files. The file is replaced atomically.
     """
     header = {
         "format": _FORMAT,
@@ -269,13 +280,12 @@ def save(d: Dataset, path) -> None:
     )
     data = ("\n".join(lines) + "\n").encode("utf-8")
     if str(path).endswith(".gz"):
-        with open(path, "wb") as raw:
-            # filename="" keeps the gzip header free of the output path
-            with gzip.GzipFile(fileobj=raw, filename="", mode="wb", mtime=0) as zf:
-                zf.write(data)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        raw = io.BytesIO()
+        # filename="" keeps the gzip header free of the output path
+        with gzip.GzipFile(fileobj=raw, filename="", mode="wb", mtime=0) as zf:
+            zf.write(data)
+        data = raw.getvalue()
+    write_atomic(path, data)
 
 
 def _parse_example(record: dict, lineno: int) -> Example:
@@ -291,19 +301,12 @@ def _parse_example(record: dict, lineno: int) -> Example:
     bits = record["adjacency"]
     if not isinstance(bits, str) or len(bits) != n * n or set(bits) - {"0", "1"}:
         fail("adjacency must be a bitstring of length n*n")
-    label = record["label"]
-    if label not in (0, 1):
-        fail(f"label must be 0 or 1, got {label!r}")
-    for key in ("t_classical", "t_quantum"):
-        value = record.get(key)
-        if value is not None and not isinstance(value, (int, float)):
-            fail(f"{key} must be a number or null")
     adjacency = (np.frombuffer(bits.encode("ascii"), np.uint8) - 48).reshape(n, n)
     try:
         graph = Graph(adjacency, record["v_init"], record["v_target"])
         return Example(
             graph=graph,
-            label=label,
+            label=record["label"],
             classical_hit_time=record.get("t_classical"),
             quantum_hit_time=record.get("t_quantum"),
             indeterminate=bool(record.get("indeterminate", False)),

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._io import write_atomic
 from .cqcnn import (
     CqcnnModel,
     encode,
@@ -284,8 +285,7 @@ def write_history_csv(history: list[dict], path) -> None:
     lines = [",".join(columns)]
     for row in history:
         lines.append(",".join(_format_cell(row.get(c)) for c in columns))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_metrics_csv(metrics: Metrics, path) -> None:
@@ -301,5 +301,4 @@ def write_metrics_csv(metrics: Metrics, path) -> None:
         for p, p_name in enumerate(_CLASS_NAMES):
             rows.append((f"confusion_{t_name}_{p_name}", int(metrics.confusion[t, p])))
     lines = ["metric,value"] + [f"{k},{_format_cell(v)}" for k, v in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from ._io import write_atomic
 from .graphs import Graph, classical_variant, quantum_variant
 
 __all__ = [
@@ -304,5 +305,4 @@ def write_trace_csv(outcome: WalkOutcome, path) -> None:
         outcome.quantum_trace.values,
     ):
         lines.append(f"{float(t)!r},{float(pc)!r},{float(pq)!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -20,6 +20,7 @@ Tests verify:
 - last-layer export layout (29 rows per class at n_max=7)
 - model file round-trips (bit-exact weights over generated models,
   hypothesis) and malformed-file rejection
+- a failed save leaves the previous model file intact and no temporary file
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import qwalk._io
 from qwalk import (
     CLASSICAL,
     QUANTUM,
@@ -725,6 +727,28 @@ def test_model_file_is_deterministic(tmp_path):
     save_model(model, p1)
     save_model(model, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    """A save that fails leaves the file already at the path byte for byte
+    and no temporary file beside it: a numpy seed cannot be serialized, and
+    a failing final rename stands in for a write that dies late."""
+    path = tmp_path / "model.json"
+    save_model(new_model("simple", 5, 3), path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_model(new_model("simple", 5, np.int64(3)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(qwalk._io.os, "replace", refuse)
+    with pytest.raises(OSError):
+        save_model(new_model("simple", 5, 4), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_load_model_rejects_malformed_files(tmp_path):

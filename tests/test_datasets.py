@@ -10,7 +10,8 @@ Tests verify:
 - indeterminate handling
 - byte-exact serialization round-trips (plain and gzip), also over
   generated datasets (hypothesis)
-- loader rejections name the offending line
+- loader rejections name the offending line, malformed hit times and
+  labels included
 """
 from __future__ import annotations
 
@@ -208,6 +209,17 @@ def test_example_rejects_inconsistent_label():
             quantum_hit_time=None,
             indeterminate=True,
         )
+
+
+def test_example_rejects_values_a_dataset_file_cannot_hold():
+    """Numpy integers and float32 would make `save` fail on JSON encoding."""
+    g = line_graph(3, [0, 1, 2])
+    with pytest.raises(ValueError):
+        Example(graph=g, label=np.int64(CLASSICAL))
+    with pytest.raises(ValueError):
+        Example(graph=g, label=CLASSICAL, classical_hit_time=np.float32(2.0))
+    e = Example(graph=g, label=CLASSICAL, classical_hit_time=np.float64(2.0))
+    assert e.classical_hit_time == 2.0
 
 
 # ====== split / merge ======
@@ -421,6 +433,36 @@ def test_load_names_the_bad_line(tmp_path):
     with pytest.raises(DatasetFormatError) as info:
         load(path)
     assert "line 3" in str(info.value), f"message was: {info.value}"
+
+
+@pytest.mark.parametrize(
+    "row, key, value",
+    [
+        (1, "t_classical", math.nan),
+        (1, "t_classical", -4.0),
+        (1, "t_classical", True),
+        (1, "t_quantum", math.inf),
+        (2, "label", True),
+        (2, "label", 1.0),
+    ],
+    ids=["t-nan", "t-negative", "t-bool", "t-infinite", "label-bool", "label-float"],
+)
+def test_load_rejects_malformed_hit_time_or_label(tmp_path, row, key, value):
+    """Hit times must be None or finite, non-negative, non-bool numbers, and
+    the label a non-bool integer; each bad value alone keeps the record's
+    label consistent with its hit times, so only this check catches it."""
+    d = _tiny_dataset()
+    assert d.examples[row - 1].label == (CLASSICAL if key != "label" else QUANTUM)
+    path = tmp_path / "d.jsonl"
+    save(d, path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[row])
+    record[key] = value
+    lines[row] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert f"line {row + 1}" in str(info.value), f"message was: {info.value}"
 
 
 def test_load_rejects_broken_json(tmp_path):
