@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -226,7 +227,9 @@ def new_model(
     """Fresh model with all weights uniform in [-0.1, 0.1] from the seed.
 
     Draw order is fixed (conv, hidden, last) so a seed pins every weight.
+    A numpy-integer seed is stored as a Python int, so the model can be saved.
     """
+    seed = operator.index(seed)
     rng = np.random.default_rng(seed)
     shapes = _expected_shapes(variant, n_max, hidden_width)
     weights = {name: rng.uniform(-0.1, 0.1, size=shape) for name, shape in shapes.items()}

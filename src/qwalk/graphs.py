@@ -30,14 +30,106 @@ __all__ = [
 ]
 
 
-def _is_connected(adjacency: np.ndarray) -> bool:
+def _connected(adjacency: np.ndarray) -> np.ndarray:
+    """Whether vertex 0 reaches every vertex, for each graph of a (B, n, n)
+    boolean stack."""
     # Squaring the walk-length-<=1 reachability k times covers every walk of
-    # length <= 2^k; the clamp to 1 keeps the entries from overflowing.
-    n = adjacency.shape[0]
-    reach = np.eye(n) + adjacency
+    # length <= 2^k; the clamp to 1 keeps the entries at most n, which
+    # float32 holds exactly.
+    n = adjacency.shape[1]
+    reach = np.eye(n, dtype=np.float32) + adjacency
+    square = np.empty_like(reach)
     for _ in range((n - 1).bit_length()):
-        reach = np.minimum(reach @ reach, 1.0)
-    return bool(reach[0].all())
+        np.minimum(np.matmul(reach, reach, out=square), 1.0, out=reach)
+    return reach[:, 0].all(axis=1)
+
+
+def _endpoint_fault(v_init, v_target, n: int) -> str | None:
+    """The message of the first endpoint rule one graph breaks, or None."""
+    for name, v in (("v_init", v_init), ("v_target", v_target)):
+        if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+            return f"{name}={v!r} is not a vertex index in [0, {n})"
+    if v_init == v_target:
+        return "v_init and v_target must differ"
+    return None
+
+
+# Graphs checked at once: bounds the validator's working memory (a few bytes
+# per matrix entry) whatever the stack's length.
+_BLOCK_GRAPHS = 256
+
+
+def _first_fault(adjacency: np.ndarray, v_init, v_target) -> tuple[int, str] | None:
+    """The first graph of a (B, n, n) stack that breaks a `Graph` rule, as
+    (index, message), or None when every graph keeps them all.
+
+    `v_init` and `v_target` hold one endpoint per graph. Each rule runs on
+    a block of up to `_BLOCK_GRAPHS` graphs at once. The message is the one of the first rule that graph
+    breaks, in this order: at least 3 vertices, 0/1 entries, symmetry,
+    zero diagonal, endpoints in range, distinct endpoints, connectivity.
+    """
+    b, n = adjacency.shape[:2]
+    if b and n < 3:
+        return 0, f"need at least 3 vertices, got {n}"
+    for start in range(0, b, _BLOCK_GRAPHS):
+        block = slice(start, start + _BLOCK_GRAPHS)
+        fault = _block_fault(adjacency[block], v_init[block], v_target[block])
+        if fault is not None:
+            return start + fault[0], fault[1]
+    return None
+
+
+def _block_fault(adjacency: np.ndarray, v_init, v_target) -> tuple[int, str] | None:
+    """`_first_fault` of one block, whose graphs have at least 3 vertices."""
+    b, n = adjacency.shape[:2]
+    edges = adjacency == 1
+    binary = (adjacency == 0) | edges
+    symmetric = adjacency == adjacency.transpose(0, 2, 1)
+    loops = adjacency.reshape(b, n * n)[:, :: n + 1] != 0  # the diagonals
+    endpoints = [_endpoint_fault(s, t, n) for s, t in zip(v_init, v_target)]
+    kept = (binary & symmetric).all(axis=(1, 2)) & ~loops.any(axis=1) & _connected(edges)
+    if kept.all() and not any(endpoints):
+        return None
+    kept &= [fault is None for fault in endpoints]
+    i = int(np.argmin(kept))
+    rules = (
+        (binary[i].all(), "adjacency entries must be 0 or 1"),
+        (symmetric[i].all(), "adjacency must be symmetric"),
+        (not loops[i].any(), "adjacency diagonal must be zero"),
+        (endpoints[i] is None, endpoints[i]),
+    )
+    return i, next((message for ok, message in rules if not ok), "graph must be connected")
+
+
+def _checked_stack(adjacency: np.ndarray, v_init, v_target) -> list[Graph]:
+    """The graphs of a (B, n, n) stack, every `Graph` rule checked a block
+    of graphs at a time by `_first_fault` and on none of the graphs again.
+
+    Raises ValueError with the message `Graph` gives for the first graph
+    that breaks a rule.
+    """
+    fault = _first_fault(adjacency, v_init, v_target)
+    if fault is not None:
+        raise ValueError(fault[1])
+    return _unchecked_stack(adjacency, v_init, v_target)
+
+
+def _unchecked_stack(adjacency: np.ndarray, v_init, v_target) -> list[Graph]:
+    """The graphs of a (B, n, n) stack that `_first_fault` already passed.
+
+    They share one read-only int64 stack: `adjacency` itself when it is
+    int64 already, so callers pass a stack they own.
+    """
+    a = np.asarray(adjacency, dtype=np.int64)
+    a.setflags(write=False)
+    graphs = []
+    for rows, s, t in zip(a, v_init, v_target):
+        g = object.__new__(Graph)
+        object.__setattr__(g, "adjacency", rows)
+        object.__setattr__(g, "v_init", int(s))
+        object.__setattr__(g, "v_target", int(t))
+        graphs.append(g)
+    return graphs
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,23 +148,10 @@ class Graph:
         a = np.asarray(self.adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        n = a.shape[0]
-        if n < 3:
-            raise ValueError(f"need at least 3 vertices, got {n}")
-        if not ((a == 0) | (a == 1)).all():
-            raise ValueError("adjacency entries must be 0 or 1")
+        fault = _first_fault(a[np.newaxis], [self.v_init], [self.v_target])
+        if fault is not None:
+            raise ValueError(fault[1])
         a = a.astype(np.int64)
-        if (a != a.T).any():
-            raise ValueError("adjacency must be symmetric")
-        if np.diag(a).any():
-            raise ValueError("adjacency diagonal must be zero")
-        for name, v in (("v_init", self.v_init), ("v_target", self.v_target)):
-            if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
-                raise ValueError(f"{name}={v!r} is not a vertex index in [0, {n})")
-        if self.v_init == self.v_target:
-            raise ValueError("v_init and v_target must differ")
-        if not _is_connected(a):
-            raise ValueError("graph must be connected")
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
         object.__setattr__(self, "v_init", int(self.v_init))
@@ -112,15 +191,25 @@ def line_graph(n: int, labeling) -> Graph:
     seq = [int(v) for v in labeling]
     if sorted(seq) != list(range(n)):
         raise ValueError(f"labeling {labeling!r} is not a permutation of range({n})")
-    a = np.zeros((n, n), dtype=np.int64)
-    for u, v in zip(seq, seq[1:]):
-        a[u, v] = a[v, u] = 1
-    return Graph(a)
+    return _path_graphs(np.array([seq]))[0]
 
 
-def _line_labelings(n: int):
-    """Each labeling of the n-vertex path that reads no later than its reverse."""
-    return (perm for perm in itertools.permutations(range(n)) if perm <= perm[::-1])
+def _path_graphs(labelings: np.ndarray) -> list[Graph]:
+    """The path graphs of a (B, n) array of permutations of range(n), built
+    as one (B, n, n) stack with one `_checked_stack` pass."""
+    b, n = labelings.shape
+    a = np.zeros((b, n, n), dtype=np.int64)
+    rows = np.arange(b)[:, np.newaxis]
+    a[rows, labelings[:, :-1], labelings[:, 1:]] = 1
+    a[rows, labelings[:, 1:], labelings[:, :-1]] = 1
+    return _checked_stack(a, [0] * b, [1] * b)
+
+
+def _line_labelings(n: int) -> np.ndarray:
+    """(n!/2, n) array of each labeling of the n-vertex path that reads no
+    later than its reverse, in lexicographic order."""
+    kept = (perm for perm in itertools.permutations(range(n)) if perm <= perm[::-1])
+    return np.fromiter(itertools.chain.from_iterable(kept), np.int64).reshape(-1, n)
 
 
 def enumerate_line_graphs(n: int) -> list[Graph]:
@@ -131,7 +220,7 @@ def enumerate_line_graphs(n: int) -> list[Graph]:
     """
     if not 3 <= n <= 12:
         raise ValueError(f"n must be in [3, 12], got {n}")
-    return [line_graph(n, perm) for perm in _line_labelings(n)]
+    return _path_graphs(_line_labelings(n))
 
 
 def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
@@ -141,17 +230,21 @@ def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
     until the result is connected, which preserves uniformity over
     connected graphs with that edge count.
     """
+    if n < 3:
+        raise ValueError(f"need at least 3 vertices, got {n}")
     max_m = n * (n - 1) // 2
     if not n - 1 <= m <= max_m:
         raise ValueError(f"m={m} out of range [{n - 1}, {max_m}] for n={n}")
     rows, cols = np.triu_indices(n, k=1)
     while True:
         chosen = rng.choice(max_m, size=m, replace=False)
-        a = np.zeros((n, n), dtype=np.int64)
-        a[rows[chosen], cols[chosen]] = 1
-        a = a + a.T
-        if _is_connected(a):
-            return Graph(a)
+        a = np.zeros((1, n, n), dtype=np.int64)
+        a[0, rows[chosen], cols[chosen]] = 1
+        a = a + a.transpose(0, 2, 1)
+        # A draw is binary, symmetric and loop-free by construction, so the
+        # one rule it can break is connectivity.
+        if _first_fault(a, [0], [1]) is None:
+            return _unchecked_stack(a, [0], [1])[0]
 
 
 def random_graph(n: int, rng_seed) -> Graph:
@@ -160,8 +253,6 @@ def random_graph(n: int, rng_seed) -> Graph:
     Deterministic for a fixed seed. `rng_seed` may also be a Generator,
     which callers with derived seed streams pass directly.
     """
-    if n < 3:
-        raise ValueError(f"need at least 3 vertices, got {n}")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     m = int(rng.integers(n - 1, n * (n - 1) // 2 + 1))
     return random_connected_graph(n, m, rng)

@@ -19,7 +19,7 @@ Tests verify:
 - prediction tie-breaking and monotone-transform invariance
 - last-layer export layout (29 rows per class at n_max=7)
 - model file round-trips (bit-exact weights over generated models,
-  hypothesis) and malformed-file rejection
+  hypothesis; a numpy-integer seed) and malformed-file rejection
 - a failed save leaves the previous model file intact and no temporary file
 """
 from __future__ import annotations
@@ -679,6 +679,18 @@ def test_model_roundtrip(tmp_path):
             assert np.array_equal(back.weights[name], model.weights[name]), name
 
 
+def test_model_roundtrip_with_numpy_integer_seed(tmp_path):
+    model = new_model("simple", 5, np.int64(3))
+    assert type(model.seed) is int
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.seed == 3
+    twin = new_model("simple", 5, 3)
+    for name, w in twin.weights.items():
+        assert np.array_equal(back.weights[name], w), name
+
+
 @st.composite
 def _models(draw) -> CqcnnModel:
     """Either variant with arbitrary finite weights of the right shapes."""
@@ -731,13 +743,16 @@ def test_model_file_is_deterministic(tmp_path):
 
 def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
     """A save that fails leaves the file already at the path byte for byte
-    and no temporary file beside it: a numpy seed cannot be serialized, and
-    a failing final rename stands in for a write that dies late."""
+    and no temporary file beside it: a numpy seed set on the model after
+    `new_model` cannot be serialized, and a failing final rename stands in
+    for a write that dies late."""
     path = tmp_path / "model.json"
     save_model(new_model("simple", 5, 3), path)
     before = path.read_bytes()
+    unsaveable = new_model("simple", 5, 3)
+    unsaveable.seed = np.int64(3)
     with pytest.raises(TypeError):
-        save_model(new_model("simple", 5, np.int64(3)), path)
+        save_model(unsaveable, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 

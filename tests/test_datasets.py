@@ -9,13 +9,19 @@ Tests verify:
 - split/merge arithmetic and disjointness
 - indeterminate handling
 - byte-exact serialization round-trips (plain and gzip), also over
-  generated datasets (hypothesis)
+  generated datasets (hypothesis); a `.gz` file holds exactly the plain
+  file's bytes
 - loader rejections name the offending line, malformed hit times and
   labels included
+- `load` checks graphs in one stack per vertex count: a bad record in a
+  later group fails with its own line number and the message `Graph`
+  gives, for every graph rule, and when several records are bad the first
+  in the file is named, whichever check (parse, graph, example) fails
 """
 from __future__ import annotations
 
 import gzip
+import itertools
 import json
 import math
 import tempfile
@@ -380,6 +386,13 @@ def test_save_is_byte_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_gzip_save_compresses_the_plain_bytes(tmp_path):
+    plain, packed = tmp_path / "d.jsonl", tmp_path / "d.jsonl.gz"
+    save(LINES5, plain)
+    save(LINES5, packed)
+    assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+
+
 def test_loaded_class_fractions_match_recomputation(tmp_path):
     path = tmp_path / "d.jsonl"
     save(LINES4, path)
@@ -495,3 +508,107 @@ def test_load_rejects_non_gzip_bytes(tmp_path):
     path.write_bytes(b"plainly not gzip")
     with pytest.raises(DatasetFormatError):
         load(path)
+
+
+# ====== stacked loading ======
+
+
+def _mixed_file(tmp_path) -> tuple[Path, list[str]]:
+    """A saved dataset of line graphs at n = 4, 3 and 5, interleaved so that
+    no vertex count sits in one run; its first record (line 2) is n=4."""
+    parts = [LINES4.examples[:4], _tiny_dataset().examples, LINES5.examples[:4]]
+    examples = [e for row in itertools.zip_longest(*parts) for e in row if e is not None]
+    path = tmp_path / "mixed.jsonl"
+    save(Dataset(tuple(examples), "unsplit", {}), path)
+    return path, path.read_text().splitlines()
+
+
+def _rewrite(path: Path, lines: list[str], row: int, **changes) -> None:
+    record = json.loads(lines[row])
+    record.update(changes)
+    lines[row] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _corrupted(record: dict, how: str) -> tuple[np.ndarray, object, object]:
+    """Adjacency and endpoints of `record` broken in one way."""
+    n = record["n"]
+    a = np.array([int(c) for c in record["adjacency"]]).reshape(n, n)
+    v_init, v_target = record["v_init"], record["v_target"]
+    if how == "non-binary":
+        a[0, 2] = a[2, 0] = 2
+    elif how == "asymmetric":
+        i, j = np.argwhere((a == 0) & ~np.eye(n, dtype=bool))[0]
+        a[i, j] = 1
+    elif how == "self-loop":
+        a[2, 2] = 1
+    elif how == "disconnected":
+        i, j = np.argwhere(a == 1)[0]
+        a[i, j] = a[j, i] = 0
+    elif how == "same-endpoints":
+        v_target = v_init
+    elif how == "endpoint-out-of-range":
+        v_target = n
+    return a, v_init, v_target
+
+
+@pytest.mark.parametrize(
+    "how, message",
+    [
+        ("non-binary", "adjacency entries must be 0 or 1"),
+        ("asymmetric", "adjacency must be symmetric"),
+        ("self-loop", "adjacency diagonal must be zero"),
+        ("disconnected", "graph must be connected"),
+        ("same-endpoints", "v_init and v_target must differ"),
+        ("endpoint-out-of-range", "v_target=5 is not a vertex index in [0, 5)"),
+    ],
+)
+def test_load_checks_every_graph_rule_in_a_later_group(tmp_path, how, message):
+    path, lines = _mixed_file(tmp_path)
+    row = 6  # line 7, the second n=5 record
+    record = json.loads(lines[row])
+    assert record["n"] == 5 and json.loads(lines[1])["n"] == 4
+    a, v_init, v_target = _corrupted(record, how)
+    with pytest.raises(ValueError) as graph_error:
+        Graph(a, v_init, v_target)
+    assert str(graph_error.value) == message
+    bits = "".join(str(v) for v in a.reshape(-1))
+    _rewrite(path, lines, row, adjacency=bits, v_init=v_init, v_target=v_target)
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert str(info.value) == f"line 7: {message}"
+
+
+def test_load_names_the_first_bad_graph_across_groups(tmp_path):
+    path, lines = _mixed_file(tmp_path)
+    _rewrite(path, lines, 10, v_target=0)  # line 11, n=4: same endpoints
+    _rewrite(path, lines, 8, adjacency="000000000")  # line 9, n=3: disconnected
+    _rewrite(path, lines, 6, v_target=5)  # line 7, n=5: out of range
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert str(info.value) == "line 7: v_target=5 is not a vertex index in [0, 5)"
+
+
+def test_load_names_an_example_fault_before_a_graph_fault(tmp_path):
+    path, lines = _mixed_file(tmp_path)
+    _rewrite(path, lines, 6, v_target=0)  # line 7: graph fault
+    _rewrite(path, lines, 4, label=7)  # line 5: example fault
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert str(info.value) == "line 5: label must be the integer 0 or 1, got 7"
+
+
+def test_load_names_a_graph_fault_before_a_parse_fault(tmp_path):
+    path, lines = _mixed_file(tmp_path)
+    _rewrite(path, lines, 3, v_target=0)  # line 4, n=5: graph fault
+    lines[8] = lines[8][:-5]  # line 9: broken JSON
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert str(info.value) == "line 4: v_init and v_target must differ"
+    _rewrite(path, lines, 3, v_target=1)
+    lines[2] = lines[2][:-5]  # line 3: broken JSON, now ahead of the graph fault
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert str(info.value).startswith("line 3: invalid JSON")

@@ -2,7 +2,11 @@
 
 Tests verify:
 - Graph validation rejects malformed adjacency input
-- line graphs and their exhaustive enumeration (n!/2, all distinct)
+- the stacked validator accepts exactly the graphs `Graph` accepts one at
+  a time, and names the first rejected one with `Graph`'s message
+  (hypothesis)
+- line graphs and their exhaustive enumeration (n!/2, all distinct, in
+  lexicographic order of the kept labeling)
 - classical variant is a read-only column-stochastic n x n jump matrix with
   an absorbing target, generating the walk through T - I
 - quantum variant is the read-only n x n effective Hamiltonian: the
@@ -11,8 +15,12 @@ Tests verify:
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwalk import (
     Graph,
@@ -25,6 +33,7 @@ from qwalk import (
     random_connected_graph,
     random_graph,
 )
+from qwalk.graphs import _BLOCK_GRAPHS, _checked_stack, _first_fault
 
 from oracles import connected_graphs, loop_walk_matrix
 
@@ -75,11 +84,97 @@ def test_graph_rejects_bad_input():
         Graph(PATH4, v_init=0, v_target=4)  # out of range
 
 
+@pytest.mark.parametrize(
+    "adjacency, v_init, v_target, message",
+    [
+        (np.zeros((3, 4)), 0, 1, "adjacency must be square, got shape (3, 4)"),
+        (np.zeros((2, 2)), 0, 1, "need at least 3 vertices, got 2"),
+        (PATH4 * 2, 0, 1, "adjacency entries must be 0 or 1"),
+        (np.triu(PATH4), 0, 1, "adjacency must be symmetric"),
+        (PATH4 + np.diag([0, 0, 1, 0]), 0, 1, "adjacency diagonal must be zero"),
+        (PATH4, -1, 1, "v_init=-1 is not a vertex index in [0, 4)"),
+        (PATH4, 0, 1.0, "v_target=1.0 is not a vertex index in [0, 4)"),
+        (PATH4, 2, 2, "v_init and v_target must differ"),
+        (np.kron(np.eye(2, dtype=int), [[0, 1], [1, 0]]), 0, 1, "graph must be connected"),
+        # the first broken rule names the fault
+        (np.triu(PATH4) + np.eye(4, dtype=int), 0, 0, "adjacency must be symmetric"),
+        (np.zeros((4, 4)), 0, 0, "v_init and v_target must differ"),
+    ],
+)
+def test_graph_rejection_messages(adjacency, v_init, v_target, message):
+    with pytest.raises(ValueError) as info:
+        Graph(adjacency, v_init, v_target)
+    assert str(info.value) == message
+
+
 def test_graph_equality_covers_endpoints():
     g1 = Graph(PATH4)
     g2 = Graph(PATH4, v_init=0, v_target=2)
     assert g1 == Graph(PATH4)
     assert g1 != g2
+
+
+@st.composite
+def _stacks(draw):
+    """A (B, n, n) 0/1 stack of random symmetric matrices, each of which may
+    get one entry flipped (asymmetry or a self-loop) and endpoints that
+    repeat or fall outside the vertex range."""
+    n = draw(st.integers(3, 6))
+    b = draw(st.integers(1, 6))
+    stack = np.zeros((b, n, n), dtype=np.int64)
+    rows, cols = np.triu_indices(n, k=1)
+    v_init, v_target = [0] * b, [1] * b
+    for k, a in enumerate(stack):
+        a[rows, cols] = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        a += a.T
+        if draw(st.integers(0, 5)) == 0:
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            a[i, j] ^= 1
+        if draw(st.integers(0, 5)) == 0:
+            v_init[k], v_target[k] = draw(st.integers(-1, n)), draw(st.integers(-1, n))
+    return stack, v_init, v_target
+
+
+def _one_at_a_time(stack, v_init, v_target):
+    """(index, message) of the first matrix `Graph` rejects, or None."""
+    for k, (a, s, t) in enumerate(zip(stack, v_init, v_target)):
+        try:
+            Graph(a, s, t)
+        except ValueError as exc:
+            return k, str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_stacks())
+def test_stacked_validator_agrees_with_graph(case):
+    stack, v_init, v_target = case
+    expected = _one_at_a_time(stack, v_init, v_target)
+    assert _first_fault(stack, v_init, v_target) == expected
+    if expected is None:
+        graphs = _checked_stack(stack, v_init, v_target)
+        assert graphs == [Graph(a, s, t) for a, s, t in zip(stack, v_init, v_target)]
+        assert all(not g.adjacency.flags.writeable for g in graphs)
+    else:
+        with pytest.raises(ValueError) as info:
+            _checked_stack(stack, v_init, v_target)
+        assert str(info.value) == expected[1]
+
+
+@pytest.mark.parametrize(
+    "bad", [[], [_BLOCK_GRAPHS + 3], [_BLOCK_GRAPHS + 3, 2 * _BLOCK_GRAPHS + 1]]
+)
+def test_stacked_validator_counts_across_blocks(bad):
+    """Stacks longer than one block: the first bad graph is named by its
+    index in the whole stack."""
+    size = 2 * _BLOCK_GRAPHS + 10
+    stack = np.repeat(PATH4[np.newaxis], size, axis=0)
+    v_target = [1] * size
+    for k in bad:
+        v_target[k] = 0
+    expected = (bad[0], "v_init and v_target must differ") if bad else None
+    assert _first_fault(stack, [0] * size, v_target) == expected
+    assert _one_at_a_time(stack, [0] * size, v_target) == expected
 
 
 # ====== line graphs ======
@@ -113,6 +208,19 @@ def test_enumerate_line_graphs_counts():
     for n, expect in ((3, 3), (4, 12), (5, 60)):
         graphs = enumerate_line_graphs(n)
         assert len(graphs) == expect, f"n={n}: got {len(graphs)}"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_enumerate_line_graphs_order(n):
+    kept = [perm for perm in itertools.permutations(range(n)) if perm <= perm[::-1]]
+    assert enumerate_line_graphs(n) == [line_graph(n, perm) for perm in kept]
+
+
+def test_enumerate_line_graphs_bounds():
+    with pytest.raises(ValueError):
+        enumerate_line_graphs(2)
+    with pytest.raises(ValueError):
+        enumerate_line_graphs(13)
 
 
 def test_enumerate_line_graphs_distinct():
