@@ -261,7 +261,7 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
     _check_overwrite([args.out], args.force)
     cfg = _walk_config(args)
     if args.kind == "line":
-        dataset = build_line_dataset(args.n, cfg, jobs=args.jobs)
+        dataset = build_line_dataset(args.n, cfg)
     else:
         args.seed = _resolve_seed(args.seed)
         if args.count < 1:
@@ -364,14 +364,14 @@ def _inspect_single(model, out) -> None:
 
 def _inspect_ensemble(models: list, out) -> None:
     stats = ensemble_stats([(m, []) for m in models])
-    reference = models[0].copy()
-    reference.weights["last"] = stats.last_layer_mean
-    rows = export_last_layer(reference)
+    # export_last_layer's rows run slot-major, then class, as the flattened weights do
+    rows = export_last_layer(models[0])
+    means = stats.last_layer_mean.reshape(-1)
     deviations = np.sqrt(stats.last_layer_msd).reshape(-1)
     lines = ["vertex,feature,class,mean,deviation"]
     lines.extend(
-        f"{r['vertex']},{r['feature']},{r['class']},{r['weight']!r},{float(dev)!r}"
-        for r, dev in zip(rows, deviations)
+        f"{r['vertex']},{r['feature']},{r['class']},{float(mean)!r},{float(dev)!r}"
+        for r, mean, dev in zip(rows, means, deviations)
     )
     write_atomic(out, ("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -412,8 +412,10 @@ def cmd_rerun(args: argparse.Namespace) -> int:
         raise UsageError(f"manifest not found: {args.manifest}")
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != _MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
         raise RuntimeError(f"{args.manifest} is not a run manifest")
+    if not all(isinstance(manifest.get(k), dict) for k in ("args", "inputs", "outputs")):
+        raise RuntimeError(f"{args.manifest}: args, inputs and outputs must be JSON objects")
     command = manifest.get("command")
     if command not in _DISPATCH:
         raise RuntimeError(f"manifest names unknown command {command!r}")
@@ -425,7 +427,7 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     # An input that changed since the run would make every output mismatch
     # without saying why; name it and stop instead.
     drifted = 0
-    for recorded_path, recorded in manifest.get("inputs", {}).items():
+    for recorded_path, recorded in manifest["inputs"].items():
         path = resolve(recorded_path)
         now = _sha256(path) if Path(path).is_file() else "missing"
         if now != recorded:
@@ -433,7 +435,7 @@ def cmd_rerun(args: argparse.Namespace) -> int:
             drifted += 1
     if drifted:
         return 1
-    outputs = manifest.get("outputs", {})
+    outputs = manifest["outputs"]
     print(f"replaying {command} from {args.manifest}")
     # Replay into a scratch directory so the recorded artifacts and their
     # manifest survive a mismatch as evidence. Each output keeps its file
@@ -517,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exclude examples where neither walker crossed the threshold",
     )
     gen.add_argument(
-        "--jobs", type=int, default=default_jobs, help="parallel workers (env QWALK_JOBS)"
+        "--jobs", type=int, default=default_jobs, help="workers, random kind only (env QWALK_JOBS)"
     )
     gen.add_argument("--out", required=True, help="dataset path (.gz compresses)")
     gen.add_argument("--force", action="store_true", help="overwrite existing outputs")

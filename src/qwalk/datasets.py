@@ -13,6 +13,7 @@ import gzip
 import io
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -157,17 +158,18 @@ def _map(fn, items: list, jobs: int) -> list:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
-def build_line_dataset(n: int, cfg: WalkConfig = WalkConfig(), jobs: int = 1) -> Dataset:
+def build_line_dataset(n: int, cfg: WalkConfig = WalkConfig()) -> Dataset:
     """Label every distinct line graph on n vertices (n!/2 of them).
 
     The walks on a path depend only on the positions i and j of the start
     (vertex 0) and the target (vertex 1) along it, up to reversal, so the
     graphs fall into n(n-1)/2 classes keyed by min((i, j), (n-1-i, n-1-j)).
     One representative per class, 0 at i, 1 at j and 2..n-1 in order
-    elsewhere, is labeled (`jobs` spreads these over workers), and every
-    graph of the class carries its outcome. Examples come in lexicographic
-    order of their labeling, which each records as provenance.
+    elsewhere, is labeled, and every graph of the class carries its outcome.
+    Examples come in lexicographic order of their labeling, which each
+    records as provenance.
     """
+    n = operator.index(n)
     if not 3 <= n <= 10:
         raise ValueError(f"n must lie in [3, 10], got {n}")
     labelings = _line_labelings(n)
@@ -181,7 +183,7 @@ def build_line_dataset(n: int, cfg: WalkConfig = WalkConfig(), jobs: int = 1) ->
         i, j = divmod(key, n)
         rest = iter(range(2, n))
         representatives.append([0 if p == i else 1 if p == j else next(rest) for p in range(n)])
-    labeled = _map(partial(label_graph, cfg=cfg), _path_graphs(np.array(representatives)), jobs)
+    labeled = [label_graph(g, cfg) for g in _path_graphs(np.array(representatives))]
     outcomes = dict(zip(classes, labeled))
     examples = tuple(
         _example(graph, outcomes[key], {"kind": "line", "labeling": perm})
@@ -199,6 +201,7 @@ def build_random_dataset(
     Each example gets its own child seed drawn up front, so the result does
     not depend on worker count.
     """
+    n, count, seed = operator.index(n), operator.index(count), operator.index(seed)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     child_seeds = np.random.default_rng(seed).integers(2**63, size=count)
@@ -215,6 +218,7 @@ def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datase
     """Random train/test partition; train size is round(fraction * size)."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    seed = operator.index(seed)
     size = len(d.examples)
     n_train = int(math.floor(train_fraction * size + 0.5))
     if n_train == 0 or n_train == size:

@@ -62,7 +62,6 @@ def evaluate(
     model: CqcnnModel,
     dataset: Dataset,
     kappas: Sequence[float] | None = None,
-    inverse_class_weights: bool = False,
 ) -> Metrics:
     """Score every example without touching the model.
 
@@ -72,10 +71,10 @@ def evaluate(
     if kappas is None:
         kappas = dataset.class_fractions
     rows = encode(model, [e.graph for e in dataset])
-    return _metrics(model, rows, dataset.labels, kappas, inverse_class_weights)
+    return _metrics(model, rows, dataset.labels, kappas)
 
 
-def _metrics(model, rows, labels, kappas, inverse_class_weights) -> Metrics:
+def _metrics(model, rows, labels, kappas) -> Metrics:
     x = forward(model, rows)
     confusion = np.zeros((2, 2), dtype=np.int64)
     np.add.at(confusion, (labels, predicted_class(x)), 1)
@@ -90,7 +89,7 @@ def _metrics(model, rows, labels, kappas, inverse_class_weights) -> Metrics:
         float(diag[c] / col_sums[c]) if col_sums[c] > 0 else None for c in (0, 1)
     )
     return Metrics(
-        mean_loss=score_loss(x, labels, kappas, inverse_class_weights),
+        mean_loss=score_loss(x, labels, kappas),
         accuracy=float(diag.sum()) / total,
         confusion=confusion,
         precision=precision,
@@ -132,7 +131,7 @@ def _test_columns(model: CqcnnModel, tests: list[tuple], row: dict) -> None:
     """Metrics of each (rows, labels, class fractions) test set into row."""
     for i, (rows, labels, kappas) in enumerate(tests):
         suffix = "" if len(tests) == 1 else f"_{i + 1}"
-        m = _metrics(model, rows, labels, kappas, False)
+        m = _metrics(model, rows, labels, kappas)
         row[f"test_loss{suffix}"] = m.mean_loss
         row[f"test_accuracy{suffix}"] = m.accuracy
         for c, name in enumerate(_CLASS_NAMES):

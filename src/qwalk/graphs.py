@@ -307,8 +307,8 @@ def quantum_variant(g: Graph, gamma: float = 1.0) -> np.ndarray:
     It drives the quantum walker's no-jump state; the imaginary part at the
     target is its decay, at rate `gamma`, into the sink.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    if not 0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
     h = g.adjacency.astype(np.complex128)
     h[g.v_target, g.v_target] -= 0.5j * float(gamma)
     h.setflags(write=False)

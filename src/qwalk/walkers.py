@@ -67,10 +67,10 @@ class WalkConfig:
     t_max_cap: float | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.t_max_cap is not None and self.t_max_cap <= 0:
-            raise ValueError(f"t_max_cap must be positive, got {self.t_max_cap}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if self.t_max_cap is not None and not 0 < self.t_max_cap < math.inf:
+            raise ValueError(f"t_max_cap must be positive and finite, got {self.t_max_cap}")
         if self.p_threshold_override is not None and not 0 < self.p_threshold_override < 1:
             raise ValueError("p_threshold_override must lie in (0, 1)")
 

@@ -74,6 +74,13 @@ def test_simulate_reads_tab_separated_graph_files(tmp_path, capsys):
     assert capsys.readouterr().out.replace("p.csv", "t.csv") == text
 
 
+def test_simulate_rejects_non_finite_gamma(tmp_path, capsys):
+    rc = main(["simulate", "--line", "1,3,2", "--gamma", "nan", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "qwalk: error: gamma must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_simulate_rejects_bad_line_spec(tmp_path, capsys):
     rc = main(["simulate", "--line", "1,2", "--out", str(tmp_path / "t.csv")])
     assert rc == 2
@@ -233,6 +240,17 @@ def test_inspect_ensemble_reports_mean_and_deviation(tmp_path):
     assert lines[0] == "vertex,feature,class,mean,deviation"
     deviations = [float(line.split(",")[4]) for line in lines[1:]]
     assert any(d > 0 for d in deviations)
+    # the same table as a model carrying the mean weights would export
+    models = [load_model(model_dir / f"m{seed}.json") for seed in (0, 1)]
+    stats = qwalk.ensemble_stats([(m, []) for m in models])
+    reference = models[0].copy()
+    reference.weights["last"] = stats.last_layer_mean
+    expected = ["vertex,feature,class,mean,deviation"] + [
+        f"{r['vertex']},{r['feature']},{r['class']},{r['weight']!r},{float(dev)!r}"
+        for r, dev in zip(qwalk.export_last_layer(reference),
+                          np.sqrt(stats.last_layer_msd).reshape(-1))
+    ]
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
 
 
 # ====== exit-code contract ======
@@ -315,6 +333,20 @@ def test_rerun_detects_drift(tmp_path, capsys):
     text = capsys.readouterr().out
     assert rc == 1
     assert "MISMATCH" in text
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [{"format": "qwalk-manifest", "command": "eval"}, [1, 2]],
+    ids=["no-args", "not-an-object"],
+)
+def test_rerun_rejects_malformed_manifests(tmp_path, capsys, manifest):
+    manifest_path = tmp_path / "bad.manifest.json"
+    manifest_path.write_text(json.dumps(manifest))
+    rc = main(["rerun", str(manifest_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("qwalk: error: ") and str(manifest_path) in err
 
 
 def test_rerun_keeps_its_evidence(tmp_path, capsys):

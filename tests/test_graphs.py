@@ -288,8 +288,9 @@ def test_quantum_variant_shape_and_symmetry():
 def test_quantum_variant_custom_gamma():
     g = line_graph(3, [0, 1, 2])
     assert quantum_variant(g, gamma=0.25)[g.v_target, g.v_target] == -0.125j
-    with pytest.raises(ValueError):
-        quantum_variant(g, gamma=-1.0)
+    for gamma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            quantum_variant(g, gamma=gamma)
 
 
 # ====== random graphs ======

@@ -62,12 +62,17 @@ def test_threshold_override_and_horizon():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        WalkConfig(gamma=0.0)
-    with pytest.raises(ValueError):
-        WalkConfig(t_max_cap=0.0)
-    with pytest.raises(ValueError):
-        WalkConfig(p_threshold_override=1.5)
+    for kwargs in (
+        {"gamma": 0.0},
+        {"gamma": math.nan},
+        {"gamma": math.inf},
+        {"t_max_cap": 0.0},
+        {"t_max_cap": math.nan},
+        {"t_max_cap": math.inf},
+        {"p_threshold_override": 1.5},
+    ):
+        with pytest.raises(ValueError):
+            WalkConfig(**kwargs)
 
 
 # ====== classical propagation ======
