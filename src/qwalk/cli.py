@@ -256,8 +256,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _resolve_jobs(jobs: int | None) -> int:
+    """The --jobs value, else QWALK_JOBS, else 1; each must be an integer >= 1."""
+    source = "--jobs"
+    if jobs is None:
+        source, text = "QWALK_JOBS", os.environ.get("QWALK_JOBS", "1")
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise UsageError(f"QWALK_JOBS must be an integer, got {text!r}") from None
+    if jobs < 1:
+        raise UsageError(f"{source} must be >= 1, got {jobs}")
+    return jobs
+
+
 def cmd_gen_dataset(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    args.jobs = _resolve_jobs(args.jobs)
     _check_overwrite([args.out], args.force)
     cfg = _walk_config(args)
     if args.kind == "line":
@@ -407,6 +422,13 @@ _DISPATCH = {
 }
 
 
+def _command_args(command: str) -> set[str]:
+    """Names of the arguments that `command` reads, as its parser defines them."""
+    actions = build_parser()._actions
+    subcommands = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in subcommands.choices[command]._actions} - {"help"}
+
+
 def cmd_rerun(args: argparse.Namespace) -> int:
     if not Path(args.manifest).exists():
         raise UsageError(f"manifest not found: {args.manifest}")
@@ -419,7 +441,13 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     command = manifest.get("command")
     if command not in _DISPATCH:
         raise RuntimeError(f"manifest names unknown command {command!r}")
-    home = Path(args.manifest).parent if manifest.get("version", 1) >= 2 else Path()
+    version = manifest.get("version", 1)
+    if not isinstance(version, int) or isinstance(version, bool):
+        raise RuntimeError(f"{args.manifest}: version must be an integer, got {version!r}")
+    missing = sorted(_command_args(command) - manifest["args"].keys())
+    if missing:
+        raise RuntimeError(f"{args.manifest}: args lack {', '.join(missing)}")
+    home = Path(args.manifest).parent if version >= 2 else Path()
 
     def resolve(p: str) -> str:
         return str(home / p)  # an absolute p stays as it is
@@ -493,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-    default_jobs = int(os.environ.get("QWALK_JOBS", "1"))
 
     sim = commands.add_parser("simulate", help="run both walkers on one graph")
     sim.add_argument("--line", help="1-based line-graph labeling, e.g. 1,3,2")
@@ -519,7 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="exclude examples where neither walker crossed the threshold",
     )
     gen.add_argument(
-        "--jobs", type=int, default=default_jobs, help="workers, random kind only (env QWALK_JOBS)"
+        "--jobs",
+        type=int,
+        default=None,
+        help="workers, random kind only (default: env QWALK_JOBS, else 1)",
     )
     gen.add_argument("--out", required=True, help="dataset path (.gz compresses)")
     gen.add_argument("--force", action="store_true", help="overwrite existing outputs")

@@ -14,7 +14,6 @@ import io
 import json
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, NamedTuple, Sequence
@@ -153,6 +152,9 @@ def _random_example(seed: int, n: int, cfg: WalkConfig) -> Example:
 def _map(fn, items: list, jobs: int) -> list:
     if jobs <= 1 or len(items) < 2:
         return [fn(x) for x in items]
+    # imported here so that only a pooled build loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

@@ -10,6 +10,10 @@ the no-jump evolution psi' = -i H_eff psi, with H_eff = `quantum_variant`
 1 - ||psi||^2. Both are propagated with exact matrix exponentials. A graph
 is labeled "quantum" when the sink population crosses the detection
 threshold 1/ln(n) strictly before the classical target probability does.
+
+The matrix exponential is scipy.linalg.expm, imported by `_expm` on the
+first propagation, so a process that only trains or evaluates classifiers
+never loads scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._io import write_atomic
 from .graphs import Graph, classical_variant, quantum_variant
@@ -110,6 +113,14 @@ class WalkOutcome:
 # ====== direct propagation (single-time / explicit-grid) ======
 
 
+def _expm(m: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on first use: loading scipy.linalg takes
+    most of the package's import time."""
+    from scipy.linalg import expm
+
+    return expm(m)
+
+
 def ctrw_probabilities(g: Graph, t: float) -> np.ndarray:
     """Occupation probabilities of the classical walker on g at time t.
 
@@ -121,7 +132,7 @@ def ctrw_probabilities(g: Graph, t: float) -> np.ndarray:
     p0 = np.eye(g.n)[g.v_init]
     if t == 0:
         return p0
-    return expm((classical_variant(g) - np.eye(g.n)) * t) @ p0
+    return _expm((classical_variant(g) - np.eye(g.n)) * t) @ p0
 
 
 def _sink_population(psi: np.ndarray) -> float:
@@ -147,7 +158,7 @@ def ctqw_density(g: Graph, t_grid, gamma: float = 1.0) -> list[np.ndarray]:
     out = []
     for k, t in enumerate(times):
         if k:
-            psi = expm(-1j * (t - times[k - 1]) * h_eff) @ psi
+            psi = _expm(-1j * (t - times[k - 1]) * h_eff) @ psi
         rho = np.zeros((n + 1, n + 1), dtype=np.complex128)
         rho[:n, :n] = np.outer(psi, psi.conj())
         # Without the jump nothing reaches the sink, whatever rounding does to the norm.
@@ -205,10 +216,10 @@ def _ladder(generator: np.ndarray, cap: float) -> list[np.ndarray]:
     The rungs below _BASE_STEP are one expm at the shortest step squared
     up; the rest are one expm at _BASE_STEP squared up.
     """
-    rungs = [expm(generator * _rung_step(0))]
+    rungs = [_expm(generator * _rung_step(0))]
     while len(rungs) < _FINE_LEVELS:
         rungs.append(rungs[-1] @ rungs[-1])
-    rungs.append(expm(generator * _BASE_STEP))
+    rungs.append(_expm(generator * _BASE_STEP))
     while _rung_step(len(rungs) - 1) < cap:
         rungs.append(rungs[-1] @ rungs[-1])
     return rungs

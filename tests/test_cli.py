@@ -140,6 +140,45 @@ def test_gen_dataset_refuses_overwrite_without_force(tmp_path, capsys):
     assert main(["gen-dataset", "line", "--n", "4", "--out", str(out), "--force"]) == 0
 
 
+@pytest.mark.parametrize(
+    "env, flags, named",
+    [
+        ("two", [], "QWALK_JOBS"),
+        ("0", [], "QWALK_JOBS"),
+        (None, ["--jobs", "-3"], "--jobs"),
+        ("2", ["--jobs", "0"], "--jobs"),
+    ],
+    ids=["env-not-an-integer", "env-below-1", "flag-negative", "flag-zero"],
+)
+def test_gen_dataset_rejects_bad_worker_counts(tmp_path, capsys, monkeypatch, env, flags, named):
+    """A worker count that is not an integer >= 1 is a usage error naming
+    where it came from, and nothing is written."""
+    if env is None:
+        monkeypatch.delenv("QWALK_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("QWALK_JOBS", env)
+    out = tmp_path / "d.jsonl"
+    rc = main(["gen-dataset", "random", "--n", "4", "--count", "3", "--seed", "1",
+               "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"qwalk: error: {named} must" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_qwalk_jobs_only_affects_an_unflagged_gen_dataset(tmp_path, capsys, monkeypatch):
+    """Other commands never read QWALK_JOBS, and --jobs overrides it."""
+    monkeypatch.setenv("QWALK_JOBS", "two")
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--help"])
+    assert info.value.code == 0
+    assert main(["simulate", "--line", "1,3,2", "--out", str(tmp_path / "t.csv")]) == 0
+    out = tmp_path / "d.jsonl"
+    assert main(["gen-dataset", "line", "--n", "4", "--jobs", "1", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())
+    assert manifest["args"]["jobs"] == 1
+
+
 # ====== train / eval / inspect ======
 
 
@@ -337,8 +376,15 @@ def test_rerun_detects_drift(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "manifest",
-    [{"format": "qwalk-manifest", "command": "eval"}, [1, 2]],
-    ids=["no-args", "not-an-object"],
+    [
+        {"format": "qwalk-manifest", "command": "eval"},
+        [1, 2],
+        {"format": "qwalk-manifest", "command": "eval", "args": {}, "inputs": {},
+         "outputs": {}},
+        {"format": "qwalk-manifest", "version": "2", "command": "eval", "args": {},
+         "inputs": {}, "outputs": {}},
+    ],
+    ids=["no-args", "not-an-object", "args-lack-keys", "version-not-an-integer"],
 )
 def test_rerun_rejects_malformed_manifests(tmp_path, capsys, manifest):
     manifest_path = tmp_path / "bad.manifest.json"
