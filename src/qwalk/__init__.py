@@ -23,8 +23,6 @@ from .walkers import (
     Trace,
     WalkConfig,
     WalkOutcome,
-    ctqw_density,
-    ctrw_probabilities,
     hitting_time,
     label_from_hit_times,
     label_graph,
@@ -93,8 +91,6 @@ __all__ = [
     "WalkConfig",
     "Trace",
     "WalkOutcome",
-    "ctrw_probabilities",
-    "ctqw_density",
     "hitting_time",
     "label_from_hit_times",
     "label_graph",

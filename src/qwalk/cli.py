@@ -422,11 +422,30 @@ _DISPATCH = {
 }
 
 
-def _command_args(command: str) -> set[str]:
-    """Names of the arguments that `command` reads, as its parser defines them."""
+def _command_actions(command: str) -> dict[str, argparse.Action]:
+    """The arguments that `command` reads, by name, as its parser defines them."""
     actions = build_parser()._actions
     subcommands = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in subcommands.choices[command]._actions} - {"help"}
+    return {a.dest: a for a in subcommands.choices[command]._actions if a.dest != "help"}
+
+
+def _recorded_value_fault(action: argparse.Action, value) -> str | None:
+    """Why a value read from a manifest is not one that `action` could have
+    produced, or None if it is."""
+    if value is None:
+        return None if action.default is None and not action.required else "must not be null"
+    if isinstance(action, argparse._StoreTrueAction):
+        return None if isinstance(value, bool) else "must be true or false"
+    if action.nargs in ("+", "*") and not isinstance(value, list):
+        return "must be a list"
+    kinds, noun = {None: ((str,), "a string"), int: ((int,), "an integer"),
+                   float: ((int, float), "a number")}[action.type]
+    for item in value if action.nargs in ("+", "*") else [value]:
+        if isinstance(item, bool) or not isinstance(item, kinds):
+            return f"must be {noun}"
+        if action.choices is not None and item not in action.choices:
+            return f"must be one of {', '.join(map(repr, action.choices))}"
+    return None
 
 
 def cmd_rerun(args: argparse.Namespace) -> int:
@@ -444,9 +463,15 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     version = manifest.get("version", 1)
     if not isinstance(version, int) or isinstance(version, bool):
         raise RuntimeError(f"{args.manifest}: version must be an integer, got {version!r}")
-    missing = sorted(_command_args(command) - manifest["args"].keys())
+    actions = _command_actions(command)
+    missing = sorted(actions.keys() - manifest["args"].keys())
     if missing:
         raise RuntimeError(f"{args.manifest}: args lack {', '.join(missing)}")
+    for key, action in actions.items():
+        value = manifest["args"][key]
+        fault = _recorded_value_fault(action, value)
+        if fault:
+            raise RuntimeError(f"{args.manifest}: args.{key} {fault}, got {value!r}")
     home = Path(args.manifest).parent if version >= 2 else Path()
 
     def resolve(p: str) -> str:

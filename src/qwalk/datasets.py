@@ -81,6 +81,8 @@ class Example:
                 raise ValueError(f"{name} must be None or a finite number >= 0, got {t!r}")
         if self.label != label_from_hit_times(self.classical_hit_time, self.quantum_hit_time):
             raise ValueError("label contradicts the stored hitting times")
+        if not isinstance(self.indeterminate, bool):
+            raise ValueError(f"indeterminate must be true or false, got {self.indeterminate!r}")
         if self.indeterminate and not (
             self.classical_hit_time is None and self.quantum_hit_time is None
         ):
@@ -316,7 +318,7 @@ class _Record(NamedTuple):
     label: object
     t_classical: object
     t_quantum: object
-    indeterminate: bool
+    indeterminate: object
     provenance: object
 
 
@@ -351,7 +353,7 @@ def _parse_record(line: str, lineno: int) -> _Record:
         record["label"],
         record.get("t_classical"),
         record.get("t_quantum"),
-        bool(record.get("indeterminate", False)),
+        record.get("indeterminate", False),
         record.get("provenance", {}),
     )
 

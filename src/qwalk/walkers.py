@@ -7,13 +7,16 @@ walker's only jump moves population from the target into a sink that the
 Hamiltonian never touches, so its graph block stays the pure state psi of
 the no-jump evolution psi' = -i H_eff psi, with H_eff = `quantum_variant`
 = A - (i gamma / 2)|target><target|, and the sink population is
-1 - ||psi||^2. Both are propagated with exact matrix exponentials. A graph
-is labeled "quantum" when the sink population crosses the detection
-threshold 1/ln(n) strictly before the classical target probability does.
+1 - ||psi||^2. A graph is labeled "quantum" when the sink population
+crosses the detection threshold 1/ln(n) strictly before the classical
+target probability does.
 
-The matrix exponential is scipy.linalg.expm, imported by `_expm` on the
-first propagation, so a process that only trains or evaluates classifiers
-never loads scipy.
+Both walkers are propagated on one path: `label_graph` builds a ladder of
+exact propagators exp(G h) per walker, locates each hit time by descending
+it, and records the curves for `simulate` on the same rungs. The matrix
+exponential is scipy.linalg.expm, imported by `_ladder` on the first
+propagation, so a process that only trains or evaluates classifiers never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ __all__ = [
     "WalkConfig",
     "Trace",
     "WalkOutcome",
-    "ctrw_probabilities",
-    "ctqw_density",
     "hitting_time",
     "label_from_hit_times",
     "label_graph",
@@ -110,61 +111,8 @@ class WalkOutcome:
     quantum_trace: Trace | None = None
 
 
-# ====== direct propagation (single-time / explicit-grid) ======
-
-
-def _expm(m: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported on first use: loading scipy.linalg takes
-    most of the package's import time."""
-    from scipy.linalg import expm
-
-    return expm(m)
-
-
-def ctrw_probabilities(g: Graph, t: float) -> np.ndarray:
-    """Occupation probabilities of the classical walker on g at time t.
-
-    Exact propagation of dp/dt = (T - I)p from the unit vector at the
-    start vertex, via the scaling-and-squaring matrix exponential.
-    """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    p0 = np.eye(g.n)[g.v_init]
-    if t == 0:
-        return p0
-    return _expm((classical_variant(g) - np.eye(g.n)) * t) @ p0
-
-
 def _sink_population(psi: np.ndarray) -> float:
     return 1.0 - float(np.vdot(psi, psi).real)
-
-
-def ctqw_density(g: Graph, t_grid, gamma: float = 1.0) -> list[np.ndarray]:
-    """(n+1) x (n+1) density matrices of the quantum walker on g at the
-    requested times, the sink at index g.n.
-
-    Each matrix is |psi><psi| on the graph block plus the sink population
-    1 - ||psi||^2. psi starts at the start vertex and is carried across
-    each grid interval by the exact propagator expm(-i H_eff (t_next - t_prev)).
-    """
-    times = [float(t) for t in t_grid]
-    if not times or times[0] != 0.0:
-        raise ValueError("t_grid must start at 0")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("t_grid must be strictly increasing")
-    h_eff = quantum_variant(g, gamma)
-    n = g.n
-    psi = np.eye(n, dtype=np.complex128)[g.v_init]
-    out = []
-    for k, t in enumerate(times):
-        if k:
-            psi = _expm(-1j * (t - times[k - 1]) * h_eff) @ psi
-        rho = np.zeros((n + 1, n + 1), dtype=np.complex128)
-        rho[:n, :n] = np.outer(psi, psi.conj())
-        # Without the jump nothing reaches the sink, whatever rounding does to the norm.
-        rho[n, n] = _sink_population(psi) if gamma != 0.0 else 0.0
-        out.append(rho)
-    return out
 
 
 def hitting_time(trace: Trace, p_th: float, t_max: float | None = None) -> float | None:
@@ -216,10 +164,13 @@ def _ladder(generator: np.ndarray, cap: float) -> list[np.ndarray]:
     The rungs below _BASE_STEP are one expm at the shortest step squared
     up; the rest are one expm at _BASE_STEP squared up.
     """
-    rungs = [_expm(generator * _rung_step(0))]
+    # Imported on the first propagation: scipy.linalg takes most of the import time.
+    from scipy.linalg import expm
+
+    rungs = [expm(generator * _rung_step(0))]
     while len(rungs) < _FINE_LEVELS:
         rungs.append(rungs[-1] @ rungs[-1])
-    rungs.append(_expm(generator * _BASE_STEP))
+    rungs.append(expm(generator * _BASE_STEP))
     while _rung_step(len(rungs) - 1) < cap:
         rungs.append(rungs[-1] @ rungs[-1])
     return rungs

@@ -25,8 +25,7 @@ from qwalk import (
     WalkConfig,
     build_line_dataset,
     build_random_dataset,
-    ctqw_density,
-    ctrw_probabilities,
+    classical_variant,
     ensemble_stats,
     ete_filter,
     etv_filter,
@@ -37,11 +36,13 @@ from qwalk import (
     merge,
     new_model,
     permute_free_vertices,
+    quantum_variant,
     random_graph,
     split,
     train,
 )
 from qwalk.cli import main as cli_main
+from qwalk.walkers import _ladder
 
 from oracles import (
     brute_ete_from_edges,
@@ -71,7 +72,10 @@ def test_criterion_1_three_vertex_labels():
 
 def test_criterion_2_simulation_properties():
     """Physics suite over every connected graph with n <= 5 plus 100
-    random graphs with n <= 12."""
+    random graphs with n <= 12, run on the propagators that label them: the
+    recorded sink curve against the Liouvillian oracle and never decreasing,
+    classical rungs that conserve probability, quantum rungs that contract
+    the no-jump state, and hit times unmoved by relabeling free vertices."""
     population = []
     for n in (3, 4, 5):
         population.extend(connected_graphs(n))
@@ -79,28 +83,33 @@ def test_criterion_2_simulation_properties():
     rng_sizes = [3 + (k % 10) for k in range(100)]
     population.extend(random_graph(n, 3000 + k) for k, n in enumerate(rng_sizes))
 
-    health_grid = np.linspace(0.0, 6.0, 13)
     worst_oracle = 0.0
+    worst_drift = 0.0
+    worst_excess = -np.inf
     worst_relabel = 0.0
     for g in population:
-        rhos = ctqw_density(g, health_grid)
-        sink = []
-        for t, rho in zip(health_grid, rhos):
-            assert abs(np.trace(rho).real - 1.0) < 1e-6, f"trace drift (n={g.n}, t={t})"
-            assert np.abs(rho - rho.conj().T).max() < 1e-8, f"non-Hermitian (n={g.n}, t={t})"
-            sink.append(rho[g.n, g.n].real)
-        assert np.all(np.diff(sink) >= -1e-9), f"sink not monotone (n={g.n})"
-
-        for t in (2.0, 6.0):
-            ref = liouvillian_expm_density(g, t)
-            idx = int(np.where(health_grid == t)[0][0])
-            err = np.abs(rhos[idx] - ref).max()
+        out = label_graph(g, record_traces=True)
+        sink = out.quantum_trace
+        assert np.all(np.diff(sink.values) >= -1e-9), f"sink not monotone (n={g.n})"
+        for want in (2.0, 6.0):
+            k = int(np.argmin(np.abs(sink.times - want)))
+            t = sink.times[k]
+            ref = liouvillian_expm_density(g, t)[g.n, g.n].real
+            err = abs(sink.values[k] - ref)
             worst_oracle = max(worst_oracle, err)
             assert err < 1e-5, f"oracle mismatch {err:.2e} (n={g.n}, t={t})"
 
-        for t in (0.7, 3.0, 9.0):
-            p = ctrw_probabilities(g, t)
-            assert abs(p.sum() - 1.0) < 1e-9, f"probability leak (n={g.n}, t={t})"
+        rungs = np.array(_ladder(classical_variant(g) - np.eye(g.n), out.t_max))
+        drift = np.abs(rungs.sum(axis=1) - 1.0).max()
+        worst_drift = max(worst_drift, drift)
+        assert drift < 1e-9, f"probability leak {drift:.2e} (n={g.n})"
+        assert rungs.min() >= -1e-12, f"negative probability (n={g.n})"
+        # rho is psi psi^dagger plus the sink 1 - ||psi||^2: its trace,
+        # Hermiticity and positivity hold while every propagator contracts psi.
+        rungs = np.array(_ladder(-1j * quantum_variant(g), out.t_max))
+        excess = (np.linalg.norm(rungs, 2, axis=(1, 2)) - 1.0).max()
+        worst_excess = max(worst_excess, excess)
+        assert excess <= 1e-8, f"a rung amplifies psi by {excess:.2e} (n={g.n})"
 
         free = [v for v in range(g.n) if v not in (g.v_init, g.v_target)]
         if len(free) >= 2:
@@ -116,7 +125,8 @@ def test_criterion_2_simulation_properties():
                     worst_relabel = max(worst_relabel, abs(a - b))
                     assert abs(a - b) < 1e-4, f"hit time moved {abs(a - b):.2e} (n={g.n})"
     print(f"criterion 2: {len(population)} graphs, worst oracle error "
-          f"{worst_oracle:.2e}, worst relabel drift {worst_relabel:.2e} - pass")
+          f"{worst_oracle:.2e}, worst column-sum drift {worst_drift:.2e}, worst norm "
+          f"excess {worst_excess:.2e}, worst relabel drift {worst_relabel:.2e} - pass")
 
 
 def test_criterion_3_filter_oracles():

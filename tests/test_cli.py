@@ -11,6 +11,8 @@ Tests verify:
 - relative manifest paths resolve against the manifest's directory
   (version 2) or the working directory (version 1)
 - rerun names each drifted or missing input and does not replay
+- rerun refuses a malformed manifest, or a recorded value its command's
+  parser could not have produced, with `qwalk: error:` naming the file
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import pytest
 
 import qwalk
 from qwalk import load, load_model
-from qwalk.cli import main
+from qwalk.cli import build_parser, main
 
 
 def _sha(path) -> str:
@@ -374,25 +376,53 @@ def test_rerun_detects_drift(tmp_path, capsys):
     assert "MISMATCH" in text
 
 
+def _manifest(argv: list, **edits) -> dict:
+    """A manifest of the command line `argv`, every flag recorded as the
+    parser resolves it, with `edits` applied to its args."""
+    recorded = vars(build_parser().parse_args(argv))
+    del recorded["func"], recorded["command"]
+    return {"format": "qwalk-manifest", "version": 2, "command": argv[0],
+            "args": {**recorded, **edits}, "inputs": {},
+            "outputs": {"out.bin": "sha256:" + "0" * 64}}
+
+
+_GEN = ["gen-dataset", "line", "--n", "4", "--out", "d.jsonl"]
+_TRAIN = ["train", "--train", "d.jsonl", "--model-out", "m.json"]
+
+
 @pytest.mark.parametrize(
-    "manifest",
+    "manifest, reason",
     [
-        {"format": "qwalk-manifest", "command": "eval"},
-        [1, 2],
-        {"format": "qwalk-manifest", "command": "eval", "args": {}, "inputs": {},
-         "outputs": {}},
-        {"format": "qwalk-manifest", "version": "2", "command": "eval", "args": {},
-         "inputs": {}, "outputs": {}},
+        ({"format": "qwalk-manifest", "command": "eval"}, "must be JSON objects"),
+        ([1, 2], "is not a run manifest"),
+        ({"format": "qwalk-manifest", "command": "eval", "args": {}, "inputs": {},
+          "outputs": {}}, "args lack"),
+        ({"format": "qwalk-manifest", "version": "2", "command": "eval", "args": {},
+          "inputs": {}, "outputs": {}}, "version must be an integer"),
+        (_manifest(_GEN, n="3"), "args.n must be an integer"),
+        (_manifest(_GEN, n=True), "args.n must be an integer"),
+        (_manifest(_GEN, out=5), "args.out must be a string"),
+        (_manifest(_GEN, out=None), "args.out must not be null"),
+        (_manifest(_GEN, gamma="x"), "args.gamma must be a number"),
+        (_manifest(_GEN, kind="tree"), "args.kind must be one of 'line', 'random'"),
+        (_manifest(_GEN, force="yes"), "args.force must be true or false"),
+        (_manifest(_TRAIN, train="d.jsonl"), "args.train must be a list"),
+        (_manifest(_TRAIN, test=[3]), "args.test must be a string"),
     ],
-    ids=["no-args", "not-an-object", "args-lack-keys", "version-not-an-integer"],
+    ids=["no-args", "not-an-object", "args-lack-keys", "version-not-an-integer",
+         "int-as-string", "int-as-bool", "path-as-number", "required-null",
+         "float-as-string", "unknown-choice", "flag-as-string", "list-as-string",
+         "list-item-as-number"],
 )
-def test_rerun_rejects_malformed_manifests(tmp_path, capsys, manifest):
+def test_rerun_rejects_malformed_manifests(tmp_path, capsys, manifest, reason):
     manifest_path = tmp_path / "bad.manifest.json"
     manifest_path.write_text(json.dumps(manifest))
     rc = main(["rerun", str(manifest_path)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == 1
-    assert err.startswith("qwalk: error: ") and str(manifest_path) in err
+    assert captured.err.startswith("qwalk: error: ") and str(manifest_path) in captured.err
+    assert reason in captured.err
+    assert "replaying" not in captured.out
 
 
 def test_rerun_keeps_its_evidence(tmp_path, capsys):

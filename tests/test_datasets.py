@@ -219,6 +219,9 @@ def test_example_rejects_values_a_dataset_file_cannot_hold():
         Example(graph=g, label=np.int64(CLASSICAL))
     with pytest.raises(ValueError):
         Example(graph=g, label=CLASSICAL, classical_hit_time=np.float32(2.0))
+    for flag in ("false", 0, 1, np.bool_(True), None):
+        with pytest.raises(ValueError):
+            Example(graph=g, label=CLASSICAL, indeterminate=flag)
     e = Example(graph=g, label=CLASSICAL, classical_hit_time=np.float64(2.0))
     assert e.classical_hit_time == 2.0
 
@@ -466,13 +469,18 @@ def test_load_names_the_bad_line(tmp_path):
         (1, "t_quantum", math.inf),
         (2, "label", True),
         (2, "label", 1.0),
+        (1, "indeterminate", "false"),
+        (3, "indeterminate", 0),
+        (3, "indeterminate", None),
     ],
-    ids=["t-nan", "t-negative", "t-bool", "t-infinite", "label-bool", "label-float"],
+    ids=["t-nan", "t-negative", "t-bool", "t-infinite", "label-bool", "label-float",
+         "indeterminate-string", "indeterminate-int", "indeterminate-null"],
 )
 def test_load_rejects_malformed_hit_time_or_label(tmp_path, row, key, value):
-    """Hit times must be None or finite, non-negative, non-bool numbers, and
-    the label a non-bool integer; each bad value alone keeps the record's
-    label consistent with its hit times, so only this check catches it."""
+    """Hit times must be None or finite, non-negative, non-bool numbers, the
+    label a non-bool integer, and the indeterminate flag a bool; each bad
+    value alone keeps the record's label consistent with its hit times, so
+    only this check catches it."""
     d = _tiny_dataset()
     assert d.examples[row - 1].label == (CLASSICAL if key != "label" else QUANTUM)
     path = tmp_path / "d.jsonl"
@@ -485,6 +493,30 @@ def test_load_rejects_malformed_hit_time_or_label(tmp_path, row, key, value):
     with pytest.raises(DatasetFormatError) as info:
         load(path)
     assert f"line {row + 1}" in str(info.value), f"message was: {info.value}"
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1])
+def test_load_never_reads_a_non_boolean_indeterminate_flag(tmp_path, value):
+    """A record whose walkers both timed out may be flagged either way, so a
+    flag that is not a JSON boolean would be read one way or the other
+    without notice; it is rejected, and an absent flag reads as false."""
+    d = _tiny_dataset()
+    path = tmp_path / "d.jsonl"
+    save(d, path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    assert record["label"] == CLASSICAL and record["t_quantum"] is None
+    record["t_classical"] = None
+    del record["indeterminate"]
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    assert load(path).examples[0].indeterminate is False
+    record["indeterminate"] = value
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert "line 2" in str(info.value) and "indeterminate" in str(info.value)
 
 
 def test_load_rejects_broken_json(tmp_path):

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from qwalk import (
     Graph,
+    WalkConfig,
     classical_variant,
-    ctrw_probabilities,
     enumerate_line_graphs,
     line_graph,
     permute_free_vertices,
@@ -34,6 +34,7 @@ from qwalk import (
     random_graph,
 )
 from qwalk.graphs import _BLOCK_GRAPHS, _checked_stack, _first_fault
+from qwalk.walkers import _ladder, _rung_step
 
 from oracles import connected_graphs, loop_walk_matrix
 
@@ -263,11 +264,13 @@ def test_classical_variant_worked_example():
 
 def test_classical_generator_is_transition_minus_identity():
     """The classical walk's generator is T - I: from the start vertex, the
-    walk's initial velocity is T's start column minus the start unit vector."""
+    walk's initial velocity over the label path's shortest propagator step
+    is T's start column minus the start unit vector."""
     g = line_graph(5, [0, 3, 1, 4, 2])
     t = classical_variant(g)
-    h = 1e-7
-    velocity = (ctrw_probabilities(g, h) - ctrw_probabilities(g, 0.0)) / h
+    h = _rung_step(0)
+    first = _ladder(t - np.eye(5), WalkConfig().t_max(g.n))[0]
+    velocity = ((first - np.eye(5)) / h)[:, g.v_init]
     assert np.allclose(velocity, (t - np.eye(5))[:, g.v_init], atol=1e-6)
 
 

@@ -2,10 +2,13 @@
 
 Tests verify:
 - detection threshold and horizon defaults
-- classical propagation against a fine-step explicit-Euler oracle
-- quantum propagation against a vectorized-Liouvillian matrix-exponential oracle,
-  at small n directly and at benchmark sizes through the label path
-- density-matrix health (trace, Hermiticity, positivity, sink monotonicity)
+- the propagator ladder the label path descends: classical rungs conserve
+  probability and keep it non-negative, quantum rungs contract the no-jump
+  state (unitary without decay)
+- the label path's recorded curves: the classical one against fine-step
+  explicit-Euler and eigendecomposition oracles, the sink one against a
+  vectorized-Liouvillian matrix-exponential oracle at small n and at
+  benchmark sizes, both starting at 0 and never decreasing
 - hitting-time interpolation rules and edge cases for recorded traces
 - the three n=3 line labelings and the K_3 golden outcome, with golden hit
   times from the brentq oracle
@@ -28,17 +31,23 @@ from qwalk import (
     Graph,
     Trace,
     WalkConfig,
-    ctqw_density,
-    ctrw_probabilities,
+    classical_variant,
     hitting_time,
     label_graph,
     line_graph,
     permute_free_vertices,
+    quantum_variant,
     random_graph,
     write_trace_csv,
 )
+from qwalk.walkers import _ladder
 
-from oracles import euler_classical_probabilities, liouvillian_expm_density, oracle_hit_times
+from oracles import (
+    euler_classical_probabilities,
+    liouvillian_expm_density,
+    oracle_hit_times,
+    spectral_target_probability,
+)
 
 K3 = Graph(np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
 
@@ -76,89 +85,117 @@ def test_config_rejects_bad_values():
 
 
 # ====== classical propagation ======
+#
+# The walks are checked on the propagators that label the graphs: the
+# rungs of the ladder that `label_graph` descends, and the curves it
+# records on them.
+
+
+def _rungs(generator: np.ndarray, g: Graph) -> np.ndarray:
+    """The label path's propagator ladder for g's default horizon, stacked."""
+    return np.array(_ladder(generator, WalkConfig().t_max(g.n)))
+
+
+def _nearest(trace: Trace, t: float) -> tuple[float, float]:
+    """The record nearest t, as (its time, its value)."""
+    k = int(np.argmin(np.abs(trace.times - t)))
+    return float(trace.times[k]), float(trace.values[k])
 
 
 def test_ctrw_initial_condition():
-    p = ctrw_probabilities(line_graph(4, [0, 1, 2, 3]), 0.0)
-    assert np.array_equal(p, [1.0, 0.0, 0.0, 0.0])
+    """The walker starts at the start vertex: the target curve is 0 at t=0,
+    and the shortest rung barely moves the start vector."""
+    g = line_graph(4, [0, 1, 2, 3])
+    trace = label_graph(g, record_traces=True).classical_trace
+    assert (trace.times[0], trace.values[0]) == (0.0, 0.0)
+    p0 = np.eye(g.n)[g.v_init]
+    step = _rungs(classical_variant(g) - np.eye(g.n), g)[0] @ p0
+    assert np.abs(step - p0).max() < 1e-8
 
 
 def test_ctrw_conserves_probability():
+    """T is column-stochastic with the target absorbing, and every rung
+    exp((T - I) h) of the ladder, up to the horizon, conserves and keeps
+    probability non-negative."""
     g = line_graph(5, [0, 3, 1, 4, 2])
-    for t in (0.1, 1.0, 7.5, 40.0):
-        p = ctrw_probabilities(g, t)
-        assert abs(p.sum() - 1.0) < 1e-9, f"t={t}: sum={p.sum()}"
-        assert np.all(p >= -1e-12)
+    t = classical_variant(g)
+    assert np.abs(t.sum(axis=0) - 1.0).max() < 1e-12
+    assert np.all(t >= 0.0)
+    assert np.array_equal(t[:, g.v_target], np.eye(g.n)[g.v_target])
+    rungs = _rungs(t - np.eye(g.n), g)
+    drift = np.abs(rungs.sum(axis=1) - 1.0).max()
+    assert drift < 1e-9, f"probability leak {drift:.2e}"
+    assert rungs.min() >= -1e-12
 
 
 def test_ctrw_matches_euler_oracle():
-    """Matrix-exponential propagation agrees with fine-step explicit Euler."""
+    """The recorded target curve agrees with fine-step explicit Euler and
+    with the symmetric-eigendecomposition curve."""
     g = line_graph(3, [0, 2, 1])
-    for t in (0.5, 2.0, 6.0):
-        got = ctrw_probabilities(g, t)
-        ref = euler_classical_probabilities(g, t)
-        err = np.abs(got - ref).max()
+    trace = label_graph(g, record_traces=True).classical_trace
+    for want in (0.5, 2.0, 6.0):
+        t, got = _nearest(trace, want)
+        assert abs(t - want) < 1e-9
+        err = abs(got - euler_classical_probabilities(g, t)[g.v_target])
         assert err < 1e-5, f"t={t}: euler mismatch {err:.2e}"
+        err = abs(got - spectral_target_probability(g, t))
+        assert err < 1e-12, f"t={t}: spectral mismatch {err:.2e}"
 
 
 def test_ctrw_target_probability_monotone():
     g = line_graph(3, [0, 2, 1])
-    values = [ctrw_probabilities(g, t)[g.v_target] for t in np.linspace(0, 20, 81)]
-    diffs = np.diff(values)
-    assert np.all(diffs >= -1e-12), "absorbing target lost probability"
+    trace = label_graph(g, record_traces=True).classical_trace
+    assert np.all(np.diff(trace.values) >= -1e-12), "absorbing target lost probability"
 
 
 # ====== quantum propagation ======
 
 
 def test_ctqw_initial_condition():
-    rho = ctqw_density(line_graph(3, [0, 2, 1]), [0.0])[0]
-    expect = np.zeros((4, 4), dtype=complex)
-    expect[0, 0] = 1.0
-    assert np.array_equal(rho, expect)
+    out = label_graph(line_graph(3, [0, 2, 1]), record_traces=True)
+    for trace in (out.classical_trace, out.quantum_trace):
+        assert (trace.times[0], trace.values[0]) == (0.0, 0.0)
 
 
 def test_ctqw_zero_gamma_keeps_sink_empty():
-    """Coherent dynamics never populates the sink."""
+    """Without decay every rung is unitary, so no population leaves the
+    graph for the sink."""
     g = line_graph(3, [0, 2, 1])
-    for rho in ctqw_density(g, np.linspace(0.0, 12.0, 7), gamma=0.0):
-        assert rho[g.n, g.n].real == 0.0
+    rungs = _rungs(-1j * quantum_variant(g, 0.0), g)
+    gram = np.conj(np.transpose(rungs, (0, 2, 1))) @ rungs
+    dev = np.abs(gram - np.eye(g.n)).max()
+    assert dev < 1e-9, f"rungs depart from unitary by {dev:.2e}"
 
 
 def test_ctqw_matches_liouvillian_expm_oracle():
-    """The n-dimensional pure state vs exponentiating the vectorized generator."""
+    """The recorded sink curve of the n-dimensional no-jump state vs
+    exponentiating the vectorized generator."""
     for g in (line_graph(3, [0, 2, 1]), line_graph(5, [2, 0, 4, 1, 3]), K3):
-        grid = np.array([0.0, 0.8, 3.0, 9.0])
-        rhos = ctqw_density(g, grid)
-        for t, rho in zip(grid, rhos):
-            ref = liouvillian_expm_density(g, t)
-            err = np.abs(rho - ref).max()
+        trace = label_graph(g, record_traces=True).quantum_trace
+        for want in (0.8, 3.0, 9.0):
+            t, got = _nearest(trace, want)
+            assert abs(t - want) < 1e-9
+            ref = liouvillian_expm_density(g, t)[g.n, g.n].real
+            err = abs(got - ref)
             assert err < 1e-5, f"n={g.n} t={t}: oracle mismatch {err:.2e}"
 
 
 def test_ctqw_density_health():
-    """Trace, Hermiticity, positivity proxy, and sink monotonicity."""
+    """The density matrix is psi psi^dagger on the graph plus 1 - ||psi||^2
+    in the sink, so its trace, Hermiticity and positivity hold as long as
+    every propagator contracts psi; the sink must also never drain."""
     g = line_graph(4, [0, 2, 3, 1])
-    grid = np.linspace(0.0, 15.0, 31)
-    rhos = ctqw_density(g, grid)
-    sink = []
-    for t, rho in zip(grid, rhos):
-        assert abs(np.trace(rho).real - 1.0) < 1e-6, f"trace drift at t={t}"
-        assert np.abs(rho - rho.conj().T).max() < 1e-8, f"non-Hermitian at t={t}"
-        assert np.all(np.diag(rho).real >= -1e-9), f"negative population at t={t}"
-        sink.append(rho[g.n, g.n].real)
-    assert np.all(np.diff(sink) >= -1e-9), "sink population decreased"
+    rungs = _rungs(-1j * quantum_variant(g), g)
+    excess = (np.linalg.norm(rungs, 2, axis=(1, 2)) - 1.0).max()
+    assert excess <= 1e-8, f"a rung amplifies psi by {excess:.2e}"
+    trace = label_graph(g, record_traces=True).quantum_trace
+    assert np.all(np.diff(trace.values) >= -1e-9), "sink population decreased"
 
 
 def test_ctqw_faster_on_opposite_ends_path():
     """On path 1-3-2 the sink crosses p_th before the classical target."""
-    g = line_graph(3, [0, 2, 1])
-    p_th = 1.0 / math.log(3)
-    grid = np.linspace(0.0, 9.0, 181)
-    sink = np.array([r[g.n, g.n].real for r in ctqw_density(g, grid)])
-    target = np.array([ctrw_probabilities(g, t)[g.v_target] for t in grid])
-    tq = hitting_time(Trace(grid, sink), p_th)
-    tc = hitting_time(Trace(grid, target), p_th)
+    out = label_graph(line_graph(3, [0, 2, 1]))
+    tq, tc = out.quantum_hit_time, out.classical_hit_time
     assert tq is not None and tc is not None
     assert tq < tc, f"expected quantum first: tq={tq:.3f} tc={tc:.3f}"
 
@@ -166,8 +203,7 @@ def test_ctqw_faster_on_opposite_ends_path():
 @pytest.mark.parametrize("n", [8, 12, 16, 20])
 def test_label_march_matches_oracle_at_benchmark_sizes(n):
     """The label path's recorded sink curve against the Liouvillian oracle,
-    and against ctqw_density, at record times on both sides of the first
-    window doubling (t = 25.6).
+    at record times on both sides of the first window doubling (t = 25.6).
 
     The raised threshold keeps the trace going past the first window.
     """
@@ -178,21 +214,10 @@ def test_label_march_matches_oracle_at_benchmark_sizes(n):
     picks = [1, 64, 256, 257, 300]
     times = trace.times[picks]
     assert times[2] < 25.6 + 1e-9 < times[3], "first doubling not bracketed"
-    rhos = ctqw_density(g, np.concatenate([[0.0], times]))[1:]
-    for k, t, rho in zip(picks, times, rhos):
+    for k, t in zip(picks, times):
         ref = liouvillian_expm_density(g, t)[sink, sink].real
         err = abs(trace.values[k] - ref)
         assert err < 1e-12, f"n={n} t={t:g}: oracle mismatch {err:.2e}"
-        gap = abs(trace.values[k] - rho[sink, sink].real)
-        assert gap < 1e-12, f"n={n} t={t:g}: ctqw_density disagrees by {gap:.2e}"
-
-
-def test_ctqw_rejects_unsorted_grid():
-    g = line_graph(3, [0, 1, 2])
-    with pytest.raises(ValueError):
-        ctqw_density(g, [1.0, 0.5])
-    with pytest.raises(ValueError):
-        ctqw_density(g, [0.5, 1.0])  # must start at 0
 
 
 # ====== hitting times ======
