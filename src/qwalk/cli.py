@@ -297,6 +297,8 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    if args.epochs < 1:
+        raise UsageError(f"--epochs must be >= 1, got {args.epochs}")
     args.seed = _resolve_seed(args.seed)
     history_out = args.history_out or str(Path(args.model_out).with_suffix("")) + ".history.csv"
     args.history_out = history_out
@@ -335,10 +337,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_model(model, args.model_out)
     write_history_csv(history, history_out)
     print(f"trained {args.variant} model (n_max={n_max}) on {len(train_set)} examples")
+    # the final epoch's history row holds each test set's metrics
     for i, test in enumerate(test_sets):
-        metrics = evaluate(model, test)
+        suffix = f"_{i + 1}" if len(test_sets) > 1 else ""
         name = f"test set {i + 1}" if len(test_sets) > 1 else "test set"
-        print(f"{name} ({len(test)} examples): accuracy {metrics.accuracy:.4f}")
+        accuracy = history[-1][f"test_accuracy{suffix}"]
+        print(f"{name} ({len(test)} examples): accuracy {accuracy:.4f}")
     print(f"model written to {args.model_out}")
     print(f"history written to {history_out}")
     inputs = list(args.train) + list(args.test)

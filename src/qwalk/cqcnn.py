@@ -170,6 +170,14 @@ def _full_feature_dim(n_max: int) -> int:
 
 
 def _expected_shapes(variant: str, n_max: int, hidden_width: int) -> dict[str, tuple]:
+    """Weight shapes of an architecture, which this checks first."""
+    if variant not in ("simple", "full"):
+        raise ValueError(f"variant must be 'simple' or 'full', got {variant!r}")
+    if n_max < 3:
+        raise ValueError(f"n_max must be >= 3, got {n_max}")
+    if variant == "full" and hidden_width < 1:
+        # no input would reach the scores: only the output bias would learn
+        raise ValueError(f"the full variant needs hidden_width >= 1, got {hidden_width}")
     if variant == "simple":
         return {"last": (4 * n_max + 1, 2)}
     return {
@@ -191,10 +199,6 @@ class CqcnnModel:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.variant not in ("simple", "full"):
-            raise ValueError(f"variant must be 'simple' or 'full', got {self.variant!r}")
-        if self.n_max < 3:
-            raise ValueError(f"n_max must be >= 3, got {self.n_max}")
         expected = _expected_shapes(self.variant, self.n_max, self.hidden_width)
         if set(self.weights) != set(expected):
             raise ValueError(
@@ -308,6 +312,13 @@ def _write_full_rows(rows, index, a: np.ndarray, n: int, v_init, v_target) -> No
         [t1[take, v_init], t1[take, v_target], t2[take, v_init], t2[take, v_target]], axis=1
     )
     rows[index, width + 4 * n_max :] = transitions.reshape(b, -1)
+
+
+def _encoding_key(model: CqcnnModel) -> tuple:
+    """Everything `encode` reads from a model: models with equal keys get
+    identical rows for the same graphs. A change to what goes into a row
+    extends this key in the same change."""
+    return (model.variant, model.n_max)
 
 
 def encode(model: CqcnnModel, graphs: Sequence[Graph]) -> np.ndarray:

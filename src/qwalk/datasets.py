@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +50,9 @@ _SPLIT_TAGS = ("train", "test", "unsplit")
 # zlib level 6 compresses an n=7 line dataset about 6x faster than level 9,
 # into a file about 6% larger.
 _GZIP_LEVEL = 6
+# One encoder for every line `save` writes; `json.dumps` with these options
+# would build a new one per call.
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class DatasetFormatError(ValueError):
@@ -94,6 +97,8 @@ class Dataset:
     examples: tuple[Example, ...]
     split_tag: str = "unsplit"
     metadata: dict = field(default_factory=dict)
+    # (key, rows) of the last `_rows_for` call: one copy of rows at most.
+    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "examples", tuple(self.examples))
@@ -122,6 +127,16 @@ class Dataset:
     @property
     def labels(self) -> np.ndarray:
         return np.array([e.label for e in self.examples], dtype=np.int64)
+
+    def _rows_for(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """The rows `build` makes from these examples, kept read-only and
+        returned again while later calls pass an equal key. Only the last
+        key's rows are kept; a call with another key replaces them."""
+        if self._kept is None or self._kept[0] != key:
+            rows = build()
+            rows.setflags(write=False)
+            object.__setattr__(self, "_kept", (key, rows))
+        return self._kept[1]
 
 
 # ====== generation ======
@@ -291,11 +306,8 @@ def save(d: Dataset, path) -> None:
         "count": len(d.examples),
         "metadata": d.metadata,
     }
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    lines.extend(
-        json.dumps(_example_record(e), sort_keys=True, separators=(",", ":"))
-        for e in d.examples
-    )
+    lines = [_JSON.encode(header)]
+    lines.extend(_JSON.encode(_example_record(e)) for e in d.examples)
     data = ("\n".join(lines) + "\n").encode("utf-8")
     if str(path).endswith(".gz"):
         raw = io.BytesIO()

@@ -3,11 +3,16 @@
 evaluate() is strictly read-only on the model. train() runs an
 epoch/batch schedule of with-replacement SGD and records a history row
 per epoch: training loss always, test metrics on a fixed cadence and on
-the final epoch. Both encode each dataset's graphs into input rows once
-(`cqcnn.encode`) and score them in batches; a training batch is a slice
-of the encoded training rows. Metrics with a zero denominator (no
-examples or no predictions of a class) are reported as None, never as 0,
-so ensemble averages are not dragged toward zero by undefined entries.
+the final epoch. Both score a dataset's encoded input rows in batches; a
+training batch is a slice of the encoded training rows. A dataset's rows
+depend only on its graphs and on the model's encoding key (variant and
+n_max), so they are encoded (`cqcnn.encode`) once and kept read-only with
+the dataset; later train or evaluate calls on the same Dataset object with
+the same key reuse them, whatever the model's weights. A dataset keeps the
+rows of one key only: a call with another key encodes again and replaces
+them. Metrics with a zero denominator (no examples or no predictions of a
+class) are reported as None, never as 0, so ensemble averages are not
+dragged toward zero by undefined entries.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from ._io import write_atomic
 from .cqcnn import (
     CqcnnModel,
+    _encoding_key,
     encode,
     forward,
     loss_and_gradients,
@@ -70,8 +76,15 @@ def evaluate(
     """
     if kappas is None:
         kappas = dataset.class_fractions
-    rows = encode(model, [e.graph for e in dataset])
-    return _metrics(model, rows, dataset.labels, kappas)
+    return _metrics(model, _rows(model, dataset), dataset.labels, kappas)
+
+
+def _rows(model: CqcnnModel, dataset: Dataset) -> np.ndarray:
+    """The dataset's read-only input rows for the model, kept with the
+    dataset under the model's encoding key."""
+    return dataset._rows_for(
+        _encoding_key(model), lambda: encode(model, [e.graph for e in dataset])
+    )
 
 
 def _metrics(model, rows, labels, kappas) -> Metrics:
@@ -156,10 +169,10 @@ def train(
         return model, []
     kappas = train_set.class_fractions
     rng = np.random.default_rng(schedule.seed)
-    rows = encode(model, [e.graph for e in train_set])
+    rows = _rows(model, train_set)
     labels = train_set.labels
     tests = [
-        (encode(model, [e.graph for e in test]), test.labels, test.class_fractions)
+        (_rows(model, test), test.labels, test.class_fractions)
         for test in _as_test_list(test_set)
     ]
 

@@ -236,6 +236,32 @@ def test_train_merges_multiple_sets_and_reports_each_test(tmp_path, capsys):
     assert load_model(model_path).n_max == 5
 
 
+def test_train_reports_test_accuracy_from_its_history(tmp_path, capsys, monkeypatch):
+    """The reported accuracies are the final history row's, which equal a
+    fresh evaluate of the saved model; each set is encoded once."""
+    import qwalk.evaluation
+
+    d4, d5 = tmp_path / "d4.jsonl", tmp_path / "d5.jsonl"
+    main(["gen-dataset", "line", "--n", "4", "--out", str(d4)])
+    main(["gen-dataset", "line", "--n", "5", "--out", str(d5)])
+    capsys.readouterr()
+    encoded = []
+    real = qwalk.evaluation.encode
+    monkeypatch.setattr(qwalk.evaluation, "encode",
+                        lambda model, graphs: encoded.append(len(graphs)) or real(model, graphs))
+    model_path = tmp_path / "m.json"
+    rc = main(["train", "--train", str(d5), "--test", str(d4), str(d5), "--variant", "full",
+               "--epochs", "12", "--seed", "2", "--model-out", str(model_path)])
+    text = capsys.readouterr().out
+    assert rc == 0
+    sizes = [len(load(d5)), len(load(d4)), len(load(d5))]
+    assert encoded == sizes
+    model = load_model(model_path)
+    for i, path in enumerate((d4, d5)):
+        accuracy = qwalk.evaluate(model, load(path)).accuracy
+        assert f"test set {i + 1} ({sizes[i + 1]} examples): accuracy {accuracy:.4f}" in text
+
+
 def test_train_rejects_too_small_n_max(tmp_path, capsys):
     d5 = tmp_path / "d5.jsonl"
     main(["gen-dataset", "line", "--n", "5", "--out", str(d5)])
@@ -244,6 +270,34 @@ def test_train_rejects_too_small_n_max(tmp_path, capsys):
         "--epochs", "5", "--seed", "0", "--model-out", str(tmp_path / "m.json"),
     ])
     assert rc == 1
+
+
+@pytest.mark.parametrize("epochs", ["0", "-3"])
+def test_train_without_epochs_is_a_usage_error(tmp_path, capsys, epochs):
+    """A schedule with no epochs would write an untrained model."""
+    data = tmp_path / "d4.jsonl"
+    main(["gen-dataset", "line", "--n", "4", "--out", str(data)])
+    capsys.readouterr()
+    model_path = tmp_path / "m.json"
+    rc = main(["train", "--train", str(data), "--epochs", epochs, "--seed", "0",
+               "--model-out", str(model_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "usage" in err and f"qwalk: error: --epochs must be >= 1, got {epochs}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d4.jsonl", "d4.jsonl.manifest.json"]
+
+
+def test_train_rejects_a_full_model_without_hidden_units(tmp_path, capsys):
+    """With no hidden units no input reaches the full variant's scores."""
+    data = tmp_path / "d4.jsonl"
+    main(["gen-dataset", "line", "--n", "4", "--out", str(data)])
+    capsys.readouterr()
+    rc = main(["train", "--train", str(data), "--variant", "full", "--hidden-width", "0",
+               "--epochs", "5", "--seed", "0", "--model-out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "qwalk: error: the full variant needs hidden_width >= 1, got 0" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d4.jsonl", "d4.jsonl.manifest.json"]
 
 
 def test_eval_rejects_undersized_model(tmp_path, capsys):

@@ -11,7 +11,9 @@ Tests verify:
 - encoded rows against a graph-by-graph loop oracle at n_max 4, 7, 15, 20
   over lists that mix vertex counts and cross a 64-graph block, bit for
   bit wherever the arithmetic is exact; rows independent of the list a
-  graph is encoded in; encode's working memory independent of list length
+  graph is encoded in; encode's working memory independent of list length;
+  equal rows for models that share the encoding key and differ otherwise
+- a full-variant model without hidden units is refused
 - full-variant scores against a loop-convolution oracle at n_max 4, 7, 15
 - weighted cross-entropy worked values and limits
 - analytic gradients against central finite differences (both variants)
@@ -377,6 +379,48 @@ def test_encode_empty_and_oversized_lists():
         assert encode(model, []).shape == (0, width)
         with pytest.raises(ValueError, match="6 vertices but the model allows 5"):
             encode(model, [line_graph(4, [0, 1, 2, 3]), line_graph(6, [0, 1, 2, 3, 4, 5])])
+
+
+def test_encoding_key_covers_everything_encode_reads():
+    """Models that share the encoding key but differ in seed, weights,
+    learning rate and hidden width get identical rows; the key tells apart
+    models whose rows differ."""
+    from qwalk.cqcnn import _encoding_key
+
+    pool, order = _mixed_graphs(7, seed=3)
+    graphs = [pool[k] for k in order]
+    for variant in ("simple", "full"):
+        base = new_model(variant, 7, seed=0)
+        others = [
+            new_model(variant, 7, seed=1, learning_rate=0.5, hidden_width=3),
+            sgd_step(base, {k: np.ones_like(w) for k, w in base.weights.items()}, lr=0.3),
+        ]
+        want = encode(base, graphs).tobytes()
+        for other in others:
+            assert _encoding_key(other) == _encoding_key(base)
+            assert encode(other, graphs).tobytes() == want
+    keys = {_encoding_key(new_model(v, n, seed=0)) for v in ("simple", "full") for n in (7, 8)}
+    assert len(keys) == 4
+
+
+def test_full_model_needs_hidden_units(tmp_path):
+    """With no hidden units no input reaches the full variant's scores."""
+    for width in (0, -1):
+        with pytest.raises(ValueError, match=f"full variant needs hidden_width >= 1, got {width}"):
+            new_model("full", n_max=4, seed=0, hidden_width=width)
+    weights = {k: w[..., :0] if k == "hidden" else w
+               for k, w in new_model("full", n_max=4, seed=0, hidden_width=1).weights.items()}
+    weights["last"] = weights["last"][:1]
+    with pytest.raises(ValueError, match="full variant needs hidden_width >= 1, got 0"):
+        CqcnnModel("full", 4, weights, hidden_width=0)
+    assert new_model("simple", n_max=4, seed=0, hidden_width=0).hidden_width == 0
+    path = tmp_path / "m.json"
+    save_model(new_model("full", n_max=4, seed=0, hidden_width=1), path)
+    record = json.loads(path.read_text())
+    record["hidden_width"] = 0
+    path.write_text(json.dumps(record))
+    with pytest.raises(ModelFormatError, match="hidden_width >= 1"):
+        load_model(path)
 
 
 def test_encode_memory_does_not_grow_with_the_list():

@@ -10,7 +10,8 @@ Tests verify:
 - indeterminate handling
 - byte-exact serialization round-trips (plain and gzip), also over
   generated datasets (hypothesis); a `.gz` file holds exactly the plain
-  file's bytes
+  file's bytes, and each line is the per-record `json.dumps` of its header
+  or example
 - loader rejections name the offending line, malformed hit times and
   labels included
 - `load` checks graphs in one stack per vertex count: a bad record in a
@@ -396,6 +397,45 @@ def test_save_is_byte_deterministic(tmp_path):
     save(d, p1)
     save(d, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _dumps(record) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def test_save_writes_each_line_as_json_dumps_would(tmp_path):
+    """Every line `save` writes equals a per-record `json.dumps` with sorted
+    keys and compact separators: on a line set, a random set and a merged
+    set with int, float and absent hit times and non-ASCII provenance."""
+    odd = Dataset((
+        Example(line_graph(3, [0, 1, 2]), CLASSICAL, 3, None,
+                provenance={"note": "Größe ψ → ✓", "values": [1, 2.5, None, True]}),
+        Example(line_graph(4, [0, 2, 3, 1]), QUANTUM, 9.25, 7),
+        Example(line_graph(3, [2, 0, 1]), CLASSICAL, None, None, indeterminate=True,
+                provenance={"kind": "hand", "ключ": "значение"}),
+    ), "test", {"source": "hand-made, naïve"})
+    random_set = build_random_dataset(6, 5, 2)
+    for d in (LINES4, random_set, merge([LINES4, random_set, odd])):
+        path = tmp_path / "d.jsonl"
+        save(d, path)
+        header = {"format": "qwalk-dataset", "version": 1, "split": d.split_tag,
+                  "count": len(d), "metadata": d.metadata}
+        records = [
+            {
+                "n": e.graph.n,
+                "adjacency": "".join(str(int(x)) for x in e.graph.adjacency.reshape(-1)),
+                "v_init": e.graph.v_init,
+                "v_target": e.graph.v_target,
+                "label": e.label,
+                "t_classical": e.classical_hit_time,
+                "t_quantum": e.quantum_hit_time,
+                "indeterminate": e.indeterminate,
+                "provenance": e.provenance,
+            }
+            for e in d
+        ]
+        want = "".join(_dumps(r) + "\n" for r in [header] + records)
+        assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_gzip_save_compresses_the_plain_bytes(tmp_path):

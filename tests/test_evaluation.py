@@ -6,6 +6,10 @@ Tests verify:
 - evaluate leaves the model bit-identical
 - history rows: untrained epoch-0 baseline, eval cadence, final epoch
 - divergence raises a training error naming the epoch
+- a dataset is encoded once per encoding key, however many train and
+  evaluate calls read it in a row; it keeps one key's rows only; the kept
+  rows are read-only, leave `==` and `repr` alone, and train exactly as
+  freshly encoded rows do
 - ensemble mean/deviation identities and architecture checks
 - CSV writers' layouts
 """
@@ -27,7 +31,10 @@ from qwalk import (
     ensemble_stats,
     evaluate,
     line_graph,
+    load,
     new_model,
+    save,
+    split,
     train,
     write_history_csv,
     write_metrics_csv,
@@ -212,6 +219,96 @@ def test_schedule_validation():
         Schedule(epochs=1, batch_size=0)
     with pytest.raises(ValueError):
         Schedule(epochs=1, eval_every=0)
+
+
+# ====== encoded rows kept with the dataset ======
+
+
+def test_each_dataset_is_encoded_once_per_key(monkeypatch):
+    import qwalk.evaluation
+
+    calls = []
+    real = qwalk.evaluation.encode
+
+    def counted(model, graphs):
+        calls.append((model.variant, model.n_max, len(graphs)))
+        return real(model, graphs)
+
+    monkeypatch.setattr(qwalk.evaluation, "encode", counted)
+    tr, te = split(build_line_dataset(5), 0.5, 0)
+    model, _ = train(new_model("full", 5, seed=1), tr, te, Schedule(epochs=3, seed=1))
+    for _ in range(3):
+        evaluate(model, te)
+    assert calls == [("full", 5, len(tr)), ("full", 5, len(te))]
+
+    # same key, other seed, learning rate and hidden width: no new encoding
+    other = new_model("full", 5, seed=2, learning_rate=0.5, hidden_width=4)
+    train(other, tr, te, Schedule(epochs=2, seed=2))
+    evaluate(other, tr)
+    assert len(calls) == 2
+
+    evaluate(new_model("full", 6, seed=1), te)
+    assert calls[2:] == [("full", 6, len(te))]
+    evaluate(new_model("simple", 5, seed=1), te)
+    assert calls[3:] == [("simple", 5, len(te))]
+    evaluate(new_model("simple", 5, seed=3), te)
+    assert len(calls) == 4
+
+    # a dataset keeps one key's rows: going back to an earlier key encodes
+    # again, while the other dataset still holds its rows
+    evaluate(model, te)
+    evaluate(model, tr)
+    assert calls[4:] == [("full", 5, len(te))]
+
+
+def test_kept_rows_refuse_writes():
+    d = build_line_dataset(4)
+    evaluate(new_model("full", 4, seed=0), d)
+    rows = d._kept[1]
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+
+
+def test_warm_and_fresh_datasets_train_alike(tmp_path):
+    """Weights, history and metrics are bit-identical whether the rows are
+    kept from earlier calls or encoded afresh from a loaded file."""
+    for variant in ("simple", "full"):
+        paths = []
+        for k, part in enumerate(split(build_line_dataset(5), 0.6, 4)):
+            paths.append(tmp_path / f"{variant}{k}.jsonl")
+            save(part, paths[-1])
+        warm_tr, warm_te = load(paths[0]), load(paths[1])
+        warmer = new_model(variant, 5, seed=9, learning_rate=0.2, hidden_width=5)
+        train(warmer, warm_tr, warm_te, Schedule(epochs=2, seed=9))
+        assert warm_tr._kept is not None and warm_te._kept is not None
+
+        outcomes = []
+        for tr, te in ((warm_tr, warm_te), (load(paths[0]), load(paths[1]))):
+            model, history = train(new_model(variant, 5, seed=3, learning_rate=0.1), tr, te,
+                                   Schedule(epochs=15, batches_per_epoch=4, seed=3, eval_every=5))
+            outcomes.append((model, history, evaluate(model, te)))
+        (m1, h1, e1), (m2, h2, e2) = outcomes
+        for name in m1.weights:
+            assert m1.weights[name].tobytes() == m2.weights[name].tobytes()
+        assert h1 == h2
+        assert (e1.mean_loss, e1.accuracy, e1.precision, e1.recall) == (
+            e2.mean_loss, e2.accuracy, e2.precision, e2.recall
+        )
+        assert np.array_equal(e1.confusion, e2.confusion)
+
+
+def test_kept_rows_leave_equality_and_repr_alone(tmp_path):
+    path = tmp_path / "d.jsonl"
+    save(build_line_dataset(4), path)
+    warm, cold = load(path), load(path)
+    before = repr(warm)
+    evaluate(new_model("full", 4, seed=0), warm)
+    evaluate(new_model("simple", 6, seed=0), warm)
+    assert warm._kept[0] == ("simple", 6) and cold._kept is None
+    assert warm == cold
+    assert repr(warm) == before == repr(cold)
+    assert "_kept" not in repr(warm)
 
 
 # ====== ensembles ======
