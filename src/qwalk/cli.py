@@ -256,23 +256,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    """The --jobs value, else QWALK_JOBS, else 1; each must be an integer >= 1."""
-    source = "--jobs"
-    if jobs is None:
-        source, text = "QWALK_JOBS", os.environ.get("QWALK_JOBS", "1")
-        try:
-            jobs = int(text)
-        except ValueError:
-            raise UsageError(f"QWALK_JOBS must be an integer, got {text!r}") from None
-    if jobs < 1:
-        raise UsageError(f"{source} must be >= 1, got {jobs}")
-    return jobs
-
-
 def cmd_gen_dataset(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    args.jobs = _resolve_jobs(args.jobs)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     _check_overwrite([args.out], args.force)
     cfg = _walk_config(args)
     if args.kind == "line":
@@ -299,7 +286,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.monotonic()
     if args.epochs < 1:
         raise UsageError(f"--epochs must be >= 1, got {args.epochs}")
+    if args.holdout is not None and not 0.0 < args.holdout < 1.0:
+        raise UsageError(f"--holdout must lie in (0, 1), got {args.holdout}")
     args.seed = _resolve_seed(args.seed)
+    model_seed, batch_seed, holdout_seed = (
+        int(s) for s in np.random.default_rng(args.seed).integers(2**63, size=3)
+    )
+    try:
+        schedule = Schedule(
+            epochs=args.epochs,
+            batches_per_epoch=args.batches_per_epoch,
+            batch_size=args.batch_size,
+            seed=batch_seed,
+            eval_every=args.eval_every,
+            inverse_class_weights=args.inverse_class_weights,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     history_out = args.history_out or str(Path(args.model_out).with_suffix("")) + ".history.csv"
     args.history_out = history_out
     _check_overwrite([args.model_out, history_out], args.force)
@@ -307,13 +310,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_parts = _load_datasets(args.train, args.drop_indeterminate)
     test_sets = _load_datasets(args.test, args.drop_indeterminate)
     train_set = merge(train_parts)
-
-    model_seed, batch_seed, holdout_seed = (
-        int(s) for s in np.random.default_rng(args.seed).integers(2**63, size=3)
-    )
     if args.holdout is not None:
-        if not 0.0 < args.holdout < 1.0:
-            raise UsageError(f"--holdout must lie in (0, 1), got {args.holdout}")
         train_set, held_out = split(train_set, 1.0 - args.holdout, holdout_seed)
         test_sets = [held_out] + test_sets
 
@@ -325,14 +322,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
 
     model = new_model(args.variant, n_max, model_seed, args.lr, args.hidden_width)
-    schedule = Schedule(
-        epochs=args.epochs,
-        batches_per_epoch=args.batches_per_epoch,
-        batch_size=args.batch_size,
-        seed=batch_seed,
-        eval_every=args.eval_every,
-        inverse_class_weights=args.inverse_class_weights,
-    )
     model, history = train(model, train_set, test_sets, schedule)
     save_model(model, args.model_out)
     write_history_csv(history, history_out)
@@ -577,8 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help="workers, random kind only (default: env QWALK_JOBS, else 1)",
+        default=1,
+        help="workers, random kind only (default 1)",
     )
     gen.add_argument("--out", required=True, help="dataset path (.gz compresses)")
     gen.add_argument("--force", action="store_true", help="overwrite existing outputs")

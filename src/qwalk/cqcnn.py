@@ -26,11 +26,13 @@ All gradients are hand-derived; there is no autodiff anywhere.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -149,7 +151,7 @@ def extract_features(g: Graph, n_max: int) -> np.ndarray:
     _check_size(g, n_max)
     a = np.zeros((1, n_max, n_max))
     a[0, : g.n, : g.n] = g.adjacency
-    row = np.empty((1, 4 * n_max + 1))
+    row = np.empty((1, _architecture("simple", n_max, 0).width))
     _write_simple_rows(row, [0], a, [g.v_init], [g.v_target])
     return row[0]
 
@@ -157,34 +159,59 @@ def extract_features(g: Graph, n_max: int) -> np.ndarray:
 # ====== model ======
 
 
-def _ete_stage_count(n_max: int) -> int:
-    return max(1, math.ceil(math.log2(n_max)))
+@dataclass(frozen=True)
+class _Architecture:
+    """Sizes of one architecture, shared by every model that has it.
+    `shapes` lists the weights in draw order. A full-variant row is a
+    (9 * channels, n_max) block of `block` floats, then a tail; a
+    simple-variant row has no block (channels and block 0)."""
+
+    shapes: Mapping[str, tuple]
+    channels: int
+    block: int
+    width: int
 
 
-def _channel_count(n_max: int) -> int:
-    return _ete_stage_count(n_max) + 1
+def _architecture(variant: str, n_max: int, hidden_width: int) -> _Architecture:
+    """The sizes of an architecture, after checking its hyperparameters.
 
-
-def _full_feature_dim(n_max: int) -> int:
-    return 1 + n_max * n_max + 8 * n_max
-
-
-def _expected_shapes(variant: str, n_max: int, hidden_width: int) -> dict[str, tuple]:
-    """Weight shapes of an architecture, which this checks first."""
+    Every weight shape and row width in this module is read from here. The
+    sizes are memoized on Python-int keys, so a training step derives none.
+    """
     if variant not in ("simple", "full"):
         raise ValueError(f"variant must be 'simple' or 'full', got {variant!r}")
+    for name, value in (("n_max", n_max), ("hidden_width", hidden_width)):
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    return _sizes(variant, operator.index(n_max), operator.index(hidden_width))
+
+
+@functools.cache
+def _sizes(variant: str, n_max: int, hidden_width: int) -> _Architecture:
+    """`_architecture` for a known variant and Python-int sizes."""
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
-    if variant == "full" and hidden_width < 1:
+    if variant == "simple":
+        width = 4 * n_max + 1
+        shapes = MappingProxyType({"last": (width, 2)})
+        return _Architecture(shapes=shapes, channels=0, block=0, width=width)
+    if hidden_width < 1:
         # no input would reach the scores: only the output bias would learn
         raise ValueError(f"the full variant needs hidden_width >= 1, got {hidden_width}")
-    if variant == "simple":
-        return {"last": (4 * n_max + 1, 2)}
-    return {
-        "conv": (n_max, _channel_count(n_max), 3, 3),
-        "hidden": (_full_feature_dim(n_max), hidden_width),
-        "last": (hidden_width + 1, 2),
-    }
+    # the adjacency map plus ceil(log2 n_max) edge-to-edge stages, at least one
+    channels = max(1, math.ceil(math.log2(n_max))) + 1
+    block = 9 * channels * n_max
+    tail = 8 * n_max
+    return _Architecture(
+        shapes=MappingProxyType({
+            "conv": (n_max, channels, 3, 3),
+            "hidden": (1 + n_max * n_max + tail, hidden_width),
+            "last": (hidden_width + 1, 2),
+        }),
+        channels=channels,
+        block=block,
+        width=block + tail,
+    )
 
 
 @dataclass(eq=False)
@@ -199,7 +226,7 @@ class CqcnnModel:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        expected = _expected_shapes(self.variant, self.n_max, self.hidden_width)
+        expected = _architecture(self.variant, self.n_max, self.hidden_width).shapes
         if set(self.weights) != set(expected):
             raise ValueError(
                 f"variant {self.variant!r} needs weights {sorted(expected)}, "
@@ -235,7 +262,7 @@ def new_model(
     """
     seed = operator.index(seed)
     rng = np.random.default_rng(seed)
-    shapes = _expected_shapes(variant, n_max, hidden_width)
+    shapes = _architecture(variant, n_max, hidden_width).shapes
     weights = {name: rng.uniform(-0.1, 0.1, size=shape) for name, shape in shapes.items()}
     return CqcnnModel(
         variant=variant,
@@ -248,15 +275,6 @@ def new_model(
 
 
 # ====== encoded input rows ======
-
-
-def _block_width(n_max: int) -> int:
-    return 9 * _channel_count(n_max) * n_max
-
-
-def _input_width(model: CqcnnModel) -> int:
-    n_max = model.n_max
-    return 4 * n_max + 1 if model.variant == "simple" else _block_width(n_max) + 8 * n_max
 
 
 def _shift_collapses(m: np.ndarray) -> np.ndarray:
@@ -281,7 +299,9 @@ def _shift_collapses(m: np.ndarray) -> np.ndarray:
     return etv
 
 
-def _write_full_rows(rows, index, a: np.ndarray, n: int, v_init, v_target) -> None:
+def _write_full_rows(
+    rows, index, a: np.ndarray, n: int, v_init, v_target, arch: _Architecture
+) -> None:
     b, n_max = len(a), a.shape[-1]
     take = np.arange(b)
     # Channel stack: the adjacency map plus repeatedly edge-to-edge filtered
@@ -289,29 +309,29 @@ def _write_full_rows(rows, index, a: np.ndarray, n: int, v_init, v_target) -> No
     # and each desymmetrized before its shifts are collapsed.
     span = 9 * n_max
     current = a
-    for c in range(_channel_count(n_max)):
+    for c in range(arch.channels):
         if c:
             current = _ete(current)
             peak = np.abs(current).max(axis=(1, 2))
             current = current / np.where(peak > 0, peak, 1.0)[:, None, None]
         rows[index, c * span : (c + 1) * span] = _shift_collapses(np.triu(current)).reshape(b, -1)
 
-    # Scaled copy of the simple feature block: degree-like features shrink
-    # with n_max so every tail entry stays O(1).
-    width = _block_width(n_max)
+    # The tail. First a scaled copy of the simple feature block: degree-like
+    # features shrink with n_max so every tail entry stays O(1).
     scale = np.array([1.0 / n_max, 1.0 / n_max**2, 1.0, 1.0])
     features = _vertex_features(a, v_init, v_target) * scale
-    rows[index, width : width + 4 * n_max] = features.reshape(b, -1)
 
-    # One- and two-step transition probabilities into the special vertices,
-    # from the column-stochastic walk matrix with an absorbing target.
+    # Then one- and two-step transition probabilities into the special
+    # vertices, from the column-stochastic walk matrix with an absorbing target.
     t1 = _absorbing_walk(a[:, :n, :n], v_target)
     t2 = t1 @ t1
     transitions = np.zeros((b, 4, n_max))
     transitions[:, :, :n] = np.stack(
         [t1[take, v_init], t1[take, v_target], t2[take, v_init], t2[take, v_target]], axis=1
     )
-    rows[index, width + 4 * n_max :] = transitions.reshape(b, -1)
+    rows[index, arch.block :] = np.concatenate(
+        [features.reshape(b, -1), transitions.reshape(b, -1)], axis=1
+    )
 
 
 def _encoding_key(model: CqcnnModel) -> tuple:
@@ -325,9 +345,10 @@ def encode(model: CqcnnModel, graphs: Sequence[Graph]) -> np.ndarray:
     """Fixed input rows, one per graph, read by forward and loss_and_gradients.
 
     Simple variant: the extract_features vector. Full variant: the
-    edge-to-vertex collapse of each of the 9*C one-pixel shifts of the C
-    channel maps, a (9*C, n_max) block, then an 8*n_max tail of scaled
-    vertex features and transition rows.
+    edge-to-vertex collapse of each of the 9*C one-pixel shifts of the
+    C = ceil(log2 n_max) + 1 channel maps, a (9*C, n_max) block, then an
+    8*n_max tail of scaled vertex features and transition rows: 795 floats
+    at n_max 15.
 
     Graphs are encoded in stacked blocks: grouped by vertex count (input
     order kept within a group) and zero-padded into (B, n_max, n_max)
@@ -340,11 +361,12 @@ def encode(model: CqcnnModel, graphs: Sequence[Graph]) -> np.ndarray:
     graphs in the list.
     """
     n_max = model.n_max
+    arch = _architecture(model.variant, n_max, model.hidden_width)
     groups: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         _check_size(g, n_max)
         groups.setdefault(g.n, []).append(i)
-    rows = np.empty((len(graphs), _input_width(model)))
+    rows = np.empty((len(graphs), arch.width))
     for n, members in groups.items():
         for start in range(0, len(members), _BLOCK_GRAPHS):
             index = members[start : start + _BLOCK_GRAPHS]
@@ -356,29 +378,33 @@ def encode(model: CqcnnModel, graphs: Sequence[Graph]) -> np.ndarray:
             if model.variant == "simple":
                 _write_simple_rows(rows, index, a, v_init, v_target)
             else:
-                _write_full_rows(rows, index, a, n, v_init, v_target)
+                _write_full_rows(rows, index, a, n, v_init, v_target, arch)
     return rows
 
 
-def _check_inputs(model: CqcnnModel, inputs: np.ndarray) -> None:
-    width = _input_width(model)
-    if inputs.ndim != 2 or inputs.shape[1] != width:
-        raise ValueError(f"this model reads rows of width {width}, got shape {inputs.shape}")
+def _check_inputs(model: CqcnnModel, inputs: np.ndarray) -> _Architecture:
+    """The model's architecture, once its row width matches the inputs."""
+    arch = _architecture(model.variant, model.n_max, model.hidden_width)
+    if inputs.ndim != 2 or inputs.shape[1] != arch.width:
+        raise ValueError(
+            f"this model reads rows of width {arch.width}, got shape {inputs.shape}"
+        )
+    return arch
 
 
-def _blocks(inputs: np.ndarray, n_max: int) -> np.ndarray:
+def _blocks(inputs: np.ndarray, n_max: int, arch: _Architecture) -> np.ndarray:
     """(N, 9*C, n_max) view of the collapsed-shift blocks of full-variant rows."""
-    return inputs.reshape(len(inputs), -1, n_max)[:, : 9 * _channel_count(n_max)]
+    return inputs[:, : arch.block].reshape(len(inputs), arch.block // n_max, n_max)
 
 
-def _full_layers(model: CqcnnModel, inputs: np.ndarray):
+def _full_layers(model: CqcnnModel, inputs: np.ndarray, arch: _Architecture):
     """Hidden-layer input, pre-activation and biased activation per row."""
     n_max = model.n_max
     ones = np.ones((len(inputs), 1))
-    blocks = _blocks(inputs, n_max)
+    blocks = _blocks(inputs, n_max, arch)
     conv_w = model.weights["conv"].reshape(n_max, -1)
-    conv_feats = (conv_w @ blocks).reshape(len(inputs), -1) / n_max
-    z = np.concatenate([ones, conv_feats, inputs[:, _block_width(n_max) :]], axis=1)
+    conv_feats = (conv_w @ blocks).reshape(len(inputs), n_max * n_max) / n_max
+    z = np.concatenate([ones, conv_feats, inputs[:, arch.block :]], axis=1)
     pre = z @ model.weights["hidden"]
     hidden_b = np.concatenate([np.maximum(pre, 0.0), ones], axis=1)
     return z, pre, hidden_b
@@ -386,10 +412,10 @@ def _full_layers(model: CqcnnModel, inputs: np.ndarray):
 
 def forward(model: CqcnnModel, inputs: np.ndarray) -> np.ndarray:
     """Raw output scores (classical, quantum), one row per encoded input row."""
-    _check_inputs(model, inputs)
+    arch = _check_inputs(model, inputs)
     if model.variant == "simple":
         return inputs @ model.weights["last"]
-    return _full_layers(model, inputs)[2] @ model.weights["last"]
+    return _full_layers(model, inputs, arch)[2] @ model.weights["last"]
 
 
 # ====== loss, gradients, optimizer ======
@@ -436,7 +462,7 @@ def loss_and_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Batch-mean loss and matching analytic gradients for every weight,
     over encoded input rows and their labels."""
-    _check_inputs(model, inputs)
+    arch = _check_inputs(model, inputs)
     if len(inputs) == 0:
         raise ValueError("batch must be nonempty")
     if model.variant == "simple":
@@ -446,14 +472,14 @@ def loss_and_gradients(
         return value, {"last": inputs.T @ g_x}
 
     n_max = model.n_max
-    z, pre, hidden_b = _full_layers(model, inputs)
+    z, pre, hidden_b = _full_layers(model, inputs, arch)
     value, g_x = _cross_entropy(
         hidden_b @ model.weights["last"], labels, kappas, inverse_class_weights
     )
     g_pre = np.where(pre > 0.0, g_x @ model.weights["last"][:-1, :].T, 0.0)
     g_z = g_pre @ model.weights["hidden"].T
     g_conv = g_z[:, 1 : 1 + n_max * n_max].reshape(len(inputs), n_max, n_max) / n_max
-    conv = np.einsum("bki,bqi->kq", g_conv, _blocks(inputs, n_max))
+    conv = np.einsum("bki,bqi->kq", g_conv, _blocks(inputs, n_max, arch))
     return value, {
         "conv": conv.reshape(model.weights["conv"].shape),
         "hidden": z.T @ g_pre,
@@ -469,7 +495,15 @@ def sgd_step(model: CqcnnModel, grads: dict[str, np.ndarray], lr: float | None =
         raise ValueError(f"learning rate must be nonnegative, got {step}")
     if set(grads) != set(model.weights):
         raise ValueError("gradient set does not match model weights")
-    updated = {name: w - step * grads[name] for name, w in model.weights.items()}
+    updated = {}
+    for name, w in model.weights.items():
+        g = np.asarray(grads[name])
+        if g.shape != w.shape:
+            # `w - step * g` would broadcast it silently
+            raise ValueError(
+                f"gradient for weight {name!r} has shape {g.shape}, expected {w.shape}"
+            )
+        updated[name] = w - step * g
     return CqcnnModel(
         variant=model.variant,
         n_max=model.n_max,

@@ -14,7 +14,7 @@ import io
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -142,14 +142,6 @@ class Dataset:
 # ====== generation ======
 
 
-def _config_record(cfg: WalkConfig) -> dict:
-    return {
-        "gamma": cfg.gamma,
-        "p_threshold_override": cfg.p_threshold_override,
-        "t_max_cap": cfg.t_max_cap,
-    }
-
-
 def _example(graph: Graph, outcome: WalkOutcome, provenance: dict) -> Example:
     return Example(
         graph=graph,
@@ -208,7 +200,7 @@ def build_line_dataset(n: int, cfg: WalkConfig = WalkConfig()) -> Dataset:
         _example(graph, outcomes[key], {"kind": "line", "labeling": perm})
         for graph, key, perm in zip(_path_graphs(labelings), keys, labelings.tolist())
     )
-    metadata = {"kind": "line", "n": n, "config": _config_record(cfg)}
+    metadata = {"kind": "line", "n": n, "config": asdict(cfg)}
     return Dataset(examples, "unsplit", metadata)
 
 
@@ -226,7 +218,7 @@ def build_random_dataset(
     child_seeds = np.random.default_rng(seed).integers(2**63, size=count)
     label = partial(_random_example, n=n, cfg=cfg)
     examples = _map(label, [int(s) for s in child_seeds], jobs)
-    metadata = {"kind": "random", "n": n, "count": count, "seed": seed, "config": _config_record(cfg)}
+    metadata = {"kind": "random", "n": n, "count": count, "seed": seed, "config": asdict(cfg)}
     return Dataset(tuple(examples), "unsplit", metadata)
 
 

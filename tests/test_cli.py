@@ -5,7 +5,9 @@ Tests verify:
   tab-separated)
 - gen-dataset line/random flows and overwrite protection
 - train/eval/inspect round trips through real files
-- the exit-code contract (0 ok, 1 runtime failure, 2 usage error)
+- the exit-code contract (0 ok, 1 runtime failure, 2 usage error); train
+  checks its flags before reading any dataset, and gen-dataset takes its
+  worker count from --jobs alone
 - every artifact gets a manifest, and rerun reproduces identical bytes,
   also from manifests that carry retired walk flags
 - relative manifest paths resolve against the manifest's directory
@@ -142,41 +144,25 @@ def test_gen_dataset_refuses_overwrite_without_force(tmp_path, capsys):
     assert main(["gen-dataset", "line", "--n", "4", "--out", str(out), "--force"]) == 0
 
 
-@pytest.mark.parametrize(
-    "env, flags, named",
-    [
-        ("two", [], "QWALK_JOBS"),
-        ("0", [], "QWALK_JOBS"),
-        (None, ["--jobs", "-3"], "--jobs"),
-        ("2", ["--jobs", "0"], "--jobs"),
-    ],
-    ids=["env-not-an-integer", "env-below-1", "flag-negative", "flag-zero"],
-)
-def test_gen_dataset_rejects_bad_worker_counts(tmp_path, capsys, monkeypatch, env, flags, named):
-    """A worker count that is not an integer >= 1 is a usage error naming
-    where it came from, and nothing is written."""
-    if env is None:
-        monkeypatch.delenv("QWALK_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("QWALK_JOBS", env)
+@pytest.mark.parametrize("jobs", ["-3", "0"], ids=["flag-negative", "flag-zero"])
+def test_gen_dataset_rejects_bad_worker_counts(tmp_path, capsys, jobs):
+    """A worker count below 1 is a usage error, and nothing is written."""
     out = tmp_path / "d.jsonl"
     rc = main(["gen-dataset", "random", "--n", "4", "--count", "3", "--seed", "1",
-               "--out", str(out), *flags])
+               "--out", str(out), "--jobs", jobs])
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"qwalk: error: {named} must" in err
+    assert f"qwalk: error: --jobs must be >= 1, got {jobs}" in err
     assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_qwalk_jobs_only_affects_an_unflagged_gen_dataset(tmp_path, capsys, monkeypatch):
-    """Other commands never read QWALK_JOBS, and --jobs overrides it."""
+    """The worker count comes from --jobs alone: an environment variable
+    named QWALK_JOBS is ignored, and an unflagged build runs one worker."""
     monkeypatch.setenv("QWALK_JOBS", "two")
-    with pytest.raises(SystemExit) as info:
-        main(["eval", "--help"])
-    assert info.value.code == 0
-    assert main(["simulate", "--line", "1,3,2", "--out", str(tmp_path / "t.csv")]) == 0
     out = tmp_path / "d.jsonl"
-    assert main(["gen-dataset", "line", "--n", "4", "--jobs", "1", "--out", str(out)]) == 0
+    assert main(["gen-dataset", "random", "--n", "4", "--count", "3", "--seed", "1",
+                 "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())
     assert manifest["args"]["jobs"] == 1
 
@@ -272,19 +258,28 @@ def test_train_rejects_too_small_n_max(tmp_path, capsys):
     assert rc == 1
 
 
-@pytest.mark.parametrize("epochs", ["0", "-3"])
-def test_train_without_epochs_is_a_usage_error(tmp_path, capsys, epochs):
-    """A schedule with no epochs would write an untrained model."""
-    data = tmp_path / "d4.jsonl"
-    main(["gen-dataset", "line", "--n", "4", "--out", str(data)])
-    capsys.readouterr()
-    model_path = tmp_path / "m.json"
-    rc = main(["train", "--train", str(data), "--epochs", epochs, "--seed", "0",
-               "--model-out", str(model_path)])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        pytest.param("--epochs", "0", "--epochs must be >= 1, got 0", id="0"),
+        pytest.param("--epochs", "-3", "--epochs must be >= 1, got -3", id="-3"),
+        pytest.param("--batch-size", "0", "batch_size must be >= 1, got 0", id="batch-size"),
+        pytest.param("--batches-per-epoch", "0", "batches_per_epoch must be >= 1, got 0",
+                     id="batches-per-epoch"),
+        pytest.param("--eval-every", "0", "eval_every must be >= 1, got 0", id="eval-every"),
+        pytest.param("--holdout", "1.0", "--holdout must lie in (0, 1), got 1.0", id="holdout"),
+    ],
+)
+def test_train_without_epochs_is_a_usage_error(tmp_path, capsys, flag, value, message):
+    """A schedule with no epochs would write an untrained model. Every
+    schedule flag is checked before any dataset is read: the training file
+    here does not exist, yet the flag is what is reported."""
+    rc = main(["train", "--train", str(tmp_path / "missing.jsonl"), "--seed", "0", flag, value,
+               "--model-out", str(tmp_path / "m.json")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "usage" in err and f"qwalk: error: --epochs must be >= 1, got {epochs}" in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d4.jsonl", "d4.jsonl.manifest.json"]
+    assert "usage" in err and f"qwalk: error: {message}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_rejects_a_full_model_without_hidden_units(tmp_path, capsys):
@@ -311,6 +306,27 @@ def test_eval_rejects_undersized_model(tmp_path, capsys):
     rc = main(["eval", "--model", str(model_path), "--data", str(d5)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_model_with_float_sizes(tmp_path, capsys):
+    """A model file whose n_max is a float is malformed: eval reports it
+    and exits 1 instead of failing later in a traceback."""
+    data = tmp_path / "d4.jsonl"
+    main(["gen-dataset", "line", "--n", "4", "--out", str(data)])
+    model_path = tmp_path / "m.json"
+    main(["train", "--train", str(data), "--epochs", "5", "--seed", "0",
+          "--model-out", str(model_path)])
+    record = json.loads(model_path.read_text())
+    record["n_max"] = float(record["n_max"])
+    model_path.write_text(json.dumps(record))
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_path), "--data", str(data),
+               "--out", str(tmp_path / "metrics.csv")])
+    assert rc == 1
+    assert "qwalk: error: invalid model record: n_max must be an integer, got 4.0" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def test_inspect_rejects_non_model_file(tmp_path, capsys):

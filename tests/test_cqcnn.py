@@ -7,7 +7,8 @@ batched path is the only one under test.
 Tests verify:
 - ETE/ETV filter worked values and brute-force oracle agreement
 - feature extraction layout, padding, and relabeling equivariance
-- encoded row widths, batch consistency, and width checks
+- encoded row widths and full-variant weight shapes wherever the channel
+  count steps, batch consistency, and width checks
 - encoded rows against a graph-by-graph loop oracle at n_max 4, 7, 15, 20
   over lists that mix vertex counts and cross a 64-graph block, bit for
   bit wherever the arithmetic is exact; rows independent of the list a
@@ -17,11 +18,13 @@ Tests verify:
 - full-variant scores against a loop-convolution oracle at n_max 4, 7, 15
 - weighted cross-entropy worked values and limits
 - analytic gradients against central finite differences (both variants)
-- SGD update arithmetic and the descent property
+- SGD update arithmetic, the descent property, and misshapen gradients
+  refused
 - prediction tie-breaking and monotone-transform invariance
 - last-layer export layout (29 rows per class at n_max=7)
 - model file round-trips (bit-exact weights over generated models,
-  hypothesis; a numpy-integer seed) and malformed-file rejection
+  hypothesis; a numpy-integer seed) and malformed-file rejection, float
+  or bool sizes included
 - a failed save leaves the previous model file intact and no temporary file
 """
 from __future__ import annotations
@@ -287,21 +290,42 @@ def test_forward_full_shapes():
 
 def test_encoded_row_widths():
     """Simple rows are the 4*n_max+1 feature vector; full rows hold the
-    (9*C, n_max) collapsed-shift block (C = ceil(log2 n_max) + 1) and the
-    8*n_max tail: 795 entries at n_max 15."""
+    (9*C, n_max) collapsed-shift block (C = max(1, ceil(log2 n_max)) + 1) and
+    the 8*n_max tail: 795 entries at n_max 15. The n_max values include each
+    point where C steps. The full variant's conv weight is (n_max, C, 3, 3)
+    and its hidden weight reads the bias, the n_max*n_max conv outputs and
+    the tail."""
     graphs = [line_graph(4, [0, 2, 1, 3]), line_graph(3, [0, 1, 2])]
-    for n_max, simple, full in ((4, 17, 140), (7, 29, 308), (15, 61, 795)):
-        assert encode(new_model("simple", n_max, seed=0), graphs).shape == (2, simple)
-        assert encode(new_model("full", n_max, seed=0), graphs).shape == (2, full)
+    for n_max, simple, full, channels, hidden_in in (
+        (3, 13, 105, 3, 34),
+        (4, 17, 140, 3, 49),
+        (7, 29, 308, 4, 106),
+        (8, 33, 352, 4, 129),
+        (9, 37, 477, 5, 154),
+        (15, 61, 795, 5, 346),
+        (16, 65, 848, 5, 385),
+        (17, 69, 1054, 6, 426),
+    ):
+        fits = [g for g in graphs if g.n <= n_max]
+        assert encode(new_model("simple", n_max, seed=0), fits).shape == (len(fits), simple)
+        model = new_model("full", n_max, seed=0)
+        assert encode(model, fits).shape == (len(fits), full)
+        assert {name: w.shape for name, w in model.weights.items()} == {
+            "conv": (n_max, channels, 3, 3),
+            "hidden": (hidden_in, 32),
+            "last": (33, 2),
+        }
 
 
 def test_forward_batch_matches_single_rows():
-    """Scoring a batch equals scoring each of its rows alone."""
+    """Scoring a batch equals scoring each of its rows alone; an empty batch
+    gets no scores."""
     graphs = [line_graph(5, lab) for lab in ([0, 1, 2, 3, 4], [2, 0, 3, 1, 4])]
     graphs.append(random_graph(6, 3))
     for variant in ("simple", "full"):
         model = new_model(variant, n_max=6, seed=4)
         rows = encode(model, graphs)
+        assert forward(model, rows[:0]).shape == (0, 2)
         batch = forward(model, rows)
         assert batch.shape == (3, 2)
         for row, x in zip(rows, batch):
@@ -632,6 +656,21 @@ def test_sgd_leaves_input_model_alone():
     assert np.array_equal(model.weights["last"], before)
 
 
+@pytest.mark.parametrize(
+    "name, grad",
+    [("last", np.ones((1, 2))), ("last", np.float64(1.0)), ("conv", np.ones((3, 3)))],
+    ids=["broadcast-row", "scalar", "broadcast-kernel"],
+)
+def test_sgd_rejects_misshapen_gradients(name, grad):
+    """A gradient must have its weight's shape; one that would broadcast is
+    refused, naming the weight."""
+    model = new_model("full", n_max=4, seed=0)
+    grads = {k: np.zeros_like(w) for k, w in model.weights.items()}
+    grads[name] = grad
+    with pytest.raises(ValueError, match=f"gradient for weight '{name}'"):
+        sgd_step(model, grads, lr=0.1)
+
+
 def test_sgd_descends_on_a_fixed_batch():
     """A small step against the gradient lowers the batch loss."""
     for variant in ("simple", "full"):
@@ -829,6 +868,15 @@ def test_load_model_rejects_malformed_files(tmp_path):
     bad.write_text(json.dumps(record))
     with pytest.raises(ModelFormatError):
         load_model(bad)
+
+    # sizes must be integers, even where a float would give the same shapes
+    save_model(new_model("full", n_max=4, seed=0), good)
+    for key, value in (("n_max", 4.0), ("hidden_width", 32.0), ("n_max", True)):
+        record = json.loads(good.read_text())
+        record[key] = value
+        bad.write_text(json.dumps(record))
+        with pytest.raises(ModelFormatError, match=f"{key} must be an integer"):
+            load_model(bad)
 
 
 # ====== initialization and training determinism ======
