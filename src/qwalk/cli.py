@@ -29,9 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._io import write_atomic
+from ._io import write_atomic, write_csv
 from .cqcnn import (
     ModelFormatError,
+    _check_learning_rate,
     export_last_layer,
     load_model,
     new_model,
@@ -293,6 +294,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         int(s) for s in np.random.default_rng(args.seed).integers(2**63, size=3)
     )
     try:
+        _check_learning_rate(args.lr)
         schedule = Schedule(
             epochs=args.epochs,
             batches_per_epoch=args.batches_per_epoch,
@@ -362,12 +364,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _inspect_single(model, out) -> None:
-    rows = export_last_layer(model)
-    lines = ["vertex,feature,class,weight"]
-    lines.extend(
-        f"{r['vertex']},{r['feature']},{r['class']},{r['weight']!r}" for r in rows
-    )
-    write_atomic(out, ("\n".join(lines) + "\n").encode("utf-8"))
+    columns = ("vertex", "feature", "class", "weight")
+    write_csv(out, columns, ([r[c] for c in columns] for r in export_last_layer(model)))
 
 
 def _inspect_ensemble(models: list, out) -> None:
@@ -376,12 +374,10 @@ def _inspect_ensemble(models: list, out) -> None:
     rows = export_last_layer(models[0])
     means = stats.last_layer_mean.reshape(-1)
     deviations = np.sqrt(stats.last_layer_msd).reshape(-1)
-    lines = ["vertex,feature,class,mean,deviation"]
-    lines.extend(
-        f"{r['vertex']},{r['feature']},{r['class']},{float(mean)!r},{float(dev)!r}"
+    write_csv(out, ("vertex", "feature", "class", "mean", "deviation"), (
+        [r["vertex"], r["feature"], r["class"], mean, dev]
         for r, mean, dev in zip(rows, means, deviations)
-    )
-    write_atomic(out, ("\n".join(lines) + "\n").encode("utf-8"))
+    ))
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
@@ -406,20 +402,14 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-_DISPATCH = {
-    "simulate": cmd_simulate,
-    "gen-dataset": cmd_gen_dataset,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "inspect": cmd_inspect,
-}
-
-
-def _command_actions(command: str) -> dict[str, argparse.Action]:
-    """The arguments that `command` reads, by name, as its parser defines them."""
+def _command_parser(command) -> argparse.ArgumentParser | None:
+    """The parser of a command that writes a manifest, as `build_parser`
+    defines it, or None for any other value."""
+    if not isinstance(command, str) or command == "rerun":
+        return None
     actions = build_parser()._actions
     subcommands = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in subcommands.choices[command]._actions if a.dest != "help"}
+    return subcommands.choices.get(command)
 
 
 def _recorded_value_fault(action: argparse.Action, value) -> str | None:
@@ -451,12 +441,15 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     if not all(isinstance(manifest.get(k), dict) for k in ("args", "inputs", "outputs")):
         raise RuntimeError(f"{args.manifest}: args, inputs and outputs must be JSON objects")
     command = manifest.get("command")
-    if command not in _DISPATCH:
-        raise RuntimeError(f"manifest names unknown command {command!r}")
+    parser = _command_parser(command)
+    if parser is None:
+        raise RuntimeError(
+            f"{args.manifest}: {command!r} is not a command that writes a manifest"
+        )
     version = manifest.get("version", 1)
     if not isinstance(version, int) or isinstance(version, bool):
         raise RuntimeError(f"{args.manifest}: version must be an integer, got {version!r}")
-    actions = _command_actions(command)
+    actions = {a.dest: a for a in parser._actions if a.dest != "help"}
     missing = sorted(actions.keys() - manifest["args"].keys())
     if missing:
         raise RuntimeError(f"{args.manifest}: args lack {', '.join(missing)}")
@@ -498,7 +491,7 @@ def cmd_rerun(args: argparse.Namespace) -> int:
                 for key, value in manifest["args"].items()
             }
         )
-        code = _DISPATCH[command](replay)
+        code = parser.get_default("func")(replay)
         if code != 0:
             return code
         failures = 0

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._io import write_atomic
+from ._io import compact_json, write_atomic
 from .graphs import Graph, _absorbing_walk
 from .walkers import CLASSICAL, QUANTUM
 
@@ -214,9 +214,18 @@ def _sizes(variant: str, n_max: int, hidden_width: int) -> _Architecture:
     )
 
 
+def _check_learning_rate(lr) -> None:
+    if not 0 <= lr < math.inf:
+        raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
+
+
 @dataclass(eq=False)
 class CqcnnModel:
-    """Weights plus the hyperparameters that shaped and seeded them."""
+    """Weights plus the hyperparameters that shaped and seeded them.
+
+    The sizes are stored as Python ints, and the learning rate must be
+    finite and at least 0.
+    """
 
     variant: str
     n_max: int
@@ -227,6 +236,10 @@ class CqcnnModel:
 
     def __post_init__(self) -> None:
         expected = _architecture(self.variant, self.n_max, self.hidden_width).shapes
+        # the sizes as the Python ints `_architecture` checked, so they save
+        self.n_max = operator.index(self.n_max)
+        self.hidden_width = operator.index(self.hidden_width)
+        _check_learning_rate(self.learning_rate)
         if set(self.weights) != set(expected):
             raise ValueError(
                 f"variant {self.variant!r} needs weights {sorted(expected)}, "
@@ -490,9 +503,9 @@ def loss_and_gradients(
 def sgd_step(model: CqcnnModel, grads: dict[str, np.ndarray], lr: float | None = None) -> CqcnnModel:
     """One gradient-descent update; returns a new model, lr from the model
     unless given."""
+    if lr is not None:
+        _check_learning_rate(lr)
     step = model.learning_rate if lr is None else lr
-    if step < 0:
-        raise ValueError(f"learning rate must be nonnegative, got {step}")
     if set(grads) != set(model.weights):
         raise ValueError("gradient set does not match model weights")
     updated = {}
@@ -564,8 +577,7 @@ def save_model(model: CqcnnModel, path) -> None:
         "seed": model.seed,
         "weights": {name: w.tolist() for name, w in model.weights.items()},
     }
-    text = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-    write_atomic(path, text.encode("utf-8"))
+    write_atomic(path, (compact_json(record) + "\n").encode("utf-8"))
 
 
 def load_model(path) -> CqcnnModel:

@@ -16,11 +16,11 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._io import write_atomic
+from ._io import compact_json, write_atomic
 from .graphs import (
     Graph,
     _first_fault,
@@ -50,9 +50,16 @@ _SPLIT_TAGS = ("train", "test", "unsplit")
 # zlib level 6 compresses an n=7 line dataset about 6x faster than level 9,
 # into a file about 6% larger.
 _GZIP_LEVEL = 6
-# One encoder for every line `save` writes; `json.dumps` with these options
-# would build a new one per call.
-_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# Record key of each `Example` field a dataset line carries besides its
+# graph. `save` writes every one; `load` passes on the keys a record has,
+# so an absent optional key takes the field's default in `Example`.
+_EXAMPLE_KEYS = (
+    ("label", "label"),
+    ("t_classical", "classical_hit_time"),
+    ("t_quantum", "quantum_hit_time"),
+    ("indeterminate", "indeterminate"),
+    ("provenance", "provenance"),
+)
 
 
 class DatasetFormatError(ValueError):
@@ -271,17 +278,14 @@ def drop_indeterminate(d: Dataset) -> Dataset:
 
 def _example_record(e: Example) -> dict:
     bits = (e.graph.adjacency.reshape(-1) + 48).astype(np.uint8)  # ASCII "0" and "1"
-    return {
+    record = {
         "n": e.graph.n,
         "adjacency": bits.tobytes().decode("ascii"),
         "v_init": e.graph.v_init,
         "v_target": e.graph.v_target,
-        "label": e.label,
-        "t_classical": e.classical_hit_time,
-        "t_quantum": e.quantum_hit_time,
-        "indeterminate": e.indeterminate,
-        "provenance": e.provenance,
     }
+    record.update((key, getattr(e, name)) for key, name in _EXAMPLE_KEYS)
+    return record
 
 
 def save(d: Dataset, path) -> None:
@@ -298,8 +302,8 @@ def save(d: Dataset, path) -> None:
         "count": len(d.examples),
         "metadata": d.metadata,
     }
-    lines = [_JSON.encode(header)]
-    lines.extend(_JSON.encode(_example_record(e)) for e in d.examples)
+    lines = [compact_json(header)]
+    lines.extend(compact_json(_example_record(e)) for e in d.examples)
     data = ("\n".join(lines) + "\n").encode("utf-8")
     if str(path).endswith(".gz"):
         raw = io.BytesIO()
@@ -312,22 +316,10 @@ def save(d: Dataset, path) -> None:
     write_atomic(path, data)
 
 
-class _Record(NamedTuple):
-    """One example line, parsed; its `Graph` and `Example` rules unchecked."""
-
-    n: int
-    bits: str
-    v_init: object
-    v_target: object
-    label: object
-    t_classical: object
-    t_quantum: object
-    indeterminate: object
-    provenance: object
-
-
-def _parse_record(line: str, lineno: int) -> _Record:
-    """One example line, with a well-formed vertex count and bitstring."""
+def _parse_record(line: str, lineno: int) -> dict:
+    """One example line as a JSON object with every required key, a
+    well-formed vertex count and bitstring; its `Graph` and `Example` rules
+    unchecked."""
 
     def fail(msg: str):
         raise DatasetFormatError(f"line {lineno}: {msg}")
@@ -349,20 +341,10 @@ def _parse_record(line: str, lineno: int) -> _Record:
     bits = record["adjacency"]
     if not isinstance(bits, str) or len(bits) != n * n or not bits.isascii():
         fail("adjacency must be a bitstring of length n*n")
-    return _Record(
-        n,
-        bits,
-        record["v_init"],
-        record["v_target"],
-        record["label"],
-        record.get("t_classical"),
-        record.get("t_quantum"),
-        record.get("indeterminate", False),
-        record.get("provenance", {}),
-    )
+    return record
 
 
-def _record_graphs(records: list[_Record]) -> tuple[list[Graph], tuple[int, str] | None]:
+def _record_graphs(records: list[dict]) -> tuple[list[Graph], tuple[int, str] | None]:
     """The graphs of the records, checked in one stack per vertex count.
 
     Returns the graphs before the first record (in file order) whose graph
@@ -370,14 +352,14 @@ def _record_graphs(records: list[_Record]) -> tuple[list[Graph], tuple[int, str]
     """
     groups: dict[int, list[int]] = {}
     for k, record in enumerate(records):
-        groups.setdefault(record.n, []).append(k)
+        groups.setdefault(record["n"], []).append(k)
     graphs: list = [None] * len(records)
     first = None
     for n, members in groups.items():
-        bits = "".join(records[k].bits for k in members).encode("ascii")
+        bits = "".join(records[k]["adjacency"] for k in members).encode("ascii")
         stack = (np.frombuffer(bits, np.uint8) - 48).reshape(-1, n, n)  # "0"/"1" to 0/1
-        v_init = [records[k].v_init for k in members]
-        v_target = [records[k].v_target for k in members]
+        v_init = [records[k]["v_init"] for k in members]
+        v_target = [records[k]["v_target"] for k in members]
         fault = _first_fault(stack, v_init, v_target)
         if fault is not None:
             index, message = fault
@@ -433,14 +415,8 @@ def load(path) -> Dataset:
     examples = []
     for lineno, (record, graph) in enumerate(zip(records, graphs), start=2):
         try:
-            examples.append(Example(
-                graph=graph,
-                label=record.label,
-                classical_hit_time=record.t_classical,
-                quantum_hit_time=record.t_quantum,
-                indeterminate=record.indeterminate,
-                provenance=record.provenance,
-            ))
+            fields = {name: record[key] for key, name in _EXAMPLE_KEYS if key in record}
+            examples.append(Example(graph, **fields))
         except ValueError as exc:
             raise DatasetFormatError(f"line {lineno}: {exc}") from exc
     if graph_fault is not None:

@@ -12,7 +12,9 @@ the same key reuse them, whatever the model's weights. A dataset keeps the
 rows of one key only: a call with another key encodes again and replaces
 them. Metrics with a zero denominator (no examples or no predictions of a
 class) are reported as None, never as 0, so ensemble averages are not
-dragged toward zero by undefined entries.
+dragged toward zero by undefined entries. The history and metrics CSV
+writers go through `_io.write_csv`, whose one cell rule leaves such an
+entry blank.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import write_atomic
+from ._io import write_csv
 from .cqcnn import (
     CqcnnModel,
     _encoding_key,
@@ -275,18 +277,6 @@ def ensemble_stats(runs: Sequence[tuple[CqcnnModel, list[dict]]]) -> EnsembleSta
 # ====== CSV export ======
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_history_csv(history: list[dict], path) -> None:
     """One row per epoch; columns appear in first-use order, blanks for absent."""
     columns: list[str] = ["epoch", "train_loss"]
@@ -294,10 +284,7 @@ def write_history_csv(history: list[dict], path) -> None:
         for key in row:
             if key not in columns:
                 columns.append(key)
-    lines = [",".join(columns)]
-    for row in history:
-        lines.append(",".join(_format_cell(row.get(c)) for c in columns))
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_csv(path, columns, ([row.get(c) for c in columns] for row in history))
 
 
 def write_metrics_csv(metrics: Metrics, path) -> None:
@@ -312,5 +299,4 @@ def write_metrics_csv(metrics: Metrics, path) -> None:
     for t, t_name in enumerate(_CLASS_NAMES):
         for p, p_name in enumerate(_CLASS_NAMES):
             rows.append((f"confusion_{t_name}_{p_name}", int(metrics.confusion[t, p])))
-    lines = ["metric,value"] + [f"{k},{_format_cell(v)}" for k, v in rows]
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_csv(path, ("metric", "value"), rows)

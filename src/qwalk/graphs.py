@@ -44,10 +44,15 @@ def _connected(adjacency: np.ndarray) -> np.ndarray:
     return reach[:, 0].all(axis=1)
 
 
+def _is_index(v) -> bool:
+    """Whether v is an integer, numpy or Python, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _endpoint_fault(v_init, v_target, n: int) -> str | None:
     """The message of the first endpoint rule one graph breaks, or None."""
     for name, v in (("v_init", v_init), ("v_target", v_target)):
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+        if not _is_index(v) or not 0 <= v < n:
             return f"{name}={v!r} is not a vertex index in [0, {n})"
     if v_init == v_target:
         return "v_init and v_target must differ"
@@ -188,8 +193,8 @@ def line_graph(n: int, labeling) -> Graph:
     """
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got {n}")
-    seq = [int(v) for v in labeling]
-    if sorted(seq) != list(range(n)):
+    seq = list(labeling)
+    if not all(map(_is_index, seq)) or sorted(seq) != list(range(n)):
         raise ValueError(f"labeling {labeling!r} is not a permutation of range({n})")
     return _path_graphs(np.array([seq]))[0]
 
@@ -265,8 +270,8 @@ def permute_free_vertices(g: Graph, perm) -> Graph:
     invariant under any such relabeling.
     """
     n = g.n
-    p = [int(v) for v in perm]
-    if sorted(p) != list(range(n)):
+    p = list(perm)
+    if not all(map(_is_index, p)) or sorted(p) != list(range(n)):
         raise ValueError(f"perm {perm!r} is not a permutation of range({n})")
     if p[g.v_init] != g.v_init or p[g.v_target] != g.v_target:
         raise ValueError("perm must fix v_init and v_target")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_atomic
+from ._io import write_csv
 from .graphs import Graph, classical_variant, quantum_variant
 
 __all__ = [
@@ -260,11 +260,6 @@ def write_trace_csv(outcome: WalkOutcome, path) -> None:
     """Dump the recorded curves as CSV with columns t, p_classical, p_quantum."""
     if outcome.classical_trace is None or outcome.quantum_trace is None:
         raise ValueError("outcome carries no traces; rerun with record_traces=True")
-    lines = ["t,p_classical,p_quantum"]
-    for t, pc, pq in zip(
-        outcome.classical_trace.times,
-        outcome.classical_trace.values,
-        outcome.quantum_trace.values,
-    ):
-        lines.append(f"{float(t)!r},{float(pc)!r},{float(pq)!r}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    classical, quantum = outcome.classical_trace, outcome.quantum_trace
+    write_csv(path, ("t", "p_classical", "p_quantum"),
+              zip(classical.times, classical.values, quantum.values))

@@ -5,6 +5,9 @@ Tests verify:
   tab-separated)
 - gen-dataset line/random flows and overwrite protection
 - train/eval/inspect round trips through real files
+- the five CSV tables (trace, history, metrics and both weight tables)
+  share one layout: documented header, exact number cells, blank
+  undefined cells, one final LF
 - the exit-code contract (0 ok, 1 runtime failure, 2 usage error); train
   checks its flags before reading any dataset, and gen-dataset takes its
   worker count from --jobs alone
@@ -13,8 +16,9 @@ Tests verify:
 - relative manifest paths resolve against the manifest's directory
   (version 2) or the working directory (version 1)
 - rerun names each drifted or missing input and does not replay
-- rerun refuses a malformed manifest, or a recorded value its command's
-  parser could not have produced, with `qwalk: error:` naming the file
+- rerun refuses a malformed manifest, a command that writes no manifest,
+  or a recorded value its command's parser could not have produced, with
+  `qwalk: error:` naming the file
 """
 from __future__ import annotations
 
@@ -268,6 +272,12 @@ def test_train_rejects_too_small_n_max(tmp_path, capsys):
                      id="batches-per-epoch"),
         pytest.param("--eval-every", "0", "eval_every must be >= 1, got 0", id="eval-every"),
         pytest.param("--holdout", "1.0", "--holdout must lie in (0, 1), got 1.0", id="holdout"),
+        pytest.param("--lr", "-1", "learning rate must be finite and >= 0, got -1.0",
+                     id="lr-negative"),
+        pytest.param("--lr", "nan", "learning rate must be finite and >= 0, got nan",
+                     id="lr-nan"),
+        pytest.param("--lr", "inf", "learning rate must be finite and >= 0, got inf",
+                     id="lr-inf"),
     ],
 )
 def test_train_without_epochs_is_a_usage_error(tmp_path, capsys, flag, value, message):
@@ -362,6 +372,115 @@ def test_inspect_ensemble_reports_mean_and_deviation(tmp_path):
                           np.sqrt(stats.last_layer_msd).reshape(-1))
     ]
     assert out.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+# ====== CSV tables ======
+
+# the documented header of a history with two test sets
+_HISTORY_HEADER = ["epoch", "train_loss"] + [
+    f"test_{metric}_{k}"
+    for k in (1, 2)
+    for metric in ("loss", "accuracy", "precision_classical", "recall_classical",
+                   "precision_quantum", "recall_quantum")
+]
+
+
+def _trace_table(tmp_path):
+    outcome = qwalk.label_graph(qwalk.line_graph(4, [0, 2, 3, 1]), record_traces=True)
+    path = tmp_path / "trace.csv"
+    qwalk.write_trace_csv(outcome, path)
+    c, q = outcome.classical_trace, outcome.quantum_trace
+    return path, [list(row) for row in zip(c.times, c.values, q.values)]
+
+
+def _history_table(tmp_path):
+    d4, d5 = qwalk.build_line_dataset(4), qwalk.build_line_dataset(5)
+    schedule = qwalk.Schedule(epochs=7, eval_every=3, seed=2)
+    _, history = qwalk.train(qwalk.new_model("simple", 5, seed=1), d5, [d4, d5], schedule)
+    path = tmp_path / "history.csv"
+    qwalk.write_history_csv(history, path)
+    rows = [[row.get(c) for c in _HISTORY_HEADER] for row in history]
+    assert rows[1][2] is None  # epoch 1 has no test metrics
+    return path, rows
+
+
+def _metrics_table(tmp_path):
+    model = qwalk.new_model("simple", 4, seed=0)
+    model.weights["last"][:] = 0.0  # every score ties, so no graph is predicted quantum
+    m = qwalk.evaluate(model, qwalk.build_line_dataset(4))
+    assert m.precision[1] is None
+    path = tmp_path / "metrics.csv"
+    qwalk.write_metrics_csv(m, path)
+    names = ("classical", "quantum")
+    return path, [
+        ["accuracy", m.accuracy],
+        ["mean_loss", m.mean_loss],
+        *([f"{kind}_{name}", values[c]] for c, name in enumerate(names)
+          for kind, values in (("precision", m.precision), ("recall", m.recall))),
+        *([f"confusion_{t_name}_{p_name}", m.confusion[t, p]]
+          for t, t_name in enumerate(names) for p, p_name in enumerate(names)),
+    ]
+
+
+def _inspect_table(tmp_path):
+    model = qwalk.new_model("full", 4, seed=3, hidden_width=3)
+    model_path, path = tmp_path / "m.json", tmp_path / "weights.csv"
+    qwalk.save_model(model, model_path)
+    assert main(["inspect", str(model_path), "--out", str(path)]) == 0
+    return path, [[r["vertex"], r["feature"], r["class"], r["weight"]]
+                  for r in qwalk.export_last_layer(model)]
+
+
+def _ensemble_table(tmp_path):
+    models = [qwalk.new_model("simple", 4, seed=s) for s in (0, 1, 2)]
+    (tmp_path / "models").mkdir()
+    for s, model in enumerate(models):
+        qwalk.save_model(model, tmp_path / "models" / f"m{s}.json")
+    path = tmp_path / "ensemble.csv"
+    assert main(["inspect", "--ensemble", str(tmp_path / "models"), "--out", str(path)]) == 0
+    stats = qwalk.ensemble_stats([(m, []) for m in models])
+    return path, [
+        [r["vertex"], r["feature"], r["class"], mean, deviation]
+        for r, mean, deviation in zip(qwalk.export_last_layer(models[0]),
+                                      stats.last_layer_mean.reshape(-1),
+                                      np.sqrt(stats.last_layer_msd).reshape(-1))
+    ]
+
+
+@pytest.mark.parametrize(
+    "table, header",
+    [
+        (_trace_table, "t,p_classical,p_quantum"),
+        (_history_table, ",".join(_HISTORY_HEADER)),
+        (_metrics_table, "metric,value"),
+        (_inspect_table, "vertex,feature,class,weight"),
+        (_ensemble_table, "vertex,feature,class,mean,deviation"),
+    ],
+    ids=["trace", "history", "metrics", "inspect", "inspect-ensemble"],
+)
+def test_csv_tables_share_one_layout(tmp_path, capsys, table, header):
+    """Each of the five CSV tables has its documented header, then one line
+    per row; a number cell parses back to exactly the value written (an
+    integer as an integer), an undefined cell is blank, and the UTF-8 file
+    ends in one LF."""
+    path, rows = table(tmp_path)
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and not data.endswith(b"\n\n") and b"\r" not in data
+    lines = data.decode("utf-8")[:-1].split("\n")
+    assert lines[0] == header
+    assert len(lines) == 1 + len(rows)
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert len(cells) == len(row), line
+        for cell, value in zip(cells, row):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, str):
+                assert cell == value
+            elif isinstance(value, (int, np.integer)):
+                assert cell == str(int(value))
+            else:
+                assert float(cell) == value, line
 
 
 # ====== exit-code contract ======
@@ -478,11 +597,17 @@ _TRAIN = ["train", "--train", "d.jsonl", "--model-out", "m.json"]
         (_manifest(_GEN, force="yes"), "args.force must be true or false"),
         (_manifest(_TRAIN, train="d.jsonl"), "args.train must be a list"),
         (_manifest(_TRAIN, test=[3]), "args.test must be a string"),
+        ({**_manifest(_GEN), "command": "rerun"},
+         "'rerun' is not a command that writes a manifest"),
+        ({**_manifest(_GEN), "command": "frobnicate"},
+         "'frobnicate' is not a command that writes a manifest"),
+        ({**_manifest(_GEN), "command": ["gen-dataset"]},
+         "['gen-dataset'] is not a command that writes a manifest"),
     ],
     ids=["no-args", "not-an-object", "args-lack-keys", "version-not-an-integer",
          "int-as-string", "int-as-bool", "path-as-number", "required-null",
          "float-as-string", "unknown-choice", "flag-as-string", "list-as-string",
-         "list-item-as-number"],
+         "list-item-as-number", "command-rerun", "command-unknown", "command-not-a-string"],
 )
 def test_rerun_rejects_malformed_manifests(tmp_path, capsys, manifest, reason):
     manifest_path = tmp_path / "bad.manifest.json"

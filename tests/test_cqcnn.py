@@ -648,6 +648,28 @@ def test_sgd_rejects_negative_lr():
         sgd_step(model, grads, lr=-0.1)
 
 
+@pytest.mark.parametrize("lr", [-0.1, math.nan, math.inf, -math.inf])
+def test_models_refuse_a_rate_that_is_not_finite_and_nonnegative(tmp_path, lr):
+    """The rate is checked when the model is made, by new_model, the
+    constructor and load_model alike, and an explicit rate by sgd_step."""
+    message = f"learning rate must be finite and >= 0, got {lr}"
+    with pytest.raises(ValueError, match=message):
+        new_model("simple", n_max=3, seed=0, learning_rate=lr)
+    model = new_model("simple", n_max=3, seed=0)
+    with pytest.raises(ValueError, match=message):
+        CqcnnModel("simple", 3, model.weights, learning_rate=lr)
+    grads = {"last": np.zeros_like(model.weights["last"])}
+    with pytest.raises(ValueError, match=message):
+        sgd_step(model, grads, lr=lr)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    record = json.loads(path.read_text())
+    record["learning_rate"] = lr
+    path.write_text(json.dumps(record))
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+
+
 def test_sgd_leaves_input_model_alone():
     model = new_model("simple", n_max=3, seed=4)
     before = model.weights["last"].copy()
@@ -772,6 +794,24 @@ def test_model_roundtrip_with_numpy_integer_seed(tmp_path):
     twin = new_model("simple", 5, 3)
     for name, w in twin.weights.items():
         assert np.array_equal(back.weights[name], w), name
+
+
+def test_model_roundtrip_with_numpy_integer_sizes(tmp_path):
+    """numpy-integer sizes are stored as Python ints, so the model saves, to
+    the bytes its plain-int twin gives."""
+    pairs = [
+        (new_model("simple", np.int64(5), 0), new_model("simple", 5, 0)),
+        (new_model("full", np.int64(4), 1, hidden_width=np.int32(4)),
+         new_model("full", 4, 1, hidden_width=4)),
+    ]
+    for k, (model, twin) in enumerate(pairs):
+        assert type(model.n_max) is int and type(model.hidden_width) is int
+        path, twin_path = tmp_path / f"m{k}.json", tmp_path / f"twin{k}.json"
+        save_model(model, path)
+        save_model(twin, twin_path)
+        assert path.read_bytes() == twin_path.read_bytes()
+        back = load_model(path)
+        assert (back.n_max, back.hidden_width) == (twin.n_max, twin.hidden_width)
 
 
 @st.composite

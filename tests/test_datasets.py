@@ -630,6 +630,8 @@ def _corrupted(record: dict, how: str) -> tuple[np.ndarray, object, object]:
         v_target = v_init
     elif how == "endpoint-out-of-range":
         v_target = n
+    elif how == "endpoint-bool":
+        v_target = True
     return a, v_init, v_target
 
 
@@ -642,6 +644,7 @@ def _corrupted(record: dict, how: str) -> tuple[np.ndarray, object, object]:
         ("disconnected", "graph must be connected"),
         ("same-endpoints", "v_init and v_target must differ"),
         ("endpoint-out-of-range", "v_target=5 is not a vertex index in [0, 5)"),
+        ("endpoint-bool", "v_target=True is not a vertex index in [0, 5)"),
     ],
 )
 def test_load_checks_every_graph_rule_in_a_later_group(tmp_path, how, message):

@@ -100,6 +100,9 @@ def test_graph_rejects_bad_input():
         # the first broken rule names the fault
         (np.triu(PATH4) + np.eye(4, dtype=int), 0, 0, "adjacency must be symmetric"),
         (np.zeros((4, 4)), 0, 0, "v_init and v_target must differ"),
+        # a bool is a Python int, but not a vertex index
+        (PATH4, 0, True, "v_target=True is not a vertex index in [0, 4)"),
+        (PATH4, False, 1, "v_init=False is not a vertex index in [0, 4)"),
     ],
 )
 def test_graph_rejection_messages(adjacency, v_init, v_target, message):
@@ -202,6 +205,11 @@ def test_line_graph_rejects_bad_labeling():
         line_graph(4, [0, 1, 2, 2])  # not a permutation
     with pytest.raises(ValueError):
         line_graph(2, [0, 1])  # below minimum size
+    # entries that are not integers are refused, not truncated or read as 0/1
+    for labeling in ([0, 2.7, 1.2], [0, 2.0, 1], [False, True, 2]):
+        with pytest.raises(ValueError) as info:
+            line_graph(3, labeling)
+        assert str(info.value) == f"labeling {labeling!r} is not a permutation of range(3)"
 
 
 def test_enumerate_line_graphs_counts():
@@ -372,6 +380,15 @@ def test_permute_free_vertices_rejects_moved_endpoints():
     g = line_graph(4, [0, 1, 2, 3])
     with pytest.raises(ValueError):
         permute_free_vertices(g, [1, 0, 2, 3])
+
+
+def test_permute_free_vertices_rejects_non_integers():
+    """A float or bool entry is refused, not truncated or read as 0/1."""
+    g = line_graph(4, [0, 3, 1, 2])
+    for perm in ([0, 1, 3.5, 2], [0, True, 2, 3]):
+        with pytest.raises(ValueError) as info:
+            permute_free_vertices(g, perm)
+        assert str(info.value) == f"perm {perm!r} is not a permutation of range(4)"
 
 
 def test_permute_free_vertices_identity():
