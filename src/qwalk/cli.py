@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from ._io import write_atomic, write_csv
 from .cqcnn import (
+    CqcnnModel,
     ModelFormatError,
     _check_learning_rate,
     export_last_layer,
@@ -52,6 +53,7 @@ from .datasets import (
 from .evaluation import (
     Schedule,
     TrainingError,
+    _column_suffix,
     ensemble_stats,
     evaluate,
     train,
@@ -330,7 +332,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"trained {args.variant} model (n_max={n_max}) on {len(train_set)} examples")
     # the final epoch's history row holds each test set's metrics
     for i, test in enumerate(test_sets):
-        suffix = f"_{i + 1}" if len(test_sets) > 1 else ""
+        suffix = _column_suffix(i, len(test_sets))
         name = f"test set {i + 1}" if len(test_sets) > 1 else "test set"
         accuracy = history[-1][f"test_accuracy{suffix}"]
         print(f"{name} ({len(test)} examples): accuracy {accuracy:.4f}")
@@ -515,7 +517,12 @@ def cmd_rerun(args: argparse.Namespace) -> int:
 
 
 def _add_walk_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--gamma", type=float, default=1.0, help="sink decay rate (default 1)")
+    sub.add_argument(
+        "--gamma",
+        type=float,
+        default=WalkConfig.gamma,
+        help="sink decay rate (default %(default)s)",
+    )
     sub.add_argument(
         "--p-th", type=float, default=None, help="detection threshold override (default 1/ln n)"
     )
@@ -536,8 +543,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim = commands.add_parser("simulate", help="run both walkers on one graph")
     sim.add_argument("--line", help="1-based line-graph labeling, e.g. 1,3,2")
     sim.add_argument("--graph", help="path to an adjacency-matrix text file")
-    sim.add_argument("--v-init", type=int, default=0, help="start vertex (default 0)")
-    sim.add_argument("--v-target", type=int, default=1, help="target vertex (default 1)")
+    sim.add_argument(
+        "--v-init", type=int, default=Graph.v_init, help="start vertex (default %(default)s)"
+    )
+    sim.add_argument(
+        "--v-target", type=int, default=Graph.v_target, help="target vertex (default %(default)s)"
+    )
     _add_walk_flags(sim)
     sim.add_argument("--out", default="trace.csv", help="trace CSV path (default trace.csv)")
     sim.add_argument("--force", action="store_true", help="overwrite existing outputs")
@@ -581,12 +592,16 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument(
         "--n-max", type=int, default=None, help="feature size cap (default: largest graph seen)"
     )
-    tr.add_argument("--epochs", type=int, default=2000)
-    tr.add_argument("--batches-per-epoch", type=int, default=1)
-    tr.add_argument("--batch-size", type=int, default=3)
-    tr.add_argument("--lr", type=float, default=0.01, help="learning rate (default 0.01)")
-    tr.add_argument("--hidden-width", type=int, default=32, help="full-variant hidden units")
-    tr.add_argument("--eval-every", type=int, default=10, help="test-metric cadence in epochs")
+    # the defaults of the schedule and the model, as their classes state them
+    for flag, kind, default, text in (
+        ("--epochs", int, Schedule.epochs, "training epochs"),
+        ("--batches-per-epoch", int, Schedule.batches_per_epoch, "SGD steps per epoch"),
+        ("--batch-size", int, Schedule.batch_size, "examples per SGD step"),
+        ("--lr", float, CqcnnModel.learning_rate, "learning rate"),
+        ("--hidden-width", int, CqcnnModel.hidden_width, "full-variant hidden units"),
+        ("--eval-every", int, Schedule.eval_every, "test-metric cadence in epochs"),
+    ):
+        tr.add_argument(flag, type=kind, default=default, help=f"{text} (default %(default)s)")
     tr.add_argument(
         "--inverse-class-weights",
         action="store_true",

@@ -22,6 +22,10 @@ graphs at once, and each shift's collapse comes from window sums of those
 sums, without building the shifted maps.
 
 All gradients are hand-derived; there is no autodiff anywhere.
+
+`CqcnnModel` states a model's fields, defaults and rules once; `new_model`,
+`sgd_step` (which steps by the model's own rate), the model file and the CLI
+take theirs from it. `load_model` also refuses non-finite weights.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -38,14 +42,13 @@ import numpy as np
 
 from ._io import compact_json, write_atomic
 from .graphs import Graph, _absorbing_walk
-from .walkers import CLASSICAL, QUANTUM
+from .walkers import CLASSICAL, LABEL_NAMES, QUANTUM
 
 __all__ = [
     "CqcnnModel",
     "ModelFormatError",
     "ete_filter",
     "etv_filter",
-    "desymmetrize",
     "extract_features",
     "feature_slot",
     "new_model",
@@ -106,11 +109,6 @@ def etv_filter(m: np.ndarray) -> np.ndarray:
     out[i] = rowsum[i] + colsum[i] - 2*m[i][i]
     """
     return _etv(_square(m))
-
-
-def desymmetrize(m: np.ndarray) -> np.ndarray:
-    """Zero the strictly lower triangle so each undirected edge appears once."""
-    return np.triu(_square(m))
 
 
 def feature_slot(vertex: int, feature: int) -> int:
@@ -180,10 +178,14 @@ def _architecture(variant: str, n_max: int, hidden_width: int) -> _Architecture:
     """
     if variant not in ("simple", "full"):
         raise ValueError(f"variant must be 'simple' or 'full', got {variant!r}")
-    for name, value in (("n_max", n_max), ("hidden_width", hidden_width)):
-        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-    return _sizes(variant, operator.index(n_max), operator.index(hidden_width))
+    return _sizes(variant, _integer("n_max", n_max), _integer("hidden_width", hidden_width))
+
+
+def _integer(name: str, value) -> int:
+    """`value` as a Python int; a bool, float or other non-integer is refused."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @functools.cache
@@ -223,8 +225,9 @@ def _check_learning_rate(lr) -> None:
 class CqcnnModel:
     """Weights plus the hyperparameters that shaped and seeded them.
 
-    The sizes are stored as Python ints, and the learning rate must be
-    finite and at least 0.
+    The sizes and the seed (None or an integer) are stored as Python ints,
+    the learning rate must be finite and at least 0, and `weights` maps each
+    weight name of the architecture to a float64 array of its shape.
     """
 
     variant: str
@@ -240,51 +243,42 @@ class CqcnnModel:
         self.n_max = operator.index(self.n_max)
         self.hidden_width = operator.index(self.hidden_width)
         _check_learning_rate(self.learning_rate)
+        if self.seed is not None:
+            self.seed = _integer("seed", self.seed)
+        if not isinstance(self.weights, Mapping):
+            kind = type(self.weights).__name__
+            raise TypeError(f"weights must map names to arrays, got {kind}")
         if set(self.weights) != set(expected):
             raise ValueError(
                 f"variant {self.variant!r} needs weights {sorted(expected)}, "
                 f"got {sorted(self.weights)}"
             )
+        self.weights = {name: np.asarray(self.weights[name], np.float64) for name in expected}
         for name, shape in expected.items():
             got = self.weights[name].shape
             if got != shape:
                 raise ValueError(f"weight {name!r} must have shape {shape}, got {got}")
 
     def copy(self) -> "CqcnnModel":
-        return CqcnnModel(
-            variant=self.variant,
-            n_max=self.n_max,
-            weights={k: v.copy() for k, v in self.weights.items()},
-            hidden_width=self.hidden_width,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-        )
+        return replace(self, weights={k: v.copy() for k, v in self.weights.items()})
 
 
 def new_model(
     variant: str,
     n_max: int,
     seed: int,
-    learning_rate: float = 0.01,
-    hidden_width: int = 32,
+    learning_rate: float = CqcnnModel.learning_rate,
+    hidden_width: int = CqcnnModel.hidden_width,
 ) -> CqcnnModel:
     """Fresh model with all weights uniform in [-0.1, 0.1] from the seed.
 
     Draw order is fixed (conv, hidden, last) so a seed pins every weight.
     A numpy-integer seed is stored as a Python int, so the model can be saved.
     """
-    seed = operator.index(seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed))
     shapes = _architecture(variant, n_max, hidden_width).shapes
     weights = {name: rng.uniform(-0.1, 0.1, size=shape) for name, shape in shapes.items()}
-    return CqcnnModel(
-        variant=variant,
-        n_max=n_max,
-        weights=weights,
-        hidden_width=hidden_width,
-        learning_rate=learning_rate,
-        seed=seed,
-    )
+    return CqcnnModel(variant, n_max, weights, hidden_width, learning_rate, seed)
 
 
 # ====== encoded input rows ======
@@ -500,12 +494,9 @@ def loss_and_gradients(
     }
 
 
-def sgd_step(model: CqcnnModel, grads: dict[str, np.ndarray], lr: float | None = None) -> CqcnnModel:
-    """One gradient-descent update; returns a new model, lr from the model
-    unless given."""
-    if lr is not None:
-        _check_learning_rate(lr)
-    step = model.learning_rate if lr is None else lr
+def sgd_step(model: CqcnnModel, grads: dict[str, np.ndarray]) -> CqcnnModel:
+    """One gradient-descent update by the model's learning rate; returns a
+    new model."""
     if set(grads) != set(model.weights):
         raise ValueError("gradient set does not match model weights")
     updated = {}
@@ -516,15 +507,8 @@ def sgd_step(model: CqcnnModel, grads: dict[str, np.ndarray], lr: float | None =
             raise ValueError(
                 f"gradient for weight {name!r} has shape {g.shape}, expected {w.shape}"
             )
-        updated[name] = w - step * g
-    return CqcnnModel(
-        variant=model.variant,
-        n_max=model.n_max,
-        weights=updated,
-        hidden_width=model.hidden_width,
-        learning_rate=model.learning_rate,
-        seed=model.seed,
-    )
+        updated[name] = w - model.learning_rate * g
+    return replace(model, weights=updated)
 
 
 def predicted_class(scores: np.ndarray) -> np.ndarray:
@@ -558,7 +542,7 @@ def export_last_layer(model: CqcnnModel) -> list[dict]:
                 vertex, feature = "bias", "bias"
             else:
                 vertex, feature = f"h{slot}", "hidden"
-        for label, name in ((CLASSICAL, "classical"), (QUANTUM, "quantum")):
+        for label, name in LABEL_NAMES.items():
             rows.append(
                 {"vertex": vertex, "feature": feature, "class": name, "weight": float(w[slot, label])}
             )
@@ -566,22 +550,20 @@ def export_last_layer(model: CqcnnModel) -> list[dict]:
 
 
 def save_model(model: CqcnnModel, path) -> None:
-    """Write the model as deterministic JSON (sorted keys, exact floats)."""
-    record = {
-        "format": _MODEL_FORMAT,
-        "version": _MODEL_VERSION,
-        "variant": model.variant,
-        "n_max": model.n_max,
-        "hidden_width": model.hidden_width,
-        "learning_rate": model.learning_rate,
-        "seed": model.seed,
-        "weights": {name: w.tolist() for name, w in model.weights.items()},
-    }
+    """Write the model as deterministic JSON (sorted keys, exact floats): the
+    header, then every `CqcnnModel` field, the weights as nested lists."""
+    record = {f.name: getattr(model, f.name) for f in fields(CqcnnModel)}
+    record.update(
+        format=_MODEL_FORMAT,
+        version=_MODEL_VERSION,
+        weights={name: w.tolist() for name, w in model.weights.items()},
+    )
     write_atomic(path, (compact_json(record) + "\n").encode("utf-8"))
 
 
 def load_model(path) -> CqcnnModel:
-    """Read a model file back; raises ModelFormatError on anything malformed."""
+    """Read a model file back; raises ModelFormatError on anything malformed.
+    A `CqcnnModel` field the file leaves out takes the class's default."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
@@ -591,18 +573,12 @@ def load_model(path) -> CqcnnModel:
         raise ModelFormatError("missing model header")
     if record.get("version") != _MODEL_VERSION:
         raise ModelFormatError(f"unsupported version {record.get('version')!r}")
+    names = [f.name for f in fields(CqcnnModel)]
     try:
-        weights = {
-            name: np.asarray(values, dtype=np.float64)
-            for name, values in record["weights"].items()
-        }
-        return CqcnnModel(
-            variant=record["variant"],
-            n_max=record["n_max"],
-            weights=weights,
-            hidden_width=record.get("hidden_width", 32),
-            learning_rate=record.get("learning_rate", 0.01),
-            seed=record.get("seed"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        model = CqcnnModel(**{name: record[name] for name in names if name in record})
+    except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"invalid model record: {exc}") from exc
+    for name, w in model.weights.items():
+        if not np.isfinite(w).all():
+            raise ModelFormatError(f"invalid model record: weight {name!r} is not finite")
+    return model

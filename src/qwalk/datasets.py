@@ -5,6 +5,8 @@ The on-disk format is one self-describing JSON record per line (gzip when
 the path ends in .gz): a header line with format name, version, split tag,
 and metadata, then one line per example carrying the packed adjacency
 bitstring, endpoint indices, label, hitting times, and provenance.
+An absent optional key takes the default of its `Example` or `Dataset`
+field; the header's metadata must be a JSON object.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ _EXAMPLE_KEYS = (
     ("indeterminate", "indeterminate"),
     ("provenance", "provenance"),
 )
+# Header key of each `Dataset` field the header line carries, used the same way.
+_HEADER_KEYS = (("split", "split_tag"), ("metadata", "metadata"))
 
 
 class DatasetFormatError(ValueError):
@@ -113,6 +117,8 @@ class Dataset:
             raise ValueError("a dataset must contain at least one example")
         if self.split_tag not in _SPLIT_TAGS:
             raise ValueError(f"split_tag must be one of {_SPLIT_TAGS}, got {self.split_tag!r}")
+        if not isinstance(self.metadata, dict):
+            raise TypeError(f"metadata must be a dict, got {self.metadata!r}")
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -295,13 +301,8 @@ def save(d: Dataset, path) -> None:
     round-trip floats, zeroed gzip timestamp, fixed compression level 6), so
     identical datasets give identical files. The file is replaced atomically.
     """
-    header = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "split": d.split_tag,
-        "count": len(d.examples),
-        "metadata": d.metadata,
-    }
+    header = {"format": _FORMAT, "version": _VERSION, "count": len(d.examples)}
+    header.update((key, getattr(d, name)) for key, name in _HEADER_KEYS)
     lines = [compact_json(header)]
     lines.extend(compact_json(_example_record(e)) for e in d.examples)
     data = ("\n".join(lines) + "\n").encode("utf-8")
@@ -427,9 +428,8 @@ def load(path) -> Dataset:
     count = header.get("count")
     if count != len(examples):
         raise DatasetFormatError(f"header promises {count} examples, file has {len(examples)}")
-    split_tag = header.get("split", "unsplit")
-    metadata = header.get("metadata", {})
+    fields = {name: header[key] for key, name in _HEADER_KEYS if key in header}
     try:
-        return Dataset(tuple(examples), split_tag, metadata)
-    except ValueError as exc:
-        raise DatasetFormatError(str(exc)) from exc
+        return Dataset(tuple(examples), **fields)
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"line 1: {exc}") from exc

@@ -37,6 +37,7 @@ from .cqcnn import (
     sgd_step,
 )
 from .datasets import Dataset
+from .walkers import LABEL_NAMES
 
 __all__ = [
     "Metrics",
@@ -49,8 +50,6 @@ __all__ = [
     "write_history_csv",
     "write_metrics_csv",
 ]
-
-_CLASS_NAMES = ("classical", "quantum")
 
 
 class TrainingError(RuntimeError):
@@ -116,7 +115,7 @@ def _metrics(model, rows, labels, kappas) -> Metrics:
 class Schedule:
     """How long and how densely to train, and where the batch draws come from."""
 
-    epochs: int
+    epochs: int = 2000
     batches_per_epoch: int = 1
     batch_size: int = 3
     seed: int = 0
@@ -142,14 +141,19 @@ def _as_test_list(test_set) -> list[Dataset]:
     return list(test_set)
 
 
+def _column_suffix(i: int, count: int) -> str:
+    """Suffix of test set i's history columns, of `count` test sets."""
+    return "" if count == 1 else f"_{i + 1}"
+
+
 def _test_columns(model: CqcnnModel, tests: list[tuple], row: dict) -> None:
     """Metrics of each (rows, labels, class fractions) test set into row."""
     for i, (rows, labels, kappas) in enumerate(tests):
-        suffix = "" if len(tests) == 1 else f"_{i + 1}"
+        suffix = _column_suffix(i, len(tests))
         m = _metrics(model, rows, labels, kappas)
         row[f"test_loss{suffix}"] = m.mean_loss
         row[f"test_accuracy{suffix}"] = m.accuracy
-        for c, name in enumerate(_CLASS_NAMES):
+        for c, name in LABEL_NAMES.items():
             row[f"test_precision_{name}{suffix}"] = m.precision[c]
             row[f"test_recall_{name}{suffix}"] = m.recall[c]
 
@@ -158,7 +162,7 @@ def train(
     model: CqcnnModel,
     train_set: Dataset,
     test_set=None,
-    schedule: Schedule = Schedule(epochs=2000),
+    schedule: Schedule = Schedule(),
 ) -> tuple[CqcnnModel, list[dict]]:
     """Run the schedule and return the trained model plus its history.
 
@@ -293,10 +297,10 @@ def write_metrics_csv(metrics: Metrics, path) -> None:
         ("accuracy", metrics.accuracy),
         ("mean_loss", metrics.mean_loss),
     ]
-    for c, name in enumerate(_CLASS_NAMES):
+    for c, name in LABEL_NAMES.items():
         rows.append((f"precision_{name}", metrics.precision[c]))
         rows.append((f"recall_{name}", metrics.recall[c]))
-    for t, t_name in enumerate(_CLASS_NAMES):
-        for p, p_name in enumerate(_CLASS_NAMES):
+    for t, t_name in LABEL_NAMES.items():
+        for p, p_name in LABEL_NAMES.items():
             rows.append((f"confusion_{t_name}_{p_name}", int(metrics.confusion[t, p])))
     write_csv(path, ("metric", "value"), rows)

@@ -4,7 +4,9 @@ Tests verify:
 - simulate on inline line specs and graph files (packed, space- or
   tab-separated)
 - gen-dataset line/random flows and overwrite protection
-- train/eval/inspect round trips through real files
+- train/eval/inspect round trips through real files; a model whose weights
+  are a list and a dataset whose header metadata is a number end in
+  `qwalk: error:` (exit 1)
 - the five CSV tables (trace, history, metrics and both weight tables)
   share one layout: documented header, exact number cells, blank
   undefined cells, one final LF
@@ -337,6 +339,40 @@ def test_eval_rejects_a_model_with_float_sizes(tmp_path, capsys):
         capsys.readouterr().err
     )
     assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_eval_rejects_a_model_whose_weights_are_a_list(tmp_path, capsys):
+    data = tmp_path / "d4.jsonl"
+    main(["gen-dataset", "line", "--n", "4", "--out", str(data)])
+    model_path = tmp_path / "m.json"
+    main(["train", "--train", str(data), "--epochs", "5", "--seed", "0",
+          "--model-out", str(model_path)])
+    record = json.loads(model_path.read_text())
+    record["weights"] = [1, 2]
+    model_path.write_text(json.dumps(record))
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_path), "--data", str(data),
+               "--out", str(tmp_path / "metrics.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("qwalk: error: invalid model record: weights must map names")
+    assert "Traceback" not in err
+
+
+def test_train_rejects_a_dataset_whose_metadata_is_not_an_object(tmp_path, capsys):
+    data = tmp_path / "d4.jsonl"
+    main(["gen-dataset", "line", "--n", "4", "--out", str(data)])
+    lines = data.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["metadata"] = 5
+    data.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    rc = main(["train", "--train", str(data), "--holdout", "0.25", "--epochs", "5",
+               "--seed", "0", "--model-out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "qwalk: error: line 1: metadata must be a dict, got 5\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_inspect_rejects_non_model_file(tmp_path, capsys):

@@ -18,17 +18,20 @@ Tests verify:
 - full-variant scores against a loop-convolution oracle at n_max 4, 7, 15
 - weighted cross-entropy worked values and limits
 - analytic gradients against central finite differences (both variants)
-- SGD update arithmetic, the descent property, and misshapen gradients
-  refused
+- SGD update arithmetic by the model's own rate, the descent property,
+  and misshapen gradients or a rate set below 0 refused
 - prediction tie-breaking and monotone-transform invariance
 - last-layer export layout (29 rows per class at n_max=7)
 - model file round-trips (bit-exact weights over generated models,
   hypothesis; a numpy-integer seed) and malformed-file rejection, float
-  or bool sizes included
+  or bool sizes, a weights list, non-finite weights, non-integer seeds
+  and a missing variant included; the file holds exactly the model's
+  fields, and absent optional fields take the class's defaults
 - a failed save leaves the previous model file intact and no temporary file
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -50,7 +53,6 @@ from qwalk import (
     Graph,
     ModelFormatError,
     build_line_dataset,
-    desymmetrize,
     encode,
     ete_filter,
     etv_filter,
@@ -155,7 +157,7 @@ def test_ete_matches_edge_list_counts_on_small_graphs():
 
 
 def test_etv_on_desymmetrized_path4():
-    out = etv_filter(desymmetrize(PATH4))
+    out = etv_filter(np.triu(PATH4))
     assert np.array_equal(out, [1.0, 2.0, 2.0, 1.0])
 
 
@@ -183,13 +185,17 @@ def test_filters_reject_non_square():
 
 
 def test_desymmetrize_cases():
-    upper = desymmetrize(PATH4)
-    assert np.array_equal(upper, np.triu(PATH4))
-    assert np.array_equal(desymmetrize(upper), upper)  # idempotent
+    """np.triu, the encoder's desymmetrization, keeps each undirected edge
+    of a symmetric map once, loses nothing, and is idempotent."""
+    upper = np.triu(PATH4)
+    assert upper.sum() == 3  # the three edges of the path, once each
+    assert np.array_equal(upper + upper.T, PATH4)
+    assert np.array_equal(np.triu(upper), upper)  # idempotent
     rng = np.random.default_rng(5)
     m = rng.normal(size=(4, 4))
     sym = m + m.T
-    assert np.array_equal(desymmetrize(sym), np.triu(sym))
+    upper = np.triu(sym)
+    assert np.array_equal(upper + np.triu(upper, 1).T, sym)
 
 
 # ====== feature extraction ======
@@ -417,7 +423,10 @@ def test_encoding_key_covers_everything_encode_reads():
         base = new_model(variant, 7, seed=0)
         others = [
             new_model(variant, 7, seed=1, learning_rate=0.5, hidden_width=3),
-            sgd_step(base, {k: np.ones_like(w) for k, w in base.weights.items()}, lr=0.3),
+            sgd_step(
+                dataclasses.replace(base, learning_rate=0.3),
+                {k: np.ones_like(w) for k, w in base.weights.items()},
+            ),
         ]
         want = encode(base, graphs).tobytes()
         for other in others:
@@ -622,45 +631,45 @@ def test_gradient_is_batch_mean():
 
 def test_sgd_scalar_arithmetic():
     """w=1, grad=2, lr=0.1 -> w=0.8."""
-    model = new_model("simple", n_max=3, seed=0)
+    model = new_model("simple", n_max=3, seed=0, learning_rate=0.1)
     base = model.copy()
     base.weights["last"][:] = 0.0
     base.weights["last"][0, 0] = 1.0
     grads = {"last": np.zeros_like(base.weights["last"])}
     grads["last"][0, 0] = 2.0
-    stepped = sgd_step(base, grads, lr=0.1)
+    stepped = sgd_step(base, grads)
     assert abs(stepped.weights["last"][0, 0] - 0.8) < 1e-15
     assert np.all(stepped.weights["last"].reshape(-1)[1:] == 0.0)
 
 
 def test_sgd_zero_lr_is_identity():
-    model = new_model("full", n_max=4, seed=2)
+    model = new_model("full", n_max=4, seed=2, learning_rate=0.0)
     grads = _gradients(model, [_example([0, 1, 2, 3], CLASSICAL)], kappas=(0.5, 0.5))
-    same = sgd_step(model, grads, lr=0.0)
+    same = sgd_step(model, grads)
     for name in model.weights:
         assert np.array_equal(same.weights[name], model.weights[name])
 
 
 def test_sgd_rejects_negative_lr():
+    """A rate set below 0 after the model was made does not step: the
+    stepped model passes through CqcnnModel's rate rule."""
     model = new_model("simple", n_max=3, seed=0)
+    model.learning_rate = -0.1
     grads = {"last": np.zeros_like(model.weights["last"])}
-    with pytest.raises(ValueError):
-        sgd_step(model, grads, lr=-0.1)
+    with pytest.raises(ValueError, match="learning rate must be finite and >= 0, got -0.1"):
+        sgd_step(model, grads)
 
 
 @pytest.mark.parametrize("lr", [-0.1, math.nan, math.inf, -math.inf])
 def test_models_refuse_a_rate_that_is_not_finite_and_nonnegative(tmp_path, lr):
     """The rate is checked when the model is made, by new_model, the
-    constructor and load_model alike, and an explicit rate by sgd_step."""
+    constructor and load_model alike."""
     message = f"learning rate must be finite and >= 0, got {lr}"
     with pytest.raises(ValueError, match=message):
         new_model("simple", n_max=3, seed=0, learning_rate=lr)
     model = new_model("simple", n_max=3, seed=0)
     with pytest.raises(ValueError, match=message):
         CqcnnModel("simple", 3, model.weights, learning_rate=lr)
-    grads = {"last": np.zeros_like(model.weights["last"])}
-    with pytest.raises(ValueError, match=message):
-        sgd_step(model, grads, lr=lr)
     path = tmp_path / "m.json"
     save_model(model, path)
     record = json.loads(path.read_text())
@@ -671,10 +680,10 @@ def test_models_refuse_a_rate_that_is_not_finite_and_nonnegative(tmp_path, lr):
 
 
 def test_sgd_leaves_input_model_alone():
-    model = new_model("simple", n_max=3, seed=4)
+    model = new_model("simple", n_max=3, seed=4, learning_rate=0.5)
     before = model.weights["last"].copy()
     grads = _gradients(model, [_example([0, 2, 1], QUANTUM)], kappas=(0.5, 0.5))
-    sgd_step(model, grads, lr=0.5)
+    sgd_step(model, grads)
     assert np.array_equal(model.weights["last"], before)
 
 
@@ -686,21 +695,21 @@ def test_sgd_leaves_input_model_alone():
 def test_sgd_rejects_misshapen_gradients(name, grad):
     """A gradient must have its weight's shape; one that would broadcast is
     refused, naming the weight."""
-    model = new_model("full", n_max=4, seed=0)
+    model = new_model("full", n_max=4, seed=0, learning_rate=0.1)
     grads = {k: np.zeros_like(w) for k, w in model.weights.items()}
     grads[name] = grad
     with pytest.raises(ValueError, match=f"gradient for weight '{name}'"):
-        sgd_step(model, grads, lr=0.1)
+        sgd_step(model, grads)
 
 
 def test_sgd_descends_on_a_fixed_batch():
     """A small step against the gradient lowers the batch loss."""
     for variant in ("simple", "full"):
-        model = new_model(variant, n_max=4, seed=11)
+        model = new_model(variant, n_max=4, seed=11, learning_rate=1e-4)
         batch = [_example([0, 2, 1, 3], QUANTUM), _example([0, 1, 2, 3], CLASSICAL)]
         kappas = (0.5, 0.5)
         before = _batch_loss(model, batch, kappas)
-        stepped = sgd_step(model, _gradients(model, batch, kappas=kappas), lr=1e-4)
+        stepped = sgd_step(model, _gradients(model, batch, kappas=kappas))
         after = _batch_loss(stepped, batch, kappas)
         assert after < before, f"{variant}: loss rose from {before} to {after}"
 
@@ -917,6 +926,51 @@ def test_load_model_rejects_malformed_files(tmp_path):
         bad.write_text(json.dumps(record))
         with pytest.raises(ModelFormatError, match=f"{key} must be an integer"):
             load_model(bad)
+
+    # weights a mapping of finite numbers, the seed null or an integer, and
+    # the variant present
+    cases = [
+        ("weights", [1, 2], "weights must map names to arrays, got list"),
+        ("weights", "nan", "weight 'last' is not finite"),
+        ("weights", "inf", "weight 'last' is not finite"),
+        ("seed", "abc", "seed must be an integer, got 'abc'"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("variant", None, "missing 1 required positional argument: 'variant'"),
+    ]
+    save_model(new_model("simple", n_max=3, seed=0), good)
+    for key, value, message in cases:
+        record = json.loads(good.read_text())
+        if key == "variant":
+            del record["variant"]
+        elif value in ("nan", "inf"):
+            record["weights"]["last"][2][1] = float(value)
+        else:
+            record[key] = value
+        bad.write_text(json.dumps(record))
+        with pytest.raises(ModelFormatError, match=f"invalid model record: .*{message}"):
+            load_model(bad)
+
+
+def test_model_file_holds_the_header_and_every_model_field(tmp_path):
+    """save_model writes the header keys and exactly the CqcnnModel fields;
+    a file without hidden_width, learning_rate or seed loads with the
+    class's defaults (32, 0.01 and null)."""
+    path = tmp_path / "m.json"
+    model = new_model("full", n_max=4, seed=3, learning_rate=0.2)
+    save_model(model, path)
+    record = json.loads(path.read_text())
+    names = {f.name for f in dataclasses.fields(CqcnnModel)}
+    assert names == {"variant", "n_max", "weights", "hidden_width", "learning_rate", "seed"}
+    assert set(record) == {"format", "version"} | names
+    for name in ("hidden_width", "learning_rate", "seed"):
+        del record[name]
+    path.write_text(json.dumps(record))
+    back = load_model(path)
+    defaults = (CqcnnModel.hidden_width, CqcnnModel.learning_rate, None)
+    assert (back.hidden_width, back.learning_rate, back.seed) == defaults == (32, 0.01, None)
+    for name, w in model.weights.items():
+        assert np.array_equal(back.weights[name], w)
 
 
 # ====== initialization and training determinism ======

@@ -13,7 +13,8 @@ Tests verify:
   file's bytes, and each line is the per-record `json.dumps` of its header
   or example
 - loader rejections name the offending line, malformed hit times and
-  labels included
+  labels included, and a header metadata that is not an object (line 1);
+  an absent header split or metadata takes the `Dataset` default
 - `load` checks graphs in one stack per vertex count: a bad record in a
   later group fails with its own line number and the message `Graph`
   gives, for every graph rule, and when several records are bad the first
@@ -474,6 +475,44 @@ def test_load_rejects_wrong_version(tmp_path):
     with pytest.raises(DatasetFormatError) as info:
         load(path)
     assert "version" in str(info.value)
+
+
+def _edit_header(path, **changes) -> None:
+    """Rewrite the saved file's header line: set each given key, or delete
+    it when its value is None."""
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    for key, value in changes.items():
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("metadata", [5, [1], "x"], ids=["number", "list", "string"])
+def test_load_rejects_metadata_that_is_not_an_object(tmp_path, metadata):
+    """The header's metadata must be a JSON object, as a Dataset's must be a
+    dict; anything else is refused on line 1."""
+    with pytest.raises(TypeError, match="metadata must be a dict"):
+        Dataset(_tiny_dataset().examples, metadata=metadata)
+    path = tmp_path / "d.jsonl"
+    save(_tiny_dataset(), path)
+    _edit_header(path, metadata=metadata)
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert str(info.value) == f"line 1: metadata must be a dict, got {metadata!r}"
+
+
+def test_load_gives_absent_header_fields_the_dataset_defaults(tmp_path):
+    path = tmp_path / "d.jsonl"
+    save(Dataset(_tiny_dataset().examples, "train", {"kind": "hand"}), path)
+    _edit_header(path, split=None, metadata=None)
+    back = load(path)
+    default = Dataset(_tiny_dataset().examples)
+    assert (back.split_tag, back.metadata) == (default.split_tag, default.metadata)
+    assert (back.split_tag, back.metadata) == ("unsplit", {})
 
 
 def test_load_rejects_count_mismatch(tmp_path):
