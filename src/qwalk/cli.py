@@ -24,6 +24,7 @@ import secrets
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,6 @@ from ._io import write_atomic, write_csv
 from .cqcnn import (
     CqcnnModel,
     ModelFormatError,
-    _check_learning_rate,
     export_last_layer,
     load_model,
     new_model,
@@ -60,7 +60,7 @@ from .evaluation import (
     write_history_csv,
     write_metrics_csv,
 )
-from .graphs import Graph, line_graph
+from .graphs import Graph, _integer, _real, line_graph
 from .walkers import LABEL_NAMES, WalkConfig, label_graph, write_trace_csv
 
 _MANIFEST_FORMAT = "qwalk-manifest"
@@ -263,14 +263,14 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
     started = time.monotonic()
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.kind == "random" and args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
     _check_overwrite([args.out], args.force)
     cfg = _walk_config(args)
     if args.kind == "line":
         dataset = build_line_dataset(args.n, cfg)
     else:
         args.seed = _resolve_seed(args.seed)
-        if args.count < 1:
-            raise UsageError(f"--count must be >= 1, got {args.count}")
         dataset = build_random_dataset(args.n, args.count, args.seed, cfg, jobs=args.jobs)
     if args.drop_indeterminate:
         dataset = drop_indeterminate(dataset)
@@ -291,22 +291,23 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError(f"--epochs must be >= 1, got {args.epochs}")
     if args.holdout is not None and not 0.0 < args.holdout < 1.0:
         raise UsageError(f"--holdout must lie in (0, 1), got {args.holdout}")
-    args.seed = _resolve_seed(args.seed)
-    model_seed, batch_seed, holdout_seed = (
-        int(s) for s in np.random.default_rng(args.seed).integers(2**63, size=3)
-    )
     try:
-        _check_learning_rate(args.lr)
+        _real("learning rate", args.lr, 0)
         schedule = Schedule(
             epochs=args.epochs,
             batches_per_epoch=args.batches_per_epoch,
             batch_size=args.batch_size,
-            seed=batch_seed,
             eval_every=args.eval_every,
             inverse_class_weights=args.inverse_class_weights,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    # the seed is printed, when generated, only once every flag has passed
+    args.seed = _resolve_seed(args.seed)
+    model_seed, batch_seed, holdout_seed = (
+        int(s) for s in np.random.default_rng(args.seed).integers(2**63, size=3)
+    )
+    schedule = replace(schedule, seed=batch_seed)
     history_out = args.history_out or str(Path(args.model_out).with_suffix("")) + ".history.csv"
     args.history_out = history_out
     _check_overwrite([args.model_out, history_out], args.force)
@@ -448,9 +449,10 @@ def cmd_rerun(args: argparse.Namespace) -> int:
         raise RuntimeError(
             f"{args.manifest}: {command!r} is not a command that writes a manifest"
         )
-    version = manifest.get("version", 1)
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise RuntimeError(f"{args.manifest}: version must be an integer, got {version!r}")
+    try:
+        version = _integer("version", manifest.get("version", 1))
+    except TypeError as exc:
+        raise RuntimeError(f"{args.manifest}: {exc}") from exc
     actions = {a.dest: a for a in parser._actions if a.dest != "help"}
     missing = sorted(actions.keys() - manifest["args"].keys())
     if missing:
@@ -659,9 +661,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

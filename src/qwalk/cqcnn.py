@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._io import compact_json, write_atomic
-from .graphs import Graph, _absorbing_walk
+from .graphs import Graph, _absorbing_walk, _integer, _real
 from .walkers import CLASSICAL, LABEL_NAMES, QUANTUM
 
 __all__ = [
@@ -112,10 +112,8 @@ def etv_filter(m: np.ndarray) -> np.ndarray:
 
 
 def feature_slot(vertex: int, feature: int) -> int:
-    """Index of (vertex, feature 1..4) in the feature vector; slot 0 is bias."""
-    if feature not in (1, 2, 3, 4):
-        raise ValueError(f"feature index must be 1..4, got {feature}")
-    return 1 + 4 * vertex + (feature - 1)
+    """Index of (vertex >= 0, feature 1..4) in the feature vector; slot 0 is bias."""
+    return 1 + 4 * _integer("vertex", vertex, 0) + (_integer("feature", feature, 1, 4) - 1)
 
 
 def _check_size(g: Graph, n_max: int) -> None:
@@ -178,28 +176,19 @@ def _architecture(variant: str, n_max: int, hidden_width: int) -> _Architecture:
     """
     if variant not in ("simple", "full"):
         raise ValueError(f"variant must be 'simple' or 'full', got {variant!r}")
-    return _sizes(variant, _integer("n_max", n_max), _integer("hidden_width", hidden_width))
-
-
-def _integer(name: str, value) -> int:
-    """`value` as a Python int; a bool, float or other non-integer is refused."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    n_max = _integer("n_max", n_max, 3)
+    # a full model without hidden units would learn only its output bias
+    low = 1 if variant == "full" else 0
+    return _sizes(variant, n_max, _integer("hidden_width", hidden_width, low))
 
 
 @functools.cache
 def _sizes(variant: str, n_max: int, hidden_width: int) -> _Architecture:
-    """`_architecture` for a known variant and Python-int sizes."""
-    if n_max < 3:
-        raise ValueError(f"n_max must be >= 3, got {n_max}")
+    """`_architecture` for a known variant and checked Python-int sizes."""
     if variant == "simple":
         width = 4 * n_max + 1
         shapes = MappingProxyType({"last": (width, 2)})
         return _Architecture(shapes=shapes, channels=0, block=0, width=width)
-    if hidden_width < 1:
-        # no input would reach the scores: only the output bias would learn
-        raise ValueError(f"the full variant needs hidden_width >= 1, got {hidden_width}")
     # the adjacency map plus ceil(log2 n_max) edge-to-edge stages, at least one
     channels = max(1, math.ceil(math.log2(n_max))) + 1
     block = 9 * channels * n_max
@@ -216,18 +205,14 @@ def _sizes(variant: str, n_max: int, hidden_width: int) -> _Architecture:
     )
 
 
-def _check_learning_rate(lr) -> None:
-    if not 0 <= lr < math.inf:
-        raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
-
-
 @dataclass(eq=False)
 class CqcnnModel:
     """Weights plus the hyperparameters that shaped and seeded them.
 
-    The sizes and the seed (None or an integer) are stored as Python ints,
-    the learning rate must be finite and at least 0, and `weights` maps each
-    weight name of the architecture to a float64 array of its shape.
+    The sizes and the seed (None or an integer >= 0) are stored as Python
+    ints, the learning rate (finite and >= 0) as a Python number, and
+    `weights` maps each weight name of the architecture to a float64 array
+    of its shape.
     """
 
     variant: str
@@ -242,9 +227,9 @@ class CqcnnModel:
         # the sizes as the Python ints `_architecture` checked, so they save
         self.n_max = operator.index(self.n_max)
         self.hidden_width = operator.index(self.hidden_width)
-        _check_learning_rate(self.learning_rate)
+        self.learning_rate = _real("learning rate", self.learning_rate, 0)
         if self.seed is not None:
-            self.seed = _integer("seed", self.seed)
+            self.seed = _integer("seed", self.seed, 0)
         if not isinstance(self.weights, Mapping):
             kind = type(self.weights).__name__
             raise TypeError(f"weights must map names to arrays, got {kind}")
@@ -275,7 +260,7 @@ def new_model(
     Draw order is fixed (conv, hidden, last) so a seed pins every weight.
     A numpy-integer seed is stored as a Python int, so the model can be saved.
     """
-    rng = np.random.default_rng(_integer("seed", seed))
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     shapes = _architecture(variant, n_max, hidden_width).shapes
     weights = {name: rng.uniform(-0.1, 0.1, size=shape) for name, shape in shapes.items()}
     return CqcnnModel(variant, n_max, weights, hidden_width, learning_rate, seed)
@@ -528,25 +513,19 @@ def export_last_layer(model: CqcnnModel) -> list[dict]:
     named h0, h1, ... Both include the bias row, giving 4*n_max + 1 rows
     per class (simple) or hidden_width + 1 (full).
     """
+    if model.variant == "simple":
+        vertices = range(model.n_max)
+        names = {feature_slot(v, f): (str(v), str(f)) for v in vertices for f in (1, 2, 3, 4)}
+        names[0] = ("bias", "bias")
+    else:
+        names = {slot: (f"h{slot}", "hidden") for slot in range(model.hidden_width)}
+        names[model.hidden_width] = ("bias", "bias")
     w = model.weights["last"]
-    rows = []
-    for slot in range(w.shape[0]):
-        if model.variant == "simple":
-            if slot == 0:
-                vertex, feature = "bias", "bias"
-            else:
-                vertex = str((slot - 1) // 4)
-                feature = str((slot - 1) % 4 + 1)
-        else:
-            if slot == w.shape[0] - 1:
-                vertex, feature = "bias", "bias"
-            else:
-                vertex, feature = f"h{slot}", "hidden"
-        for label, name in LABEL_NAMES.items():
-            rows.append(
-                {"vertex": vertex, "feature": feature, "class": name, "weight": float(w[slot, label])}
-            )
-    return rows
+    return [
+        {"vertex": vertex, "feature": feature, "class": name, "weight": float(w[slot, label])}
+        for slot, (vertex, feature) in sorted(names.items())
+        for label, name in LABEL_NAMES.items()
+    ]
 
 
 def save_model(model: CqcnnModel, path) -> None:

@@ -15,7 +15,6 @@ import gzip
 import io
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -26,8 +25,10 @@ from ._io import compact_json, write_atomic
 from .graphs import (
     Graph,
     _first_fault,
+    _integer,
     _line_labelings,
     _path_graphs,
+    _real,
     _unchecked_stack,
     random_graph,
 )
@@ -70,10 +71,6 @@ class DatasetFormatError(ValueError):
     """A dataset file failed to parse or violated a record invariant."""
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class Example:
     """One labeled graph together with the hitting times behind the label."""
@@ -86,13 +83,14 @@ class Example:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not _is_int(self.label) or self.label not in (CLASSICAL, QUANTUM):
-            raise ValueError(f"label must be the integer 0 or 1, got {self.label!r}")
+        # store a checked value only when it was converted: `load` makes an Example per record
+        label = _integer("label", self.label, CLASSICAL, QUANTUM)
+        if label is not self.label:
+            object.__setattr__(self, "label", label)
         for name in ("classical_hit_time", "quantum_hit_time"):
             t = getattr(self, name)
-            number = _is_int(t) or isinstance(t, float)
-            if t is not None and not (number and math.isfinite(t) and t >= 0):
-                raise ValueError(f"{name} must be None or a finite number >= 0, got {t!r}")
+            if t is not None and (checked := _real(name, t, 0)) is not t:
+                object.__setattr__(self, name, checked)
         if self.label != label_from_hit_times(self.classical_hit_time, self.quantum_hit_time):
             raise ValueError("label contradicts the stored hitting times")
         if not isinstance(self.indeterminate, bool):
@@ -193,9 +191,7 @@ def build_line_dataset(n: int, cfg: WalkConfig = WalkConfig()) -> Dataset:
     Examples come in lexicographic order of their labeling, which each
     records as provenance.
     """
-    n = operator.index(n)
-    if not 3 <= n <= 10:
-        raise ValueError(f"n must lie in [3, 10], got {n}")
+    n = _integer("n", n, 3, 10)
     labelings = _line_labelings(n)
     # positions of the start (vertex 0) and the target (vertex 1) along each path
     i, j = (labelings == 0).argmax(axis=1), (labelings == 1).argmax(axis=1)
@@ -225,9 +221,7 @@ def build_random_dataset(
     Each example gets its own child seed drawn up front, so the result does
     not depend on worker count.
     """
-    n, count, seed = operator.index(n), operator.index(count), operator.index(seed)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    n, count, seed = _integer("n", n, 3), _integer("count", count, 1), _integer("seed", seed, 0)
     child_seeds = np.random.default_rng(seed).integers(2**63, size=count)
     label = partial(_random_example, n=n, cfg=cfg)
     examples = _map(label, [int(s) for s in child_seeds], jobs)
@@ -240,9 +234,8 @@ def build_random_dataset(
 
 def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Random train/test partition; train size is round(fraction * size)."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
-    seed = operator.index(seed)
+    train_fraction = _real("train_fraction", train_fraction, 0, 1, strict=True)
+    seed = _integer("seed", seed, 0)
     size = len(d.examples)
     n_train = int(math.floor(train_fraction * size + 0.5))
     if n_train == 0 or n_train == size:
@@ -336,9 +329,10 @@ def _parse_record(line: str, lineno: int) -> dict:
     for key in ("n", "adjacency", "v_init", "v_target", "label"):
         if key not in record:
             fail(f"missing field {key!r}")
-    n = record["n"]
-    if not isinstance(n, int) or n < 3:
-        fail(f"bad vertex count {n!r}")
+    try:
+        n = _integer("n", record["n"], 3)
+    except (TypeError, ValueError) as exc:
+        fail(str(exc))
     bits = record["adjacency"]
     if not isinstance(bits, str) or len(bits) != n * n or not bits.isascii():
         fail("adjacency must be a bitstring of length n*n")
@@ -418,7 +412,7 @@ def load(path) -> Dataset:
         try:
             fields = {name: record[key] for key, name in _EXAMPLE_KEYS if key in record}
             examples.append(Example(graph, **fields))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise DatasetFormatError(f"line {lineno}: {exc}") from exc
     if graph_fault is not None:
         index, message = graph_fault

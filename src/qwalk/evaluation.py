@@ -37,6 +37,7 @@ from .cqcnn import (
     sgd_step,
 )
 from .datasets import Dataset
+from .graphs import _integer
 from .walkers import LABEL_NAMES
 
 __all__ = [
@@ -123,14 +124,9 @@ class Schedule:
     inverse_class_weights: bool = False
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batches_per_epoch < 1:
-            raise ValueError(f"batches_per_epoch must be >= 1, got {self.batches_per_epoch}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        for name, low in (("epochs", 0), ("batches_per_epoch", 1), ("batch_size", 1),
+                          ("seed", 0), ("eval_every", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
 
 
 def _as_test_list(test_set) -> list[Dataset]:
@@ -249,11 +245,8 @@ def ensemble_stats(runs: Sequence[tuple[CqcnnModel, list[dict]]]) -> EnsembleSta
 
     history_mean: dict[str, np.ndarray] = {}
     history_msd: dict[str, np.ndarray] = {}
-    columns: list[str] = []
-    for row in histories[0]:
-        for key in row:
-            if key != "epoch" and key not in columns:
-                columns.append(key)
+    columns = dict.fromkeys(key for row in histories[0] for key in row)
+    columns.pop("epoch", None)
     for key in columns:
         table = np.full((len(runs), len(epochs)), np.nan)
         for r, h in enumerate(histories):
@@ -283,11 +276,7 @@ def ensemble_stats(runs: Sequence[tuple[CqcnnModel, list[dict]]]) -> EnsembleSta
 
 def write_history_csv(history: list[dict], path) -> None:
     """One row per epoch; columns appear in first-use order, blanks for absent."""
-    columns: list[str] = ["epoch", "train_loss"]
-    for row in history:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = list(dict.fromkeys(["epoch", "train_loss", *(key for row in history for key in row)]))
     write_csv(path, columns, ([row.get(c) for c in columns] for row in history))
 
 

@@ -14,6 +14,7 @@ target's leak into the sink.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +45,59 @@ def _connected(adjacency: np.ndarray) -> np.ndarray:
     return reach[:, 0].all(axis=1)
 
 
+# Built once: a tuple with a numpy attribute in it costs a lookup per call.
+_INTEGERS, _FLOATS = (int, np.integer), (float, np.floating)
+
+
 def _is_index(v) -> bool:
     """Whether v is an integer, numpy or Python, and not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    return isinstance(v, _INTEGERS) and not isinstance(v, bool)
+
+
+def _integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """`value`, a Python or numpy integer, as a Python int in [low, high] (a
+    None bound is open). This rule and `_real` check every scalar argument.
+
+    Raises TypeError when it is not an integer, ValueError when out of range.
+    """
+    if not _is_index(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+        raise ValueError(f"{name} must {bound}, got {value}")
+    return value
+
+
+def _real(name: str, value, low: float, high: float = math.inf, strict: bool = False):
+    """`value` as a finite Python int or float in [low, high], or in
+    (low, high) when `strict`. A Python int or float comes back unchanged, a
+    numpy one as the Python number a file can hold.
+
+    Raises TypeError when it is not a number, ValueError when out of range.
+    """
+    if isinstance(value, _FLOATS):
+        number = float(value)
+    elif _is_index(value):
+        number = int(value)
+    else:
+        number = None
+    inside = number is not None and (low < number < high if strict else low <= number <= high)
+    if not (inside and -math.inf < number < math.inf):
+        if high == math.inf:
+            bound = f"be finite and {'>' if strict else '>='} {low}"
+        else:
+            bound = f"lie in {'(' if strict else '['}{low}, {high}{')' if strict else ']'}"
+        raise (TypeError if number is None else ValueError)(f"{name} must {bound}, got {value!r}")
+    return number
 
 
 def _endpoint_fault(v_init, v_target, n: int) -> str | None:
     """The message of the first endpoint rule one graph breaks, or None."""
     for name, v in (("v_init", v_init), ("v_target", v_target)):
-        if not _is_index(v) or not 0 <= v < n:
+        try:
+            _integer(name, v, 0, n - 1)
+        except (TypeError, ValueError):
             return f"{name}={v!r} is not a vertex index in [0, {n})"
     if v_init == v_target:
         return "v_init and v_target must differ"
@@ -191,8 +236,7 @@ def line_graph(n: int, labeling) -> Graph:
     joined by an edge. Start and target stay at vertices 0 and 1, so the
     permutation controls where they land on the path.
     """
-    if n < 3:
-        raise ValueError(f"need at least 3 vertices, got {n}")
+    n = _integer("n", n, 3)
     seq = list(labeling)
     if not all(map(_is_index, seq)) or sorted(seq) != list(range(n)):
         raise ValueError(f"labeling {labeling!r} is not a permutation of range({n})")
@@ -223,9 +267,7 @@ def enumerate_line_graphs(n: int) -> list[Graph]:
     A labeling and its reverse describe the same path, so exactly n!/2
     graphs come back, in lexicographic order of the kept labeling.
     """
-    if not 3 <= n <= 12:
-        raise ValueError(f"n must be in [3, 12], got {n}")
-    return _path_graphs(_line_labelings(n))
+    return _path_graphs(_line_labelings(_integer("n", n, 3, 12)))
 
 
 def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
@@ -235,11 +277,9 @@ def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
     until the result is connected, which preserves uniformity over
     connected graphs with that edge count.
     """
-    if n < 3:
-        raise ValueError(f"need at least 3 vertices, got {n}")
+    n = _integer("n", n, 3)
     max_m = n * (n - 1) // 2
-    if not n - 1 <= m <= max_m:
-        raise ValueError(f"m={m} out of range [{n - 1}, {max_m}] for n={n}")
+    m = _integer("m", m, n - 1, max_m)
     rows, cols = np.triu_indices(n, k=1)
     while True:
         chosen = rng.choice(max_m, size=m, replace=False)
@@ -255,10 +295,11 @@ def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
 def random_graph(n: int, rng_seed) -> Graph:
     """Random connected graph: edge count uniform in [n-1, n(n-1)/2].
 
-    Deterministic for a fixed seed. `rng_seed` may also be a Generator,
-    which callers with derived seed streams pass directly.
+    Deterministic for a fixed seed, an integer >= 0. `rng_seed` may also be
+    a Generator, which callers with derived seed streams pass directly.
     """
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    is_rng = isinstance(rng_seed, np.random.Generator)
+    rng = rng_seed if is_rng else np.random.default_rng(_integer("seed", rng_seed, 0))
     m = int(rng.integers(n - 1, n * (n - 1) // 2 + 1))
     return random_connected_graph(n, m, rng)
 
@@ -312,9 +353,8 @@ def quantum_variant(g: Graph, gamma: float = 1.0) -> np.ndarray:
     It drives the quantum walker's no-jump state; the imaginary part at the
     target is its decay, at rate `gamma`, into the sink.
     """
-    if not 0 <= gamma < np.inf:
-        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
+    gamma = _real("gamma", gamma, 0)
     h = g.adjacency.astype(np.complex128)
-    h[g.v_target, g.v_target] -= 0.5j * float(gamma)
+    h[g.v_target, g.v_target] -= 0.5j * gamma
     h.setflags(write=False)
     return h

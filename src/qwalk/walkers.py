@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv
-from .graphs import Graph, classical_variant, quantum_variant
+from .graphs import Graph, _integer, _real, classical_variant, quantum_variant
 
 __all__ = [
     "CLASSICAL",
@@ -71,19 +71,18 @@ class WalkConfig:
     t_max_cap: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if self.t_max_cap is not None and not 0 < self.t_max_cap < math.inf:
-            raise ValueError(f"t_max_cap must be positive and finite, got {self.t_max_cap}")
-        if self.p_threshold_override is not None and not 0 < self.p_threshold_override < 1:
-            raise ValueError("p_threshold_override must lie in (0, 1)")
+        object.__setattr__(self, "gamma", _real("gamma", self.gamma, 0, strict=True))
+        if self.p_threshold_override is not None:
+            p_th = _real("p_threshold_override", self.p_threshold_override, 0, 1, strict=True)
+            object.__setattr__(self, "p_threshold_override", p_th)
+        if self.t_max_cap is not None:
+            t_max = _real("t_max_cap", self.t_max_cap, 0, strict=True)
+            object.__setattr__(self, "t_max_cap", t_max)
 
     def p_threshold(self, n: int) -> float:
         if self.p_threshold_override is not None:
             return self.p_threshold_override
-        if n < 3:
-            raise ValueError(f"detection threshold undefined for n={n}")
-        return 1.0 / math.log(n)
+        return 1.0 / math.log(_integer("n", n, 3))
 
     def t_max(self, n: int) -> float:
         if self.t_max_cap is not None:

@@ -87,7 +87,7 @@ def test_simulate_reads_tab_separated_graph_files(tmp_path, capsys):
 def test_simulate_rejects_non_finite_gamma(tmp_path, capsys):
     rc = main(["simulate", "--line", "1,3,2", "--gamma", "nan", "--out", str(tmp_path / "t.csv")])
     assert rc == 1
-    assert "qwalk: error: gamma must be positive and finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == "qwalk: error: gamma must be finite and > 0, got nan\n"
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -150,15 +150,28 @@ def test_gen_dataset_refuses_overwrite_without_force(tmp_path, capsys):
     assert main(["gen-dataset", "line", "--n", "4", "--out", str(out), "--force"]) == 0
 
 
-@pytest.mark.parametrize("jobs", ["-3", "0"], ids=["flag-negative", "flag-zero"])
-def test_gen_dataset_rejects_bad_worker_counts(tmp_path, capsys, jobs):
-    """A worker count below 1 is a usage error, and nothing is written."""
+@pytest.mark.parametrize(
+    "flag, value, seed",
+    [
+        pytest.param("--jobs", "-3", ["--seed", "1"], id="flag-negative"),
+        pytest.param("--jobs", "0", ["--seed", "1"], id="flag-zero"),
+        pytest.param("--count", "0", ["--seed", "1"], id="count-zero"),
+        pytest.param("--count", "0", [], id="count-zero-unseeded"),
+        pytest.param("--count", "-3", [], id="count-negative-unseeded"),
+    ],
+)
+def test_gen_dataset_rejects_bad_worker_counts(tmp_path, capsys, flag, value, seed):
+    """A worker count or a random-graph count below 1 is a usage error:
+    nothing is written, and without --seed no seed is generated and printed
+    for a run that never starts."""
     out = tmp_path / "d.jsonl"
-    rc = main(["gen-dataset", "random", "--n", "4", "--count", "3", "--seed", "1",
-               "--out", str(out), "--jobs", jobs])
-    err = capsys.readouterr().err
+    args = {"--count": "3", "--jobs": "1", flag: value}
+    rc = main(["gen-dataset", "random", "--n", "4", *seed, "--out", str(out),
+               *(item for pair in args.items() for item in pair)])
+    stdout, err = capsys.readouterr()
     assert rc == 2
-    assert f"qwalk: error: --jobs must be >= 1, got {jobs}" in err
+    assert f"qwalk: error: {flag} must be >= 1, got {value}" in err
+    assert stdout == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -285,13 +298,16 @@ def test_train_rejects_too_small_n_max(tmp_path, capsys):
 def test_train_without_epochs_is_a_usage_error(tmp_path, capsys, flag, value, message):
     """A schedule with no epochs would write an untrained model. Every
     schedule flag is checked before any dataset is read: the training file
-    here does not exist, yet the flag is what is reported."""
-    rc = main(["train", "--train", str(tmp_path / "missing.jsonl"), "--seed", "0", flag, value,
-               "--model-out", str(tmp_path / "m.json")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "usage" in err and f"qwalk: error: {message}" in err
-    assert list(tmp_path.iterdir()) == []
+    here does not exist, yet the flag is what is reported. Without --seed,
+    no seed is generated and printed for a run that never starts."""
+    for seed in (["--seed", "0"], []):
+        rc = main(["train", "--train", str(tmp_path / "missing.jsonl"), *seed, flag, value,
+                   "--model-out", str(tmp_path / "m.json")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert "usage" in err and f"qwalk: error: {message}" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_train_rejects_a_full_model_without_hidden_units(tmp_path, capsys):
@@ -303,7 +319,7 @@ def test_train_rejects_a_full_model_without_hidden_units(tmp_path, capsys):
                "--epochs", "5", "--seed", "0", "--model-out", str(tmp_path / "m.json")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "qwalk: error: the full variant needs hidden_width >= 1, got 0" in err
+    assert err == "qwalk: error: hidden_width must be >= 1, got 0\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d4.jsonl", "d4.jsonl.manifest.json"]
 
 

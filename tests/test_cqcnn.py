@@ -439,12 +439,12 @@ def test_encoding_key_covers_everything_encode_reads():
 def test_full_model_needs_hidden_units(tmp_path):
     """With no hidden units no input reaches the full variant's scores."""
     for width in (0, -1):
-        with pytest.raises(ValueError, match=f"full variant needs hidden_width >= 1, got {width}"):
+        with pytest.raises(ValueError, match=f"^hidden_width must be >= 1, got {width}$"):
             new_model("full", n_max=4, seed=0, hidden_width=width)
     weights = {k: w[..., :0] if k == "hidden" else w
                for k, w in new_model("full", n_max=4, seed=0, hidden_width=1).weights.items()}
     weights["last"] = weights["last"][:1]
-    with pytest.raises(ValueError, match="full variant needs hidden_width >= 1, got 0"):
+    with pytest.raises(ValueError, match="^hidden_width must be >= 1, got 0$"):
         CqcnnModel("full", 4, weights, hidden_width=0)
     assert new_model("simple", n_max=4, seed=0, hidden_width=0).hidden_width == 0
     path = tmp_path / "m.json"
@@ -452,7 +452,8 @@ def test_full_model_needs_hidden_units(tmp_path):
     record = json.loads(path.read_text())
     record["hidden_width"] = 0
     path.write_text(json.dumps(record))
-    with pytest.raises(ModelFormatError, match="hidden_width >= 1"):
+    message = "^invalid model record: hidden_width must be >= 1, got 0$"
+    with pytest.raises(ModelFormatError, match=message):
         load_model(path)
 
 
@@ -927,8 +928,8 @@ def test_load_model_rejects_malformed_files(tmp_path):
         with pytest.raises(ModelFormatError, match=f"{key} must be an integer"):
             load_model(bad)
 
-    # weights a mapping of finite numbers, the seed null or an integer, and
-    # the variant present
+    # weights a mapping of finite numbers, the seed null or an integer >= 0,
+    # the rate a number, and the variant present
     cases = [
         ("weights", [1, 2], "weights must map names to arrays, got list"),
         ("weights", "nan", "weight 'last' is not finite"),
@@ -936,6 +937,8 @@ def test_load_model_rejects_malformed_files(tmp_path):
         ("seed", "abc", "seed must be an integer, got 'abc'"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("seed", True, "seed must be an integer, got True"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("learning_rate", True, "learning rate must be finite and >= 0, got True"),
         ("variant", None, "missing 1 required positional argument: 'variant'"),
     ]
     save_model(new_model("simple", n_max=3, seed=0), good)

@@ -41,6 +41,7 @@ from qwalk import (
     DatasetFormatError,
     Example,
     Graph,
+    WalkConfig,
     build_line_dataset,
     build_random_dataset,
     drop_indeterminate,
@@ -215,17 +216,17 @@ def test_example_rejects_inconsistent_label():
 
 
 def test_example_rejects_values_a_dataset_file_cannot_hold():
-    """Numpy integers and float32 would make `save` fail on JSON encoding."""
+    """A numpy label or hit time is stored as the Python number it holds, so
+    `save` can encode it; an indeterminate flag that is not a bool is refused."""
     g = line_graph(3, [0, 1, 2])
-    with pytest.raises(ValueError):
-        Example(graph=g, label=np.int64(CLASSICAL))
-    with pytest.raises(ValueError):
-        Example(graph=g, label=CLASSICAL, classical_hit_time=np.float32(2.0))
+    e = Example(graph=g, label=np.int64(CLASSICAL), classical_hit_time=np.float32(2.0))
+    assert type(e.label) is int and e.label == CLASSICAL
+    assert type(e.classical_hit_time) is float and e.classical_hit_time == 2.0
     for flag in ("false", 0, 1, np.bool_(True), None):
         with pytest.raises(ValueError):
             Example(graph=g, label=CLASSICAL, indeterminate=flag)
     e = Example(graph=g, label=CLASSICAL, classical_hit_time=np.float64(2.0))
-    assert e.classical_hit_time == 2.0
+    assert type(e.classical_hit_time) is float and e.classical_hit_time == 2.0
 
 
 # ====== split / merge ======
@@ -310,6 +311,18 @@ def test_save_load_roundtrip_with_numpy_integer_arguments(tmp_path):
         back = load(path)
         assert back.metadata == part.metadata
         assert back.examples == part.examples
+
+
+def test_save_load_roundtrip_with_numpy_float_config(tmp_path):
+    """A numpy-float walk setting is stored as a Python float, so the
+    dataset's metadata saves."""
+    cfg = WalkConfig(t_max_cap=np.float32(50), gamma=np.float64(2))
+    assert type(cfg.t_max_cap) is float and type(cfg.gamma) is float
+    d = build_line_dataset(3, cfg)
+    assert d.metadata["config"] == {"gamma": 2.0, "p_threshold_override": None, "t_max_cap": 50.0}
+    path = tmp_path / "d.jsonl"
+    save(d, path)
+    assert load(path).metadata == d.metadata
 
 
 def test_save_load_roundtrip_gzip(tmp_path):
@@ -718,7 +731,7 @@ def test_load_names_an_example_fault_before_a_graph_fault(tmp_path):
     _rewrite(path, lines, 4, label=7)  # line 5: example fault
     with pytest.raises(DatasetFormatError) as info:
         load(path)
-    assert str(info.value) == "line 5: label must be the integer 0 or 1, got 7"
+    assert str(info.value) == "line 5: label must lie in [0, 1], got 7"
 
 
 def test_load_names_a_graph_fault_before_a_parse_fault(tmp_path):
