@@ -22,6 +22,10 @@ graphs at once, and each shift's collapse comes from window sums of those
 sums, without building the shifted maps.
 
 All gradients are hand-derived; there is no autodiff anywhere.
+`loss_and_gradients` and `sgd_step` check their arguments, then call one
+private backpropagation (`_backprop`) and one private update (`_step`) on
+plain weight arrays; `evaluation.train` checks once per call and then steps
+through the same two.
 
 `CqcnnModel` states a model's fields, defaults and rules once; `new_model`,
 `sgd_step` (which steps by the model's own rate), the model file and the CLI
@@ -163,6 +167,7 @@ class _Architecture:
     simple-variant row has no block (channels and block 0)."""
 
     shapes: Mapping[str, tuple]
+    n_max: int
     channels: int
     block: int
     width: int
@@ -188,7 +193,7 @@ def _sizes(variant: str, n_max: int, hidden_width: int) -> _Architecture:
     if variant == "simple":
         width = 4 * n_max + 1
         shapes = MappingProxyType({"last": (width, 2)})
-        return _Architecture(shapes=shapes, channels=0, block=0, width=width)
+        return _Architecture(shapes=shapes, n_max=n_max, channels=0, block=0, width=width)
     # the adjacency map plus ceil(log2 n_max) edge-to-edge stages, at least one
     channels = max(1, math.ceil(math.log2(n_max))) + 1
     block = 9 * channels * n_max
@@ -199,6 +204,7 @@ def _sizes(variant: str, n_max: int, hidden_width: int) -> _Architecture:
             "hidden": (1 + n_max * n_max + tail, hidden_width),
             "last": (hidden_width + 1, 2),
         }),
+        n_max=n_max,
         channels=channels,
         block=block,
         width=block + tail,
@@ -384,20 +390,19 @@ def _check_inputs(model: CqcnnModel, inputs: np.ndarray) -> _Architecture:
     return arch
 
 
-def _blocks(inputs: np.ndarray, n_max: int, arch: _Architecture) -> np.ndarray:
+def _blocks(inputs: np.ndarray, arch: _Architecture) -> np.ndarray:
     """(N, 9*C, n_max) view of the collapsed-shift blocks of full-variant rows."""
-    return inputs[:, : arch.block].reshape(len(inputs), arch.block // n_max, n_max)
+    return inputs[:, : arch.block].reshape(len(inputs), 9 * arch.channels, arch.n_max)
 
 
-def _full_layers(model: CqcnnModel, inputs: np.ndarray, arch: _Architecture):
+def _full_layers(weights: Mapping, inputs: np.ndarray, blocks: np.ndarray, arch: _Architecture):
     """Hidden-layer input, pre-activation and biased activation per row."""
-    n_max = model.n_max
+    n_max = arch.n_max
     ones = np.ones((len(inputs), 1))
-    blocks = _blocks(inputs, n_max, arch)
-    conv_w = model.weights["conv"].reshape(n_max, -1)
+    conv_w = weights["conv"].reshape(n_max, -1)
     conv_feats = (conv_w @ blocks).reshape(len(inputs), n_max * n_max) / n_max
     z = np.concatenate([ones, conv_feats, inputs[:, arch.block :]], axis=1)
-    pre = z @ model.weights["hidden"]
+    pre = z @ weights["hidden"]
     hidden_b = np.concatenate([np.maximum(pre, 0.0), ones], axis=1)
     return z, pre, hidden_b
 
@@ -407,24 +412,34 @@ def forward(model: CqcnnModel, inputs: np.ndarray) -> np.ndarray:
     arch = _check_inputs(model, inputs)
     if model.variant == "simple":
         return inputs @ model.weights["last"]
-    return _full_layers(model, inputs, arch)[2] @ model.weights["last"]
+    hidden_b = _full_layers(model.weights, inputs, _blocks(inputs, arch), arch)[2]
+    return hidden_b @ model.weights["last"]
 
 
 # ====== loss, gradients, optimizer ======
 
 
-def _cross_entropy(x: np.ndarray, labels, kappas, inverse: bool) -> tuple[float, np.ndarray]:
-    """Mean class-weighted cross entropy of rows of scores (max-subtracted
-    softmax) and its gradient with respect to the scores."""
+def _class_weights(labels, count: int, kappas, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The labels of `count` rows as an index array, and each row's class
+    weight: its label's kappa, or that kappa's inverse."""
     labels = np.asarray(labels, dtype=np.intp)
-    if len(labels) != len(x):
-        raise ValueError(f"{len(labels)} labels for {len(x)} rows of scores")
+    if len(labels) != count:
+        raise ValueError(f"{len(labels)} labels for {count} rows of scores")
     weight = np.asarray(kappas, dtype=np.float64)[labels]
     if inverse:
         if np.any(weight <= 0):
             label = int(labels[np.argmax(weight <= 0)])
             raise ValueError(f"cannot invert zero class fraction for label {label}")
         weight = 1.0 / weight
+    return labels, weight
+
+
+def _cross_entropy(
+    x: np.ndarray, labels: np.ndarray, weight: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean class-weighted cross entropy of rows of scores (max-subtracted
+    softmax) and its gradient with respect to the scores, from the checked
+    labels and row weights of `_class_weights`."""
     shifted = x - x.max(axis=1, keepdims=True)
     log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     rows = np.arange(len(labels))
@@ -442,7 +457,39 @@ def score_loss(
 ) -> float:
     """Mean class-weighted cross entropy over (N, 2) rows of raw output
     scores and their N labels."""
-    return _cross_entropy(scores, labels, kappas, inverse_class_weights)[0]
+    labels, weight = _class_weights(labels, len(scores), kappas, inverse_class_weights)
+    return _cross_entropy(scores, labels, weight)[0]
+
+
+def _backprop(
+    weights: Mapping,
+    arch: _Architecture,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    weight: np.ndarray,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """`loss_and_gradients` of plain weight arrays of the architecture, over
+    a nonempty batch of rows of its width and their `_class_weights`."""
+    if not arch.block:  # the simple variant
+        value, g_x = _cross_entropy(inputs @ weights["last"], labels, weight)
+        return value, {"last": inputs.T @ g_x}
+
+    n_max = arch.n_max
+    blocks = _blocks(inputs, arch)
+    z, pre, hidden_b = _full_layers(weights, inputs, blocks, arch)
+    value, g_x = _cross_entropy(hidden_b @ weights["last"], labels, weight)
+    g_pre = np.where(pre > 0.0, g_x @ weights["last"][:-1, :].T, 0.0)
+    g_z = g_pre @ weights["hidden"].T
+    g_conv = g_z[:, 1 : 1 + n_max * n_max].reshape(len(inputs), n_max, n_max) / n_max
+    # conv[k, q] = sum over rows r and vertices i of g_conv[r, k, i] * blocks[r, q, i],
+    # one matrix product over the (r, i) pairs
+    g_conv, blocks = g_conv.swapaxes(0, 1), blocks.swapaxes(0, 1)
+    conv = g_conv.reshape(n_max, -1) @ blocks.reshape(len(blocks), -1).T
+    return value, {
+        "conv": conv.reshape(arch.shapes["conv"]),
+        "hidden": z.T @ g_pre,
+        "last": hidden_b.T @ g_x,
+    }
 
 
 def loss_and_gradients(
@@ -457,26 +504,14 @@ def loss_and_gradients(
     arch = _check_inputs(model, inputs)
     if len(inputs) == 0:
         raise ValueError("batch must be nonempty")
-    if model.variant == "simple":
-        value, g_x = _cross_entropy(
-            inputs @ model.weights["last"], labels, kappas, inverse_class_weights
-        )
-        return value, {"last": inputs.T @ g_x}
+    labels, weight = _class_weights(labels, len(inputs), kappas, inverse_class_weights)
+    return _backprop(model.weights, arch, inputs, labels, weight)
 
-    n_max = model.n_max
-    z, pre, hidden_b = _full_layers(model, inputs, arch)
-    value, g_x = _cross_entropy(
-        hidden_b @ model.weights["last"], labels, kappas, inverse_class_weights
-    )
-    g_pre = np.where(pre > 0.0, g_x @ model.weights["last"][:-1, :].T, 0.0)
-    g_z = g_pre @ model.weights["hidden"].T
-    g_conv = g_z[:, 1 : 1 + n_max * n_max].reshape(len(inputs), n_max, n_max) / n_max
-    conv = np.einsum("bki,bqi->kq", g_conv, _blocks(inputs, n_max, arch))
-    return value, {
-        "conv": conv.reshape(model.weights["conv"].shape),
-        "hidden": z.T @ g_pre,
-        "last": hidden_b.T @ g_x,
-    }
+
+def _step(weights: Mapping, grads: Mapping, rate: float) -> None:
+    """One gradient-descent update, `w - rate * g`, in place."""
+    for name, w in weights.items():
+        w -= rate * grads[name]
 
 
 def sgd_step(model: CqcnnModel, grads: dict[str, np.ndarray]) -> CqcnnModel:
@@ -484,7 +519,7 @@ def sgd_step(model: CqcnnModel, grads: dict[str, np.ndarray]) -> CqcnnModel:
     new model."""
     if set(grads) != set(model.weights):
         raise ValueError("gradient set does not match model weights")
-    updated = {}
+    checked = {}
     for name, w in model.weights.items():
         g = np.asarray(grads[name])
         if g.shape != w.shape:
@@ -492,7 +527,9 @@ def sgd_step(model: CqcnnModel, grads: dict[str, np.ndarray]) -> CqcnnModel:
             raise ValueError(
                 f"gradient for weight {name!r} has shape {g.shape}, expected {w.shape}"
             )
-        updated[name] = w - model.learning_rate * g
+        checked[name] = g
+    updated = {name: w.copy() for name, w in model.weights.items()}
+    _step(updated, checked, model.learning_rate)
     return replace(model, weights=updated)
 
 
@@ -550,8 +587,11 @@ def load_model(path) -> CqcnnModel:
         raise ModelFormatError(f"not a model file: {exc}") from exc
     if not isinstance(record, dict) or record.get("format") != _MODEL_FORMAT:
         raise ModelFormatError("missing model header")
-    if record.get("version") != _MODEL_VERSION:
-        raise ModelFormatError(f"unsupported version {record.get('version')!r}")
+    version = record.get("version")
+    try:
+        _integer("version", version, _MODEL_VERSION, _MODEL_VERSION)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"unsupported version {version!r}") from exc
     names = [f.name for f in fields(CqcnnModel)]
     try:
         model = CqcnnModel(**{name: record[name] for name in names if name in record})

@@ -395,8 +395,11 @@ def load(path) -> Dataset:
         raise DatasetFormatError(f"line 1: invalid JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != _FORMAT:
         raise DatasetFormatError("line 1: missing dataset header")
-    if header.get("version") != _VERSION:
-        raise DatasetFormatError(f"line 1: unsupported version {header.get('version')!r}")
+    version = header.get("version")
+    try:
+        _integer("version", version, _VERSION, _VERSION)
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"line 1: unsupported version {version!r}") from exc
     # A record's checks run in the order parse, graph, example; the error
     # raised is that of the first record in the file that fails any of them.
     records, parse_error = [], None
@@ -420,8 +423,12 @@ def load(path) -> Dataset:
     if parse_error is not None:
         raise parse_error
     count = header.get("count")
-    if count != len(examples):
-        raise DatasetFormatError(f"header promises {count} examples, file has {len(examples)}")
+    try:
+        _integer("count", count, len(examples), len(examples))
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(
+            f"header promises {count} examples, file has {len(examples)}"
+        ) from exc
     fields = {name: header[key] for key, name in _HEADER_KEYS if key in header}
     try:
         return Dataset(tuple(examples), **fields)

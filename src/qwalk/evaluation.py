@@ -3,8 +3,15 @@
 evaluate() is strictly read-only on the model. train() runs an
 epoch/batch schedule of with-replacement SGD and records a history row
 per epoch: training loss always, test metrics on a fixed cadence and on
-the final epoch. Both score a dataset's encoded input rows in batches; a
-training batch is a slice of the encoded training rows. A dataset's rows
+the final epoch. It checks its arguments once per call (the model's
+fields, the row width and the class weight of every training row), then
+steps a private copy of the weights through the private backpropagation
+and update (`cqcnn._backprop`, `cqcnn._step`) that `loss_and_gradients`
+and `sgd_step` call after their own checks, so its weights and history
+equal those of the public step path bit for bit. It builds a model only
+to score test columns and to return. Both score a dataset's encoded
+input rows in batches; a training batch is a slice of the encoded
+training rows. A dataset's rows
 depend only on its graphs and on the model's encoding key (variant and
 n_max), so they are encoded (`cqcnn.encode`) once and kept read-only with
 the dataset; later train or evaluate calls on the same Dataset object with
@@ -20,7 +27,7 @@ entry blank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,13 +35,15 @@ import numpy as np
 from ._io import write_csv
 from .cqcnn import (
     CqcnnModel,
+    _backprop,
+    _check_inputs,
+    _class_weights,
     _encoding_key,
+    _step,
     encode,
     forward,
-    loss_and_gradients,
     predicted_class,
     score_loss,
-    sgd_step,
 )
 from .datasets import Dataset
 from .graphs import _integer
@@ -169,10 +178,17 @@ def train(
     """
     if schedule.epochs == 0:
         return model, []
+    # The checks of the public step path, once: the model's fields (as
+    # `sgd_step` applies them), the row width and the class weights. The
+    # steps then update a private copy of the weights in place.
+    model = replace(model)
     kappas = train_set.class_fractions
     rng = np.random.default_rng(schedule.seed)
     rows = _rows(model, train_set)
-    labels = train_set.labels
+    arch = _check_inputs(model, rows)
+    labels, class_weight = _class_weights(
+        train_set.labels, len(rows), kappas, schedule.inverse_class_weights
+    )
     tests = [
         (_rows(model, test), test.labels, test.class_fractions)
         for test in _as_test_list(test_set)
@@ -187,22 +203,23 @@ def train(
     _test_columns(model, tests, first)
     history = [first]
 
+    weights = {name: w.copy() for name, w in model.weights.items()}
     for epoch in range(1, schedule.epochs + 1):
         epoch_loss = 0.0
         for _ in range(schedule.batches_per_epoch):
             picks = rng.integers(0, len(rows), size=schedule.batch_size)
-            value, grads = loss_and_gradients(
-                model, rows[picks], labels[picks], kappas, schedule.inverse_class_weights
+            value, grads = _backprop(
+                weights, arch, rows[picks], labels[picks], class_weight[picks]
             )
             if not math.isfinite(value):
                 raise TrainingError(f"loss became non-finite at epoch {epoch}")
-            model = sgd_step(model, grads)
+            _step(weights, grads, model.learning_rate)
             epoch_loss += value
         row: dict = {"epoch": epoch, "train_loss": epoch_loss / schedule.batches_per_epoch}
-        if epoch % schedule.eval_every == 0 or epoch == schedule.epochs:
-            _test_columns(model, tests, row)
+        if tests and (epoch % schedule.eval_every == 0 or epoch == schedule.epochs):
+            _test_columns(replace(model, weights=weights), tests, row)
         history.append(row)
-    return model, history
+    return replace(model, weights=weights), history
 
 
 @dataclass(frozen=True, eq=False)

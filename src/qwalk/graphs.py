@@ -229,6 +229,14 @@ class Graph:
 # ====== constructors ======
 
 
+def _permutation(name: str, seq, n: int) -> list:
+    """`seq` as a list, once its entries are integers that permute range(n)."""
+    entries = list(seq)
+    if not all(map(_is_index, entries)) or sorted(entries) != list(range(n)):
+        raise ValueError(f"{name} {seq!r} is not a permutation of range({n})")
+    return entries
+
+
 def line_graph(n: int, labeling) -> Graph:
     """Build the path graph whose vertex sequence along the path is `labeling`.
 
@@ -237,10 +245,7 @@ def line_graph(n: int, labeling) -> Graph:
     permutation controls where they land on the path.
     """
     n = _integer("n", n, 3)
-    seq = list(labeling)
-    if not all(map(_is_index, seq)) or sorted(seq) != list(range(n)):
-        raise ValueError(f"labeling {labeling!r} is not a permutation of range({n})")
-    return _path_graphs(np.array([seq]))[0]
+    return _path_graphs(np.array([_permutation("labeling", labeling, n)]))[0]
 
 
 def _path_graphs(labelings: np.ndarray) -> list[Graph]:
@@ -311,9 +316,7 @@ def permute_free_vertices(g: Graph, perm) -> Graph:
     invariant under any such relabeling.
     """
     n = g.n
-    p = list(perm)
-    if not all(map(_is_index, p)) or sorted(p) != list(range(n)):
-        raise ValueError(f"perm {perm!r} is not a permutation of range({n})")
+    p = _permutation("perm", perm, n)
     if p[g.v_init] != g.v_init or p[g.v_target] != g.v_target:
         raise ValueError("perm must fix v_init and v_target")
     inv = np.argsort(np.asarray(p))

@@ -14,7 +14,9 @@ loops instead of vectorized row/column sums, encoded input rows are
 built graph by graph from explicitly shifted maps instead of window sums
 over stacked blocks, and the full classifier's scores come from an
 explicit 3x3 convolution loop over the channel maps instead of
-kernel-weighted sums of precomputed, collapsed shifts.
+kernel-weighted sums of precomputed, collapsed shifts, and the conv-weight
+gradient is a scalar-by-scalar backward pass ending in its sum over rows and
+vertices instead of one matrix product.
 """
 
 from __future__ import annotations
@@ -339,3 +341,51 @@ def brute_full_scores(model, g: Graph) -> list[float]:
         hidden.append(max(pre, 0.0))
     hidden.append(1.0)
     return [sum(hidden[h] * w_last[h, c] for h in range(len(hidden))) for c in (0, 1)]
+
+
+def loop_conv_gradient(model, rows, labels, kappas) -> np.ndarray:
+    """Gradient of the full variant's batch-mean class-weighted cross entropy
+    with respect to its conv weights, transcribed with loops from encoded
+    rows.
+
+    Each row runs forward and back scalar by scalar. The last stage is the
+    definition conv[k, c, a, b] = sum over rows r and vertices i of
+    g_conv[r, k, i] * block[r, (c, a, b), i], where g_conv is the loss
+    gradient of the collapsed convolution outputs and block the row's
+    collapsed shifts, summed term by term instead of as a matrix product.
+    """
+    kernel = model.weights["conv"]
+    n_max, channels = kernel.shape[0], kernel.shape[1]
+    shifts = 9 * channels
+    w_hidden, w_last = model.weights["hidden"], model.weights["last"]
+    width, hidden_width = w_hidden.shape
+    kernel_rows = [kernel[k].reshape(-1) for k in range(n_max)]
+    grad = np.zeros((n_max, shifts))
+    for row, label in zip(rows, labels):
+        block = [[row[q * n_max + i] for i in range(n_max)] for q in range(shifts)]
+        z = [1.0]
+        for k in range(n_max):
+            for i in range(n_max):
+                z.append(sum(kernel_rows[k][q] * block[q][i] for q in range(shifts)) / n_max)
+        z.extend(row[shifts * n_max :])
+        pre = [sum(z[s] * w_hidden[s, h] for s in range(width)) for h in range(hidden_width)]
+        hidden = [max(p, 0.0) for p in pre] + [1.0]
+        scores = [sum(hidden[h] * w_last[h, c] for h in range(hidden_width + 1)) for c in (0, 1)]
+        top = max(scores)
+        total = sum(np.exp(s - top) for s in scores)
+        weight = kappas[label]
+        g_scores = [
+            weight * (np.exp(scores[c] - top) / total - (1.0 if c == label else 0.0)) / len(rows)
+            for c in (0, 1)
+        ]
+        g_pre = [
+            sum(g_scores[c] * w_last[h, c] for c in (0, 1)) if pre[h] > 0.0 else 0.0
+            for h in range(hidden_width)
+        ]
+        for k in range(n_max):
+            for i in range(n_max):
+                s = 1 + k * n_max + i
+                g_conv = sum(g_pre[h] * w_hidden[s, h] for h in range(hidden_width)) / n_max
+                for q in range(shifts):
+                    grad[k, q] += g_conv * block[q][i]
+    return grad.reshape(kernel.shape)

@@ -17,7 +17,9 @@ Tests verify:
 - a full-variant model without hidden units is refused
 - full-variant scores against a loop-convolution oracle at n_max 4, 7, 15
 - weighted cross-entropy worked values and limits
-- analytic gradients against central finite differences (both variants)
+- analytic gradients against central finite differences (both variants),
+  and the conv-weight gradient against a loop oracle at n_max 4 and 15,
+  batches of 1 and 3
 - SGD update arithmetic by the model's own rate, the descent property,
   and misshapen gradients or a rate set below 0 refused
 - prediction tie-breaking and monotone-transform invariance
@@ -78,6 +80,7 @@ from oracles import (
     brute_etv,
     brute_full_scores,
     connected_graphs,
+    loop_conv_gradient,
     loop_encoded_row,
 )
 
@@ -596,6 +599,24 @@ def test_gradients_match_finite_differences_full():
     assert worst < 1e-5, f"full variant: worst relative error {worst:.2e}"
 
 
+@pytest.mark.parametrize("n_max", [4, 15])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_conv_gradient_matches_loop_oracle(n_max, batch):
+    """The conv-weight gradient, one matrix product over rows and vertices,
+    equals the loop oracle's term-by-term sum to 1e-12 of its largest entry."""
+    pool, order = _mixed_graphs(n_max, seed=30 + n_max)
+    rng = np.random.default_rng(batch)
+    graphs = [pool[k] for k in rng.choice(order, size=batch, replace=False)]
+    labels = rng.integers(0, 2, size=batch)
+    model = new_model("full", n_max, seed=n_max + batch, hidden_width=8)
+    rows = encode(model, graphs)
+    kappas = (0.7, 0.3)
+    conv = loss_and_gradients(model, rows, labels, kappas)[1]["conv"]
+    want = loop_conv_gradient(model, rows, labels, kappas)
+    assert np.abs(want).max() > 0
+    assert np.abs(conv - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_gradients_vanish_when_saturated():
     """Confident correct scores on every batch member kill the gradient."""
     model = new_model("simple", n_max=3, seed=0)
@@ -918,6 +939,15 @@ def test_load_model_rejects_malformed_files(tmp_path):
     bad.write_text(json.dumps(record))
     with pytest.raises(ModelFormatError):
         load_model(bad)
+
+    # the version is the integer 1, not a JSON `true` or `1.0`
+    for version in (2, True, 1.0, "1", None):
+        record = json.loads(good.read_text())
+        record["version"] = version
+        bad.write_text(json.dumps(record))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(bad)
+        assert str(info.value) == f"unsupported version {version!r}"
 
     # sizes must be integers, even where a float would give the same shapes
     save_model(new_model("full", n_max=4, seed=0), good)

@@ -476,20 +476,6 @@ def test_load_rejects_missing_header(tmp_path):
         load(path)
 
 
-def test_load_rejects_wrong_version(tmp_path):
-    d = _tiny_dataset()
-    path = tmp_path / "d.jsonl"
-    save(d, path)
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["version"] = 99
-    lines[0] = json.dumps(header)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError) as info:
-        load(path)
-    assert "version" in str(info.value)
-
-
 def _edit_header(path, **changes) -> None:
     """Rewrite the saved file's header line: set each given key, or delete
     it when its value is None."""
@@ -502,6 +488,18 @@ def _edit_header(path, **changes) -> None:
             header[key] = value
     lines[0] = json.dumps(header)
     path.write_text("\n".join(lines) + "\n")
+
+
+def test_load_rejects_wrong_version(tmp_path):
+    """The version must be the integer 1: a JSON `true` or `1.0` is refused
+    by the one integer rule, though Python finds it equal to 1."""
+    path = tmp_path / "d.jsonl"
+    for version in (99, True, 1.0, "1"):
+        save(_tiny_dataset(), path)
+        _edit_header(path, version=version)
+        with pytest.raises(DatasetFormatError) as info:
+            load(path)
+        assert str(info.value) == f"line 1: unsupported version {version!r}"
 
 
 @pytest.mark.parametrize("metadata", [5, [1], "x"], ids=["number", "list", "string"])
@@ -536,6 +534,16 @@ def test_load_rejects_count_mismatch(tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop the last example
     with pytest.raises(DatasetFormatError):
         load(path)
+
+    # the count is read by the one integer rule: `3.0` does not promise
+    # three records, and `true` does not promise one
+    one = Dataset(d.examples[:1])
+    for data, count in ((d, 3.0), (d, "3"), (one, True)):
+        save(data, path)
+        _edit_header(path, count=count)
+        with pytest.raises(DatasetFormatError) as info:
+            load(path)
+        assert str(info.value) == f"header promises {count} examples, file has {len(data)}"
 
 
 def test_load_names_the_bad_line(tmp_path):

@@ -6,6 +6,9 @@ Tests verify:
 - evaluate leaves the model bit-identical
 - history rows: untrained epoch-0 baseline, eval cadence, final epoch
 - divergence raises a training error naming the epoch
+- `train` gives the weights and history of the public step path
+  (`loss_and_gradients`, `sgd_step`, `evaluate`) bit for bit, and
+  diverges at the same epoch
 - a dataset is encoded once per encoding key, however many train and
   evaluate calls read it in a row; it keeps one key's rows only; the kept
   rows are read-only, leave `==` and `repr` alone, and train exactly as
@@ -22,18 +25,24 @@ import pytest
 
 from qwalk import (
     CLASSICAL,
+    LABEL_NAMES,
     QUANTUM,
     Dataset,
     Example,
     Schedule,
     TrainingError,
     build_line_dataset,
+    encode,
     ensemble_stats,
     evaluate,
+    forward,
     line_graph,
     load,
+    loss_and_gradients,
     new_model,
     save,
+    score_loss,
+    sgd_step,
     split,
     train,
     write_history_csv,
@@ -210,6 +219,77 @@ def test_divergence_raises_with_epoch_index():
     with np.errstate(all="ignore"), pytest.raises(TrainingError) as info:
         train(model, LINES4, None, Schedule(epochs=200, seed=10))
     assert "epoch" in str(info.value)
+
+
+def _train_by_hand(model, train_set, test_sets, schedule):
+    """`train`'s schedule driven through the public step path: the same
+    batch draws, one `loss_and_gradients` and one `sgd_step` per batch, and
+    `evaluate` for the test columns."""
+    kappas, inverse = train_set.class_fractions, schedule.inverse_class_weights
+    rng = np.random.default_rng(schedule.seed)
+    rows = encode(model, [e.graph for e in train_set])
+    labels = train_set.labels
+
+    def row_of(epoch, train_loss, scored):
+        row = {"epoch": epoch, "train_loss": train_loss}
+        for i, test in enumerate(test_sets if scored else []):
+            suffix = "" if len(test_sets) == 1 else f"_{i + 1}"
+            m = evaluate(model, test)
+            row[f"test_loss{suffix}"] = m.mean_loss
+            row[f"test_accuracy{suffix}"] = m.accuracy
+            for c, name in LABEL_NAMES.items():
+                row[f"test_precision_{name}{suffix}"] = m.precision[c]
+                row[f"test_recall_{name}{suffix}"] = m.recall[c]
+        return row
+
+    history = [row_of(0, score_loss(forward(model, rows), labels, kappas, inverse), True)]
+    for epoch in range(1, schedule.epochs + 1):
+        epoch_loss = 0.0
+        for _ in range(schedule.batches_per_epoch):
+            picks = rng.integers(0, len(rows), size=schedule.batch_size)
+            value, grads = loss_and_gradients(
+                model, rows[picks], labels[picks], kappas, inverse
+            )
+            if not math.isfinite(value):
+                raise TrainingError(f"loss became non-finite at epoch {epoch}")
+            model = sgd_step(model, grads)
+            epoch_loss += value
+        scored = epoch % schedule.eval_every == 0 or epoch == schedule.epochs
+        history.append(row_of(epoch, epoch_loss / schedule.batches_per_epoch, scored))
+    return model, history
+
+
+@pytest.mark.parametrize("variant", ["simple", "full"])
+@pytest.mark.parametrize("inverse", [False, True], ids=["kappa", "inverse"])
+def test_train_equals_the_public_step_path(variant, inverse):
+    """`train` steps through the cores of `loss_and_gradients` and
+    `sgd_step` after checking once: its weights and every history row equal
+    the public functions' own, bit for bit, over two test sets."""
+    train_set, holdout = split(build_line_dataset(5), 0.8, seed=2)
+    schedule = Schedule(epochs=12, batches_per_epoch=4, batch_size=3, seed=3, eval_every=5,
+                        inverse_class_weights=inverse)
+    model = new_model(variant, n_max=5, seed=4, learning_rate=0.05, hidden_width=8)
+    before = {k: w.copy() for k, w in model.weights.items()}
+    trained, history = train(model, train_set, [holdout, LINES4], schedule)
+    by_hand, hand_history = _train_by_hand(model, train_set, [holdout, LINES4], schedule)
+    for name in model.weights:
+        assert np.array_equal(trained.weights[name], by_hand.weights[name])
+        assert np.array_equal(model.weights[name], before[name])
+    assert history == hand_history
+    assert "test_accuracy_2" in history[-1] and "test_accuracy_1" not in history[1]
+
+
+def test_train_and_the_public_step_path_diverge_at_the_same_epoch():
+    """The divergent run of `test_divergence_raises_with_epoch_index` stops
+    both paths with the same error."""
+    messages = []
+    for run in (train, _train_by_hand):
+        model = new_model("full", n_max=4, seed=10, learning_rate=1e4)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as info:
+            run(model, LINES4, [], Schedule(epochs=200, seed=10))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("loss became non-finite at epoch ")
 
 
 def test_schedule_validation():
