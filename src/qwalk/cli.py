@@ -89,9 +89,13 @@ def _sha256(path) -> str:
 
 
 def _check_overwrite(paths: list, force: bool) -> None:
+    """Refuse, before any work, an output that exists (unless `force`) or
+    whose directory does not."""
     for path in paths:
         if path and Path(path).exists() and not force:
             raise RuntimeError(f"refusing to overwrite {path} (use --force)")
+        if path and not Path(path).parent.is_dir():
+            raise RuntimeError(f"cannot write {path}: no directory {Path(path).parent}")
 
 
 def _manifest_path(main_output) -> str:
@@ -437,8 +441,11 @@ def _recorded_value_fault(action: argparse.Action, value) -> str | None:
 def cmd_rerun(args: argparse.Namespace) -> int:
     if not Path(args.manifest).exists():
         raise UsageError(f"manifest not found: {args.manifest}")
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(args.manifest, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise RuntimeError(f"{args.manifest} is not a run manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
         raise RuntimeError(f"{args.manifest} is not a run manifest")
     if not all(isinstance(manifest.get(k), dict) for k in ("args", "inputs", "outputs")):
@@ -450,8 +457,8 @@ def cmd_rerun(args: argparse.Namespace) -> int:
             f"{args.manifest}: {command!r} is not a command that writes a manifest"
         )
     try:
-        version = _integer("version", manifest.get("version", 1))
-    except TypeError as exc:
+        version = _integer("version", manifest.get("version", 1), 1, _MANIFEST_VERSION)
+    except (TypeError, ValueError) as exc:
         raise RuntimeError(f"{args.manifest}: {exc}") from exc
     actions = {a.dest: a for a in parser._actions if a.dest != "help"}
     missing = sorted(actions.keys() - manifest["args"].keys())

@@ -19,7 +19,9 @@ map and the convolution becomes a matrix product with the kernel.
 `encode` is one stacked kernel per variant: the filters are row and
 column sums over the last two axes, so they run on blocks of zero-padded
 graphs at once, and each shift's collapse comes from window sums of those
-sums, without building the shifted maps.
+sums, without building the shifted maps. That one writer also pads the
+graphs and refuses one larger than n_max; `extract_features` is its
+simple-variant row of a single graph.
 
 All gradients are hand-derived; there is no autodiff anywhere.
 `loss_and_gradients` and `sgd_step` check their arguments, then call one
@@ -120,11 +122,6 @@ def feature_slot(vertex: int, feature: int) -> int:
     return 1 + 4 * _integer("vertex", vertex, 0) + (_integer("feature", feature, 1, 4) - 1)
 
 
-def _check_size(g: Graph, n_max: int) -> None:
-    if g.n > n_max:
-        raise ValueError(f"graph has {g.n} vertices but the model allows {n_max}")
-
-
 def _vertex_features(a: np.ndarray, v_init: np.ndarray, v_target: np.ndarray) -> np.ndarray:
     """(B, n_max, 4) features of a (B, n_max, n_max) stack of zero-padded
     adjacency matrices: degree, neighboring-edge total, start and target
@@ -136,24 +133,15 @@ def _vertex_features(a: np.ndarray, v_init: np.ndarray, v_target: np.ndarray) ->
     )
 
 
-def _write_simple_rows(rows, index, a: np.ndarray, v_init, v_target) -> None:
-    rows[index, 0] = 1.0
-    rows[index, 1:] = _vertex_features(a, v_init, v_target).reshape(len(a), -1)
-
-
 def extract_features(g: Graph, n_max: int) -> np.ndarray:
     """Per-vertex feature vector of length 4*n_max + 1 (bias slot first).
 
     Feature 1 is the vertex degree, feature 2 the neighboring-edge total
     of the edges meeting the vertex, features 3 and 4 flag adjacency to
     the start and target vertices. Vertices beyond g.n are zero-padded.
+    It is the simple variant's `encode` row of the one graph.
     """
-    _check_size(g, n_max)
-    a = np.zeros((1, n_max, n_max))
-    a[0, : g.n, : g.n] = g.adjacency
-    row = np.empty((1, _architecture("simple", n_max, 0).width))
-    _write_simple_rows(row, [0], a, [g.v_init], [g.v_target])
-    return row[0]
+    return _encode(_architecture("simple", n_max, 0), [g])[0]
 
 
 # ====== model ======
@@ -358,11 +346,16 @@ def encode(model: CqcnnModel, graphs: Sequence[Graph]) -> np.ndarray:
     gather, so no shifted map is built. A row does not depend on the other
     graphs in the list.
     """
-    n_max = model.n_max
-    arch = _architecture(model.variant, n_max, model.hidden_width)
+    return _encode(_architecture(model.variant, model.n_max, model.hidden_width), graphs)
+
+
+def _encode(arch: _Architecture, graphs: Sequence[Graph]) -> np.ndarray:
+    """`encode` at an architecture: the one writer of every input row."""
+    n_max = arch.n_max
     groups: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
-        _check_size(g, n_max)
+        if g.n > n_max:
+            raise ValueError(f"graph has {g.n} vertices but the model allows {n_max}")
         groups.setdefault(g.n, []).append(i)
     rows = np.empty((len(graphs), arch.width))
     for n, members in groups.items():
@@ -373,10 +366,11 @@ def encode(model: CqcnnModel, graphs: Sequence[Graph]) -> np.ndarray:
             a[:, :n, :n] = np.stack([g.adjacency for g in block])
             v_init = np.array([g.v_init for g in block])
             v_target = np.array([g.v_target for g in block])
-            if model.variant == "simple":
-                _write_simple_rows(rows, index, a, v_init, v_target)
-            else:
+            if arch.block:
                 _write_full_rows(rows, index, a, n, v_init, v_target, arch)
+            else:  # the simple variant: bias, then the vertex features
+                rows[index, 0] = 1.0
+                rows[index, 1:] = _vertex_features(a, v_init, v_target).reshape(len(a), -1)
     return rows
 
 

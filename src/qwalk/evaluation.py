@@ -19,9 +19,11 @@ the same key reuse them, whatever the model's weights. A dataset keeps the
 rows of one key only: a call with another key encodes again and replaces
 them. Metrics with a zero denominator (no examples or no predictions of a
 class) are reported as None, never as 0, so ensemble averages are not
-dragged toward zero by undefined entries. The history and metrics CSV
-writers go through `_io.write_csv`, whose one cell rule leaves such an
-entry blank.
+dragged toward zero by undefined entries. `ensemble_stats` applies one
+mean/deviation rule to the readout weights and to the history table, in
+which such an entry, or an absent one, is NaN and makes its epoch's mean
+and deviation NaN. The history and metrics CSV writers go through
+`_io.write_csv`, whose one cell rule leaves such an entry blank.
 """
 
 from __future__ import annotations
@@ -248,9 +250,7 @@ def ensemble_stats(runs: Sequence[tuple[CqcnnModel, list[dict]]]) -> EnsembleSta
             or m.weights["last"].shape != head.weights["last"].shape
         ):
             raise ValueError("ensemble runs must share one architecture")
-    stack = np.stack([m.weights["last"] for m in models])
-    mean = stack.mean(axis=0)
-    msd = ((stack - mean) ** 2).mean(axis=0)
+    mean, msd = _mean_and_msd(np.stack([m.weights["last"] for m in models]))
 
     lengths = {len(h) for h in histories}
     if len(lengths) != 1:
@@ -260,32 +260,27 @@ def ensemble_stats(runs: Sequence[tuple[CqcnnModel, list[dict]]]) -> EnsembleSta
         if any(row["epoch"] != e for row, e in zip(h, epochs)):
             raise ValueError("ensemble histories must share one schedule")
 
-    history_mean: dict[str, np.ndarray] = {}
-    history_msd: dict[str, np.ndarray] = {}
-    columns = dict.fromkeys(key for row in histories[0] for key in row)
-    columns.pop("epoch", None)
-    for key in columns:
-        table = np.full((len(runs), len(epochs)), np.nan)
-        for r, h in enumerate(histories):
-            for i, row in enumerate(h):
-                value = row.get(key)
-                if value is not None:
-                    table[r, i] = value
-        col_mean = np.full(len(epochs), np.nan)
-        col_msd = np.full(len(epochs), np.nan)
-        complete = ~np.isnan(table).any(axis=0)
-        col_mean[complete] = table[:, complete].mean(axis=0)
-        col_msd[complete] = ((table[:, complete] - col_mean[complete]) ** 2).mean(axis=0)
-        history_mean[key] = col_mean
-        history_msd[key] = col_msd
+    # (runs, columns, epochs), NaN where a run's entry is absent or None, so
+    # that epoch's mean and deviation of that column come out NaN
+    columns = list(dict.fromkeys(key for row in histories[0] for key in row if key != "epoch"))
+    table = np.array(
+        [[[row.get(key) for row in h] for key in columns] for h in histories], dtype=np.float64
+    )
+    col_mean, col_msd = _mean_and_msd(table)
     return EnsembleStats(
         runs=len(runs),
         last_layer_mean=mean,
         last_layer_msd=msd,
         epochs=epochs,
-        history_mean=history_mean,
-        history_msd=history_msd,
+        history_mean=dict(zip(columns, col_mean)),
+        history_msd=dict(zip(columns, col_msd)),
     )
+
+
+def _mean_and_msd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and mean squared deviation over the first axis of a stack."""
+    mean = stack.mean(axis=0)
+    return mean, ((stack - mean) ** 2).mean(axis=0)
 
 
 # ====== CSV export ======

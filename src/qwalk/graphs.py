@@ -9,6 +9,13 @@ the classical walker's column-stochastic jump matrix with the target made
 absorbing, and the quantum walker's effective Hamiltonian
 A - (i gamma / 2)|target><target|, whose anti-Hermitian part is the
 target's leak into the sink.
+
+The seven `Graph` rules (`_first_fault`) run where graphs come in from
+outside: in `Graph` and in `datasets.load`. The constructors check their
+arguments and build graphs valid by construction without checking them
+again: a path through every vertex breaks no rule, a relabeling of a valid
+graph is valid, and a random draw is tested for connectivity, the one rule
+it can break.
 """
 
 from __future__ import annotations
@@ -151,21 +158,9 @@ def _block_fault(adjacency: np.ndarray, v_init, v_target) -> tuple[int, str] | N
     return i, next((message for ok, message in rules if not ok), "graph must be connected")
 
 
-def _checked_stack(adjacency: np.ndarray, v_init, v_target) -> list[Graph]:
-    """The graphs of a (B, n, n) stack, every `Graph` rule checked a block
-    of graphs at a time by `_first_fault` and on none of the graphs again.
-
-    Raises ValueError with the message `Graph` gives for the first graph
-    that breaks a rule.
-    """
-    fault = _first_fault(adjacency, v_init, v_target)
-    if fault is not None:
-        raise ValueError(fault[1])
-    return _unchecked_stack(adjacency, v_init, v_target)
-
-
 def _unchecked_stack(adjacency: np.ndarray, v_init, v_target) -> list[Graph]:
-    """The graphs of a (B, n, n) stack that `_first_fault` already passed.
+    """The graphs of a (B, n, n) stack that keeps every `Graph` rule, as
+    `_first_fault` found or as its constructor built it.
 
     They share one read-only int64 stack: `adjacency` itself when it is
     int64 already, so callers pass a stack they own.
@@ -250,13 +245,13 @@ def line_graph(n: int, labeling) -> Graph:
 
 def _path_graphs(labelings: np.ndarray) -> list[Graph]:
     """The path graphs of a (B, n) array of permutations of range(n), built
-    as one (B, n, n) stack with one `_checked_stack` pass."""
+    as one (B, n, n) stack."""
     b, n = labelings.shape
     a = np.zeros((b, n, n), dtype=np.int64)
     rows = np.arange(b)[:, np.newaxis]
     a[rows, labelings[:, :-1], labelings[:, 1:]] = 1
     a[rows, labelings[:, 1:], labelings[:, :-1]] = 1
-    return _checked_stack(a, [0] * b, [1] * b)
+    return _unchecked_stack(a, [0] * b, [1] * b)
 
 
 def _line_labelings(n: int) -> np.ndarray:
@@ -288,12 +283,12 @@ def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
     rows, cols = np.triu_indices(n, k=1)
     while True:
         chosen = rng.choice(max_m, size=m, replace=False)
-        a = np.zeros((1, n, n), dtype=np.int64)
-        a[0, rows[chosen], cols[chosen]] = 1
-        a = a + a.transpose(0, 2, 1)
+        a = np.zeros((1, n, n), dtype=bool)
+        a[0, rows[chosen], cols[chosen]] = True
+        a = a | a.transpose(0, 2, 1)
         # A draw is binary, symmetric and loop-free by construction, so the
         # one rule it can break is connectivity.
-        if _first_fault(a, [0], [1]) is None:
+        if _connected(a)[0]:
             return _unchecked_stack(a, [0], [1])[0]
 
 
@@ -321,7 +316,7 @@ def permute_free_vertices(g: Graph, perm) -> Graph:
         raise ValueError("perm must fix v_init and v_target")
     inv = np.argsort(np.asarray(p))
     a = g.adjacency[np.ix_(inv, inv)]
-    return Graph(a, v_init=g.v_init, v_target=g.v_target)
+    return _unchecked_stack(a[np.newaxis], [g.v_init], [g.v_target])[0]
 
 
 # ====== walk models ======

@@ -4,6 +4,8 @@ Tests verify:
 - simulate on inline line specs and graph files (packed, space- or
   tab-separated)
 - gen-dataset line/random flows and overwrite protection
+- an output whose directory does not exist is refused before any work,
+  naming the output (exit 1)
 - train/eval/inspect round trips through real files; a model whose weights
   are a list and a dataset whose header metadata is a number end in
   `qwalk: error:` (exit 1)
@@ -18,7 +20,8 @@ Tests verify:
 - relative manifest paths resolve against the manifest's directory
   (version 2) or the working directory (version 1)
 - rerun names each drifted or missing input and does not replay
-- rerun refuses a malformed manifest, a command that writes no manifest,
+- rerun refuses a malformed manifest (not JSON, or a version outside
+  1..2), a command that writes no manifest,
   or a recorded value its command's parser could not have produced, with
   `qwalk: error:` naming the file
 """
@@ -148,6 +151,36 @@ def test_gen_dataset_refuses_overwrite_without_force(tmp_path, capsys):
     rc = main(["gen-dataset", "line", "--n", "4", "--out", str(out)])
     assert rc == 1
     assert main(["gen-dataset", "line", "--n", "4", "--out", str(out), "--force"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-dataset", "line", "--n", "4", "--out", "{out}"],
+        ["simulate", "--line", "1,3,2", "--out", "{out}"],
+        ["train", "--train", "{data}", "--epochs", "5", "--seed", "1", "--model-out", "{out}"],
+        ["train", "--train", "{data}", "--epochs", "5", "--seed", "1",
+         "--model-out", "{new}", "--history-out", "{out}"],
+        ["eval", "--model", "{model}", "--data", "{data}", "--out", "{out}"],
+        ["inspect", "{model}", "--out", "{out}"],
+    ],
+    ids=["gen-dataset", "simulate", "train-model", "train-history", "eval", "inspect"],
+)
+def test_missing_output_directory_is_refused_before_any_work(tmp_path, capsys, argv):
+    data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+    assert main(["gen-dataset", "line", "--n", "4", "--out", str(data)]) == 0
+    assert main(["train", "--train", str(data), "--epochs", "2", "--seed", "1",
+                 "--model-out", str(model)]) == 0
+    made = sorted(tmp_path.iterdir())
+    out = tmp_path / "nodir" / "x.out"
+    capsys.readouterr()
+    paths = {"out": out, "data": data, "model": model, "new": tmp_path / "new.json"}
+    rc = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"qwalk: error: cannot write {out}: no directory {out.parent}\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == made
 
 
 @pytest.mark.parametrize(
@@ -655,15 +688,21 @@ _TRAIN = ["train", "--train", "d.jsonl", "--model-out", "m.json"]
          "'frobnicate' is not a command that writes a manifest"),
         ({**_manifest(_GEN), "command": ["gen-dataset"]},
          "['gen-dataset'] is not a command that writes a manifest"),
+        *(({"format": "qwalk-manifest", "version": version, "command": "eval", "args": {},
+            "inputs": {}, "outputs": {}}, f"version must lie in [1, 2], got {version}")
+          for version in (0, -3, 99)),
+        ("not json", "is not a run manifest: Expecting value: line 1 column 1 (char 0)"),
     ],
     ids=["no-args", "not-an-object", "args-lack-keys", "version-not-an-integer",
          "int-as-string", "int-as-bool", "path-as-number", "required-null",
          "float-as-string", "unknown-choice", "flag-as-string", "list-as-string",
-         "list-item-as-number", "command-rerun", "command-unknown", "command-not-a-string"],
+         "list-item-as-number", "command-rerun", "command-unknown", "command-not-a-string",
+         "version-zero", "version-negative", "version-too-new", "not-json"],
 )
 def test_rerun_rejects_malformed_manifests(tmp_path, capsys, manifest, reason):
+    """`manifest` is written as JSON, or as it is when it is a string."""
     manifest_path = tmp_path / "bad.manifest.json"
-    manifest_path.write_text(json.dumps(manifest))
+    manifest_path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
     rc = main(["rerun", str(manifest_path)])
     captured = capsys.readouterr()
     assert rc == 1

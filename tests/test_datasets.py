@@ -11,7 +11,7 @@ Tests verify:
 - byte-exact serialization round-trips (plain and gzip), also over
   generated datasets (hypothesis); a `.gz` file holds exactly the plain
   file's bytes, and each line is the per-record `json.dumps` of its header
-  or example
+  or example; a save into a missing directory names the target path
 - loader rejections name the offending line, malformed hit times and
   labels included, and a header metadata that is not an object (line 1);
   an absent header split or metadata takes the `Dataset` default
@@ -297,6 +297,14 @@ def test_save_load_roundtrip(tmp_path):
         assert a == b
         assert a.classical_hit_time == b.classical_hit_time  # bit-exact floats
         assert a.quantum_hit_time == b.quantum_hit_time
+
+
+def test_save_into_a_missing_directory_names_the_target(tmp_path):
+    path = tmp_path / "nodir" / "y.jsonl"
+    with pytest.raises(FileNotFoundError) as info:
+        save(_tiny_dataset(), path)
+    assert str(info.value) == f"[Errno 2] No such file or directory: '{path}'"
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_save_load_roundtrip_with_numpy_integer_arguments(tmp_path):

@@ -5,6 +5,9 @@ Tests verify:
 - the stacked validator accepts exactly the graphs `Graph` accepts one at
   a time, and names the first rejected one with `Graph`'s message
   (hypothesis)
+- the constructors, which skip those checks, build only graphs that pass
+  them: every enumerated line graph, line-dataset graph, random graph and
+  relabeling
 - line graphs and their exhaustive enumeration (n!/2, all distinct, in
   lexicographic order of the kept labeling)
 - classical variant is a read-only column-stochastic n x n jump matrix with
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 from qwalk import (
     Graph,
     WalkConfig,
+    build_line_dataset,
     classical_variant,
     enumerate_line_graphs,
     line_graph,
@@ -33,7 +37,7 @@ from qwalk import (
     random_connected_graph,
     random_graph,
 )
-from qwalk.graphs import _BLOCK_GRAPHS, _checked_stack, _first_fault
+from qwalk.graphs import _BLOCK_GRAPHS, _first_fault, _unchecked_stack
 from qwalk.walkers import _ladder, _rung_step
 
 from oracles import connected_graphs, loop_walk_matrix
@@ -156,13 +160,9 @@ def test_stacked_validator_agrees_with_graph(case):
     expected = _one_at_a_time(stack, v_init, v_target)
     assert _first_fault(stack, v_init, v_target) == expected
     if expected is None:
-        graphs = _checked_stack(stack, v_init, v_target)
+        graphs = _unchecked_stack(stack, v_init, v_target)
         assert graphs == [Graph(a, s, t) for a, s, t in zip(stack, v_init, v_target)]
         assert all(not g.adjacency.flags.writeable for g in graphs)
-    else:
-        with pytest.raises(ValueError) as info:
-            _checked_stack(stack, v_init, v_target)
-        assert str(info.value) == expected[1]
 
 
 @pytest.mark.parametrize(
@@ -179,6 +179,54 @@ def test_stacked_validator_counts_across_blocks(bad):
     expected = (bad[0], "v_init and v_target must differ") if bad else None
     assert _first_fault(stack, [0] * size, v_target) == expected
     assert _one_at_a_time(stack, [0] * size, v_target) == expected
+
+
+# ====== constructors keep the Graph rules ======
+
+
+def _pass_graph_rules(graphs) -> bool:
+    """Whether every graph is a read-only int64 one that `_first_fault`
+    passes, checked in one stack per vertex count."""
+    groups: dict[int, list] = {}
+    for g in graphs:
+        assert g.adjacency.dtype == np.int64 and not g.adjacency.flags.writeable
+        groups.setdefault(g.n, []).append(g)
+    return all(
+        _first_fault(
+            np.stack([g.adjacency for g in group]),
+            [g.v_init for g in group],
+            [g.v_target for g in group],
+        ) is None
+        for group in groups.values()
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_enumerated_line_graphs_keep_the_graph_rules(n):
+    assert _pass_graph_rules(enumerate_line_graphs(n))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_line_dataset_graphs_keep_the_graph_rules(n):
+    assert _pass_graph_rules([e.graph for e in build_line_dataset(n)])
+
+
+def test_random_graphs_keep_the_graph_rules():
+    """20 seeds at each n = 3..20, and trees, where rejection is most frequent."""
+    rng = np.random.default_rng(7)
+    graphs = [random_graph(n, seed) for n in range(3, 21) for seed in range(20)]
+    graphs += [random_connected_graph(n, n - 1, rng) for n in range(3, 21) for _ in range(5)]
+    assert _pass_graph_rules(graphs)
+
+
+def test_relabeled_graphs_keep_the_graph_rules():
+    rng = np.random.default_rng(5)
+    graphs = []
+    for n in range(3, 13):
+        for seed in range(10):
+            perm = [0, 1, *(2 + rng.permutation(n - 2)).tolist()]
+            graphs.append(permute_free_vertices(random_graph(n, seed), perm))
+    assert _pass_graph_rules(graphs)
 
 
 # ====== line graphs ======
