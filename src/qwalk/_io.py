@@ -27,23 +27,23 @@ def write_atomic(path, data: bytes) -> None:
     The bytes go to a fresh temporary file in the target's directory, which
     then replaces the target with os.replace. A failed write removes the
     temporary file and leaves any previous file at `path` untouched. The
-    new file gets the permissions a plain open() would give it. An error
-    creating the temporary file names `path`, the file the caller asked for.
+    new file gets the permissions a plain open() would give it. An OS error
+    names `path`, the file the caller asked for, not the temporary file.
     """
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _cell(value) -> str:

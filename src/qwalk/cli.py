@@ -1,7 +1,7 @@
 """Command-line front end for simulation, datasets, training, and inspection.
 
 Subcommands: simulate, gen-dataset, train, eval, inspect, rerun. Every
-artifact-writing command also writes `<main output>.manifest.json` holding
+artifact-writing command also writes `<first output>.manifest.json` holding
 the resolved flags, seeds, input/output checksums, and timing; `rerun`
 re-executes a manifest in a temporary directory and verifies the
 regenerated artifacts against the recorded checksums, leaving the recorded
@@ -10,6 +10,14 @@ from the manifest's directory, so it replays from any working directory.
 Randomized commands either take an
 explicit --seed or generate one and print it, so nothing depends on hidden
 entropy.
+
+Each command names its input and output files once, to `_files`, which
+checks them all after the usage checks and before any work: every input
+is an existing file, every written file (outputs and manifest) is named
+once among the run's files and is not a directory, and every output is in
+an existing directory and is new unless --force is given. The manifest
+records the same lists. Checks the library makes, such as a graph too
+large for the model, are not restated here.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -88,14 +96,33 @@ def _sha256(path) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _check_overwrite(paths: list, force: bool) -> None:
-    """Refuse, before any work, an output that exists (unless `force`) or
-    whose directory does not."""
-    for path in paths:
-        if path and Path(path).exists() and not force:
-            raise RuntimeError(f"refusing to overwrite {path} (use --force)")
-        if path and not Path(path).parent.is_dir():
+def _files(args: argparse.Namespace, inputs: list, outputs: list) -> tuple[list, list]:
+    """Check a run's files before any work, and return them as given.
+
+    Every input must be an existing file. Every file the run writes (the
+    outputs and `<first output>.manifest.json`) must be named once among
+    all its files, paths compared once resolved, and must not be a
+    directory. An output must be in an existing directory, and must be new
+    unless --force is given.
+    """
+    for path in inputs:
+        if not Path(path).is_file():
+            raise RuntimeError(f"cannot read {path}: no such file")
+    named = dict.fromkeys((Path(p).resolve() for p in inputs), "an input")
+    written = [(_manifest_path(outputs[0]), "the run's manifest")]
+    for path, role in written + [(p, "another output") for p in outputs]:
+        key = Path(path).resolve()
+        if key in named:
+            raise RuntimeError(f"cannot write {path}: the same file is {named[key]}")
+        if Path(path).is_dir():
+            raise RuntimeError(f"cannot write {path}: it is a directory")
+        named[key] = role
+    for path in outputs:
+        if not Path(path).parent.is_dir():
             raise RuntimeError(f"cannot write {path}: no directory {Path(path).parent}")
+        if Path(path).exists() and not args.force:
+            raise RuntimeError(f"refusing to overwrite {path} (use --force)")
+    return inputs, outputs
 
 
 def _manifest_path(main_output) -> str:
@@ -113,20 +140,15 @@ def _map_paths(key: str, value, fn):
     return value
 
 
-def _write_manifest(
-    command: str,
-    args: argparse.Namespace,
-    inputs: list,
-    outputs: list,
-    started: float,
-    main_output,
-) -> str:
-    """Write the run's manifest, with relative paths taken from its directory.
+def _write_manifest(command: str, args: argparse.Namespace, files: tuple, started: float) -> str:
+    """Write the manifest of a run whose (inputs, outputs) `_files` checked,
+    with relative paths taken from its directory.
 
     The manifest then replays from any working directory, and the run's
     directory may move as a whole.
     """
-    path = _manifest_path(main_output)
+    inputs, outputs = files
+    path = _manifest_path(outputs[0])
     home = os.path.dirname(path) or os.curdir
 
     def relative(p) -> str:
@@ -169,8 +191,6 @@ def _walk_config(args: argparse.Namespace) -> WalkConfig:
 def _load_datasets(paths: list, drop_indet: bool) -> list[Dataset]:
     loaded = []
     for path in paths:
-        if not Path(path).exists():
-            raise RuntimeError(f"dataset file not found: {path}")
         d = load(path)
         loaded.append(drop_indeterminate(d) if drop_indet else d)
     return loaded
@@ -245,11 +265,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             graph = line_graph(len(labeling), labeling)
         except ValueError as exc:
             raise UsageError(f"bad --line value: {exc}") from exc
-        inputs: list = []
     else:
         graph = _read_graph_file(args.graph, args.v_init, args.v_target)
-        inputs = [args.graph]
-    _check_overwrite([args.out], args.force)
+    files = _files(args, [args.graph] if args.graph is not None else [], [args.out])
     outcome = label_graph(graph, _walk_config(args), record_traces=True)
     write_trace_csv(outcome, args.out)
     print(f"p_threshold: {outcome.p_threshold:.6f}")
@@ -259,7 +277,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if outcome.indeterminate:
         print(f"note: neither walker crossed the threshold by t_max={outcome.t_max:g}")
     print(f"trace written to {args.out}")
-    _write_manifest("simulate", args, inputs, [args.out], started, args.out)
+    _write_manifest("simulate", args, files, started)
     return 0
 
 
@@ -269,7 +287,7 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if args.kind == "random" and args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
-    _check_overwrite([args.out], args.force)
+    files = _files(args, [], [args.out])
     cfg = _walk_config(args)
     if args.kind == "line":
         dataset = build_line_dataset(args.n, cfg)
@@ -285,7 +303,7 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
     print(f"class fractions: classical {kappa[0]:.4f}, quantum {kappa[1]:.4f}")
     if flagged:
         print(f"indeterminate examples retained: {flagged}")
-    _write_manifest("gen-dataset", args, [], [args.out], started, args.out)
+    _write_manifest("gen-dataset", args, files, started)
     return 0
 
 
@@ -306,15 +324,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    # the seed is printed, when generated, only once every flag has passed
+    args.history_out = args.history_out or f"{Path(args.model_out).with_suffix('')}.history.csv"
+    files = _files(args, args.train + args.test, [args.model_out, args.history_out])
+    # the seed is printed, when generated, only once every flag and file has passed
     args.seed = _resolve_seed(args.seed)
     model_seed, batch_seed, holdout_seed = (
         int(s) for s in np.random.default_rng(args.seed).integers(2**63, size=3)
     )
     schedule = replace(schedule, seed=batch_seed)
-    history_out = args.history_out or str(Path(args.model_out).with_suffix("")) + ".history.csv"
-    args.history_out = history_out
-    _check_overwrite([args.model_out, history_out], args.force)
 
     train_parts = _load_datasets(args.train, args.drop_indeterminate)
     test_sets = _load_datasets(args.test, args.drop_indeterminate)
@@ -323,17 +340,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         train_set, held_out = split(train_set, 1.0 - args.holdout, holdout_seed)
         test_sets = [held_out] + test_sets
 
-    needed = max(d.max_n for d in [train_set] + test_sets)
-    n_max = args.n_max if args.n_max is not None else needed
-    if n_max < needed:
-        raise RuntimeError(
-            f"--n-max {n_max} is smaller than the largest graph ({needed} vertices)"
-        )
-
+    n_max = args.n_max
+    if n_max is None:
+        n_max = max(d.max_n for d in [train_set] + test_sets)
     model = new_model(args.variant, n_max, model_seed, args.lr, args.hidden_width)
     model, history = train(model, train_set, test_sets, schedule)
     save_model(model, args.model_out)
-    write_history_csv(history, history_out)
+    write_history_csv(history, args.history_out)
     print(f"trained {args.variant} model (n_max={n_max}) on {len(train_set)} examples")
     # the final epoch's history row holds each test set's metrics
     for i, test in enumerate(test_sets):
@@ -342,31 +355,21 @@ def cmd_train(args: argparse.Namespace) -> int:
         accuracy = history[-1][f"test_accuracy{suffix}"]
         print(f"{name} ({len(test)} examples): accuracy {accuracy:.4f}")
     print(f"model written to {args.model_out}")
-    print(f"history written to {history_out}")
-    inputs = list(args.train) + list(args.test)
-    _write_manifest(
-        "train", args, inputs, [args.model_out, history_out], started, args.model_out
-    )
+    print(f"history written to {args.history_out}")
+    _write_manifest("train", args, files, started)
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    _check_overwrite([args.out], args.force)
-    if not Path(args.model).exists():
-        raise RuntimeError(f"model file not found: {args.model}")
+    files = _files(args, [args.model, args.data], [args.out])
     model = load_model(args.model)
     dataset = _load_datasets([args.data], args.drop_indeterminate)[0]
-    if dataset.max_n > model.n_max:
-        raise RuntimeError(
-            f"dataset has graphs with {dataset.max_n} vertices but the model "
-            f"allows at most {model.n_max}"
-        )
     metrics = evaluate(model, dataset)
     _print_metrics(metrics)
     write_metrics_csv(metrics, args.out)
     print(f"metrics written to {args.out}")
-    _write_manifest("eval", args, [args.model, args.data], [args.out], started, args.out)
+    _write_manifest("eval", args, files, started)
     return 0
 
 
@@ -391,21 +394,18 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     started = time.monotonic()
     if (args.model is None) == (args.ensemble is None):
         raise UsageError("give exactly one of MODEL or --ensemble DIR")
-    _check_overwrite([args.out], args.force)
     if args.model is not None:
-        if not Path(args.model).exists():
-            raise RuntimeError(f"model file not found: {args.model}")
+        files = _files(args, [args.model], [args.out])
         _inspect_single(load_model(args.model), args.out)
-        inputs = [args.model]
     else:
         paths = sorted(Path(args.ensemble).glob("*.json"))
-        paths = [p for p in paths if not p.name.endswith(".manifest.json")]
+        paths = [str(p) for p in paths if not p.name.endswith(".manifest.json")]
         if not paths:
             raise RuntimeError(f"no model files (*.json) under {args.ensemble}")
+        files = _files(args, paths, [args.out])
         _inspect_ensemble([load_model(p) for p in paths], args.out)
-        inputs = [str(p) for p in paths]
     print(f"weight table written to {args.out}")
-    _write_manifest("inspect", args, inputs, [args.out], started, args.out)
+    _write_manifest("inspect", args, files, started)
     return 0
 
 

@@ -36,7 +36,6 @@ take theirs from it. `load_model` also refuses non-finite weights.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
@@ -164,20 +163,13 @@ class _Architecture:
 def _architecture(variant: str, n_max: int, hidden_width: int) -> _Architecture:
     """The sizes of an architecture, after checking its hyperparameters.
 
-    Every weight shape and row width in this module is read from here. The
-    sizes are memoized on Python-int keys, so a training step derives none.
+    Every weight shape and row width in this module is read from here.
     """
     if variant not in ("simple", "full"):
         raise ValueError(f"variant must be 'simple' or 'full', got {variant!r}")
     n_max = _integer("n_max", n_max, 3)
     # a full model without hidden units would learn only its output bias
-    low = 1 if variant == "full" else 0
-    return _sizes(variant, n_max, _integer("hidden_width", hidden_width, low))
-
-
-@functools.cache
-def _sizes(variant: str, n_max: int, hidden_width: int) -> _Architecture:
-    """`_architecture` for a known variant and checked Python-int sizes."""
+    hidden_width = _integer("hidden_width", hidden_width, 1 if variant == "full" else 0)
     if variant == "simple":
         width = 4 * n_max + 1
         shapes = MappingProxyType({"last": (width, 2)})

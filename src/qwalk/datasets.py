@@ -99,6 +99,8 @@ class Example:
             self.classical_hit_time is None and self.quantum_hit_time is None
         ):
             raise ValueError("an indeterminate example cannot carry hitting times")
+        if not isinstance(self.provenance, dict):
+            raise TypeError(f"provenance must be a dict, got {self.provenance!r}")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,12 @@ Tests verify:
 - simulate on inline line specs and graph files (packed, space- or
   tab-separated)
 - gen-dataset line/random flows and overwrite protection
-- an output whose directory does not exist is refused before any work,
-  naming the output (exit 1)
+- every run's files are checked before any work (exit 1, nothing written):
+  a missing input, an output whose directory does not exist, and a
+  written file (output or manifest) that is a directory or is named twice
+  among the run's files, also with --force
+- usage errors (exit 2) name their argument and write nothing
+- a graph too large for the model is refused with `encode`'s message
 - train/eval/inspect round trips through real files; a model whose weights
   are a list and a dataset whose header metadata is a number end in
   `qwalk: error:` (exit 1)
@@ -19,7 +23,8 @@ Tests verify:
   also from manifests that carry retired walk flags
 - relative manifest paths resolve against the manifest's directory
   (version 2) or the working directory (version 1)
-- rerun names each drifted or missing input and does not replay
+- rerun names each drifted or missing input and does not replay, and
+  names each recorded output the replay did not write
 - rerun refuses a malformed manifest (not JSON, or a version outside
   1..2), a command that writes no manifest,
   or a recorded value its command's parser could not have produced, with
@@ -44,6 +49,11 @@ from qwalk.cli import build_parser, main
 
 def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _tree(root) -> dict:
+    """Every path under `root`, with a file's bytes (None for a directory)."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))}
 
 
 # ====== simulate ======
@@ -112,6 +122,44 @@ def test_simulate_needs_exactly_one_graph_source(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv, graph, message",
+    [
+        pytest.param(["simulate", "--line", "1,x", "--out", "{out}"], None,
+                     "--line expects comma-separated integers, got '1,x'", id="line-not-integers"),
+        pytest.param(["simulate", "--graph", "{graph}", "--out", "{out}"],
+                     "0110\n10x0\n1101\n0010\n",
+                     "graph file {graph} has a non-binary row: '10x0'", id="graph-non-binary-row"),
+        pytest.param(["simulate", "--graph", "{graph}", "--out", "{out}"],
+                     "0110\n1010\n1101\n0000\n",
+                     "graph file {graph} is not a valid graph: adjacency must be symmetric",
+                     id="graph-asymmetric"),
+        pytest.param(["inspect", "{model}", "--ensemble", "{tmp}", "--out", "{out}"], None,
+                     "give exactly one of MODEL or --ensemble DIR", id="inspect-both"),
+        pytest.param(["inspect", "--out", "{out}"], None,
+                     "give exactly one of MODEL or --ensemble DIR", id="inspect-neither"),
+        pytest.param(["rerun", "{tmp}/none.manifest.json"], None,
+                     "manifest not found: {tmp}/none.manifest.json", id="rerun-missing-manifest"),
+    ],
+)
+def test_usage_errors_name_their_argument(tmp_path, capsys, argv, graph, message):
+    """A bad command line exits 2 with the usage text and its message, and
+    writes nothing."""
+    paths = {"tmp": tmp_path, "out": tmp_path / "out.csv", "model": tmp_path / "m.json",
+             "graph": tmp_path / "g.txt"}
+    if graph is not None:
+        paths["graph"].write_text(graph)
+    qwalk.save_model(qwalk.new_model("simple", 4, seed=0), paths["model"])
+    before = _tree(tmp_path)
+    rc = main([arg.format(**paths) for arg in argv])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("usage: ")
+    assert err.endswith(f"qwalk: error: {message.format(**paths)}\n")
+    assert out == ""
+    assert _tree(tmp_path) == before
+
+
 # ====== gen-dataset ======
 
 
@@ -153,6 +201,24 @@ def test_gen_dataset_refuses_overwrite_without_force(tmp_path, capsys):
     assert main(["gen-dataset", "line", "--n", "4", "--out", str(out), "--force"]) == 0
 
 
+def _run_files(tmp_path, capsys) -> dict:
+    """The files the refusal tests name, by their argv placeholder: a line
+    dataset and a model trained on it (each with its manifest), a graph
+    file, a directory, and paths that do not exist."""
+    data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+    assert main(["gen-dataset", "line", "--n", "4", "--out", str(data)]) == 0
+    assert main(["train", "--train", str(data), "--epochs", "2", "--seed", "1",
+                 "--model-out", str(model)]) == 0
+    (graph := tmp_path / "g.txt").write_text("0110\n1010\n1101\n0010\n")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "s.csv.manifest.json").mkdir()
+    capsys.readouterr()
+    return {"tmp": tmp_path, "data": data, "model": model, "graph": graph,
+            "dir": tmp_path / "dir", "new": tmp_path / "new.json",
+            "shadowed": tmp_path / "s.csv", "missing": tmp_path / "missing.jsonl",
+            "out": tmp_path / "nodir" / "x.out"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -167,20 +233,100 @@ def test_gen_dataset_refuses_overwrite_without_force(tmp_path, capsys):
     ids=["gen-dataset", "simulate", "train-model", "train-history", "eval", "inspect"],
 )
 def test_missing_output_directory_is_refused_before_any_work(tmp_path, capsys, argv):
-    data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
-    assert main(["gen-dataset", "line", "--n", "4", "--out", str(data)]) == 0
-    assert main(["train", "--train", str(data), "--epochs", "2", "--seed", "1",
-                 "--model-out", str(model)]) == 0
+    paths = _run_files(tmp_path, capsys)
     made = sorted(tmp_path.iterdir())
-    out = tmp_path / "nodir" / "x.out"
-    capsys.readouterr()
-    paths = {"out": out, "data": data, "model": model, "new": tmp_path / "new.json"}
+    out = paths["out"]
     rc = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == f"qwalk: error: cannot write {out}: no directory {out.parent}\n"
     assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == made
+
+
+_TRAIN_ON_DATA = ["train", "--train", "{data}", "--epochs", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param([*_TRAIN_ON_DATA, "--model-out", "{new}", "--history-out", "{new}"],
+                     "cannot write {new}: the same file is another output",
+                     id="two-outputs-train"),
+        pytest.param([*_TRAIN_ON_DATA, "--model-out", "{new}",
+                      "--history-out", "{dir}/../new.json"],
+                     "cannot write {dir}/../new.json: the same file is another output",
+                     id="two-outputs-train-respelled"),
+        pytest.param([*_TRAIN_ON_DATA, "--model-out", "{new}",
+                      "--history-out", "{new}.manifest.json"],
+                     "cannot write {new}.manifest.json: the same file is the run's manifest",
+                     id="manifest-name-train"),
+        pytest.param(["eval", "--model", "{model}", "--data", "{data}.manifest.json",
+                      "--out", "{data}", "--force"],
+                     "cannot write {data}.manifest.json: the same file is an input",
+                     id="manifest-name-is-input-eval"),
+        pytest.param(["simulate", "--graph", "{graph}", "--out", "{graph}", "--force"],
+                     "cannot write {graph}: the same file is an input", id="input-simulate"),
+        pytest.param([*_TRAIN_ON_DATA, "--model-out", "{data}", "--force"],
+                     "cannot write {data}: the same file is an input", id="input-train-model"),
+        pytest.param([*_TRAIN_ON_DATA, "--test", "{model}", "--model-out", "{new}",
+                      "--history-out", "{model}", "--force"],
+                     "cannot write {model}: the same file is an input",
+                     id="input-train-history"),
+        pytest.param(["eval", "--model", "{model}", "--data", "{data}", "--out", "{data}",
+                      "--force"],
+                     "cannot write {data}: the same file is an input", id="input-eval"),
+        pytest.param(["inspect", "{model}", "--out", "{model}", "--force"],
+                     "cannot write {model}: the same file is an input", id="input-inspect"),
+        pytest.param(["inspect", "--ensemble", "{tmp}", "--out", "{model}", "--force"],
+                     "cannot write {model}: the same file is an input",
+                     id="input-inspect-ensemble"),
+        pytest.param(["gen-dataset", "line", "--n", "4", "--out", "{dir}", "--force"],
+                     "cannot write {dir}: it is a directory", id="directory-gen-dataset"),
+        pytest.param(["simulate", "--line", "1,3,2", "--out", "{dir}", "--force"],
+                     "cannot write {dir}: it is a directory", id="directory-simulate"),
+        pytest.param([*_TRAIN_ON_DATA, "--model-out", "{dir}", "--force"],
+                     "cannot write {dir}: it is a directory", id="directory-train-model"),
+        pytest.param([*_TRAIN_ON_DATA, "--model-out", "{new}", "--history-out", "{dir}",
+                      "--force"],
+                     "cannot write {dir}: it is a directory", id="directory-train-history"),
+        pytest.param(["eval", "--model", "{model}", "--data", "{data}", "--out", "{dir}",
+                      "--force"],
+                     "cannot write {dir}: it is a directory", id="directory-eval"),
+        pytest.param(["inspect", "{model}", "--out", "{dir}", "--force"],
+                     "cannot write {dir}: it is a directory", id="directory-inspect"),
+        pytest.param(["gen-dataset", "line", "--n", "4", "--out", "{shadowed}"],
+                     "cannot write {shadowed}.manifest.json: it is a directory",
+                     id="directory-manifest-gen-dataset"),
+        pytest.param(["eval", "--model", "{model}", "--data", "{data}", "--out", "{shadowed}"],
+                     "cannot write {shadowed}.manifest.json: it is a directory",
+                     id="directory-manifest-eval"),
+        pytest.param(["train", "--train", "{missing}", "--model-out", "{new}"],
+                     "cannot read {missing}: no such file", id="missing-train-data"),
+        pytest.param([*_TRAIN_ON_DATA, "--test", "{missing}", "--model-out", "{new}"],
+                     "cannot read {missing}: no such file", id="missing-test-data"),
+        pytest.param(["eval", "--model", "{missing}", "--data", "{data}", "--out", "{new}"],
+                     "cannot read {missing}: no such file", id="missing-eval-model"),
+        pytest.param(["eval", "--model", "{model}", "--data", "{missing}", "--out", "{new}"],
+                     "cannot read {missing}: no such file", id="missing-eval-data"),
+        pytest.param(["inspect", "{missing}", "--out", "{new}"],
+                     "cannot read {missing}: no such file", id="missing-inspect-model"),
+    ],
+)
+def test_run_files_are_checked_before_any_work(tmp_path, capsys, argv, message):
+    """Every input is an existing file; every file a run writes (its outputs
+    and its manifest) is named once among the run's files, paths compared
+    once resolved, and is not a directory, even with --force. A refused
+    run exits 1 with its message, prints nothing else (not even a generated
+    seed) and leaves every file as it was."""
+    paths = _run_files(tmp_path, capsys)
+    before = _tree(tmp_path)
+    rc = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"qwalk: error: {message.format(**paths)}\n"
+    assert captured.out == ""
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize(
@@ -301,13 +447,20 @@ def test_train_reports_test_accuracy_from_its_history(tmp_path, capsys, monkeypa
 
 
 def test_train_rejects_too_small_n_max(tmp_path, capsys):
+    """A graph larger than --n-max is refused by `encode`, before any write."""
     d5 = tmp_path / "d5.jsonl"
     main(["gen-dataset", "line", "--n", "5", "--out", str(d5)])
+    before = _tree(tmp_path)
+    capsys.readouterr()
     rc = main([
         "train", "--train", str(d5), "--n-max", "4",
         "--epochs", "5", "--seed", "0", "--model-out", str(tmp_path / "m.json"),
     ])
     assert rc == 1
+    assert capsys.readouterr().err == (
+        "qwalk: error: graph has 5 vertices but the model allows 4\n"
+    )
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize(
@@ -364,9 +517,14 @@ def test_eval_rejects_undersized_model(tmp_path, capsys):
     main(["train", "--train", str(d4), "--epochs", "5", "--seed", "0",
           "--model-out", str(model_path)])
     capsys.readouterr()
-    rc = main(["eval", "--model", str(model_path), "--data", str(d5)])
+    before = _tree(tmp_path)
+    rc = main(["eval", "--model", str(model_path), "--data", str(d5),
+               "--out", str(tmp_path / "metrics.csv")])
     assert rc == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "qwalk: error: graph has 5 vertices but the model allows 4\n"
+    )
+    assert _tree(tmp_path) == before
 
 
 def test_eval_rejects_a_model_with_float_sizes(tmp_path, capsys):
@@ -429,6 +587,20 @@ def test_inspect_rejects_non_model_file(tmp_path, capsys):
     main(["gen-dataset", "line", "--n", "4", "--out", str(data)])
     rc = main(["inspect", str(data), "--out", str(tmp_path / "w.csv")])
     assert rc == 1
+
+
+def test_inspect_ensemble_needs_a_model_file(tmp_path, capsys):
+    """A directory without model files is refused; run manifests there do
+    not count as models."""
+    (tmp_path / "models").mkdir()
+    (tmp_path / "models" / "m.json.manifest.json").write_text("{}")
+    rc = main(["inspect", "--ensemble", str(tmp_path / "models"),
+               "--out", str(tmp_path / "w.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"qwalk: error: no model files (*.json) under {tmp_path / 'models'}\n"
+    )
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_inspect_ensemble_reports_mean_and_deviation(tmp_path):
@@ -761,6 +933,23 @@ def test_rerun_names_drifted_inputs_and_does_not_replay(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"DRIFTED {data}: recorded {recorded}, now missing"
     ]
+
+
+def test_rerun_names_an_output_the_replay_did_not_write(tmp_path, capsys):
+    """A recorded output that the replayed command does not write is printed
+    as MISSING and fails the rerun; the outputs it did write are checked."""
+    out = tmp_path / "d.jsonl"
+    main(["gen-dataset", "line", "--n", "4", "--out", str(out)])
+    manifest_path = tmp_path / "d.jsonl.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"]["extra.csv"] = "sha256:" + "0" * 64
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = main(["rerun", str(manifest_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines[0] == f"replaying gen-dataset from {manifest_path}"
+    assert lines[-2:] == [f"ok {out}", f"MISSING {tmp_path / 'extra.csv'}"]
 
 
 def test_rerun_accepts_manifests_with_retired_walk_flags(tmp_path, capsys):

@@ -21,13 +21,16 @@ Tests verify:
   and the conv-weight gradient against a loop oracle at n_max 4 and 15,
   batches of 1 and 3
 - SGD update arithmetic by the model's own rate, the descent property,
-  and misshapen gradients or a rate set below 0 refused
+  and misshapen, missing or unknown gradients or a rate set below 0 refused
+- an empty batch, a label count that does not match the rows, and inverse
+  class weights over a zero class fraction refused
 - prediction tie-breaking and monotone-transform invariance
 - last-layer export layout (29 rows per class at n_max=7)
 - model file round-trips (bit-exact weights over generated models,
   hypothesis; a numpy-integer seed) and malformed-file rejection, float
-  or bool sizes, a weights list, non-finite weights, non-integer seeds
-  and a missing variant included; the file holds exactly the model's
+  or bool sizes, a weights list, non-finite weights, non-integer seeds,
+  a missing or unknown variant and weight names of another variant
+  included; the file holds exactly the model's
   fields, and absent optional fields take the class's defaults
 - a failed save leaves the previous model file intact and no temporary file
 """
@@ -36,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -539,6 +543,24 @@ def test_loss_inverse_weighting_switch():
     assert abs(inverse - 5.0 * math.log(2)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "rows, labels, kappas, message",
+    [
+        (0, [], (0.5, 0.5), "batch must be nonempty"),
+        (2, [QUANTUM], (0.5, 0.5), "1 labels for 2 rows of scores"),
+        (2, [CLASSICAL, QUANTUM], (1.0, 0.0), "cannot invert zero class fraction for label 1"),
+    ],
+    ids=["empty-batch", "label-count", "inverse-of-zero-fraction"],
+)
+def test_loss_and_gradients_refuse_a_batch_they_cannot_weigh(rows, labels, kappas, message):
+    """The batch is nonempty with one label per row, and the inverse class
+    weights (always asked for here) need every batch label's fraction > 0."""
+    model = new_model("simple", n_max=4, seed=0)
+    inputs = encode(model, [line_graph(4, [0, 1, 2, 3])] * rows)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        loss_and_gradients(model, inputs, labels, kappas, inverse_class_weights=True)
+
+
 def test_loss_of_rows_is_their_mean():
     """score_loss over rows is the mean of its one-row values, and it is the
     loss that loss_and_gradients reports."""
@@ -709,18 +731,28 @@ def test_sgd_leaves_input_model_alone():
     assert np.array_equal(model.weights["last"], before)
 
 
+_NOT_THE_WEIGHTS = "^gradient set does not match model weights$"
+
+
 @pytest.mark.parametrize(
-    "name, grad",
-    [("last", np.ones((1, 2))), ("last", np.float64(1.0)), ("conv", np.ones((3, 3)))],
-    ids=["broadcast-row", "scalar", "broadcast-kernel"],
+    "name, grad, message",
+    [("last", np.ones((1, 2)), "gradient for weight 'last'"),
+     ("last", np.float64(1.0), "gradient for weight 'last'"),
+     ("conv", np.ones((3, 3)), "gradient for weight 'conv'"),
+     ("hidden", None, _NOT_THE_WEIGHTS),
+     ("bias", np.ones(2), _NOT_THE_WEIGHTS)],
+    ids=["broadcast-row", "scalar", "broadcast-kernel", "missing-weight", "unknown-weight"],
 )
-def test_sgd_rejects_misshapen_gradients(name, grad):
+def test_sgd_rejects_misshapen_gradients(name, grad, message):
     """A gradient must have its weight's shape; one that would broadcast is
-    refused, naming the weight."""
+    refused, naming the weight. The gradients must name exactly the model's
+    weights (a None gradient is dropped here)."""
     model = new_model("full", n_max=4, seed=0, learning_rate=0.1)
     grads = {k: np.zeros_like(w) for k, w in model.weights.items()}
     grads[name] = grad
-    with pytest.raises(ValueError, match=f"gradient for weight '{name}'"):
+    if grad is None:
+        del grads[name]
+    with pytest.raises(ValueError, match=message):
         sgd_step(model, grads)
 
 
@@ -970,18 +1002,21 @@ def test_load_model_rejects_malformed_files(tmp_path):
         ("seed", -1, "seed must be >= 0, got -1"),
         ("learning_rate", True, "learning rate must be finite and >= 0, got True"),
         ("variant", None, "missing 1 required positional argument: 'variant'"),
+        ("variant", "deep", "variant must be 'simple' or 'full', got 'deep'"),
+        ("weights", {"last": [[0.0] * 2] * 13, "hidden": [[0.0]]},
+         "variant 'simple' needs weights ['last'], got ['hidden', 'last']"),
     ]
     save_model(new_model("simple", n_max=3, seed=0), good)
     for key, value, message in cases:
         record = json.loads(good.read_text())
-        if key == "variant":
+        if key == "variant" and value is None:
             del record["variant"]
         elif value in ("nan", "inf"):
             record["weights"]["last"][2][1] = float(value)
         else:
             record[key] = value
         bad.write_text(json.dumps(record))
-        with pytest.raises(ModelFormatError, match=f"invalid model record: .*{message}"):
+        with pytest.raises(ModelFormatError, match=f"invalid model record: .*{re.escape(message)}"):
             load_model(bad)
 
 

@@ -11,10 +11,15 @@ Tests verify:
 - byte-exact serialization round-trips (plain and gzip), also over
   generated datasets (hypothesis); a `.gz` file holds exactly the plain
   file's bytes, and each line is the per-record `json.dumps` of its header
-  or example; a save into a missing directory names the target path
-- loader rejections name the offending line, malformed hit times and
-  labels included, and a header metadata that is not an object (line 1);
-  an absent header split or metadata takes the `Dataset` default
+  or example; a save into a missing directory or onto a directory names
+  the target path
+- a dataset needs an example and a known split tag, and merge a dataset
+- loader rejections name the offending line and reason: an empty or
+  undecodable file, a broken header, an empty record or one that is not an
+  object, a missing field, a bad `n` or bitstring, malformed hit times and
+  labels, a provenance that is not an object, and a header metadata that
+  is not an object (line 1); an absent header split or metadata takes the
+  `Dataset` default
 - `load` checks graphs in one stack per vertex count: a bad record in a
   later group fails with its own line number and the message `Graph`
   gives, for every graph rule, and when several records are bad the first
@@ -305,6 +310,12 @@ def test_save_into_a_missing_directory_names_the_target(tmp_path):
         save(_tiny_dataset(), path)
     assert str(info.value) == f"[Errno 2] No such file or directory: '{path}'"
     assert not (tmp_path / "nodir").exists()
+    # a directory target fails at the rename, named as the target, not the temporary file
+    (target := tmp_path / "somedir").mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        save(_tiny_dataset(), target)
+    assert str(info.value) == f"[Errno 21] Is a directory: '{target}'"
+    assert list(tmp_path.iterdir()) == [target] and not any(target.iterdir())
 
 
 def test_save_load_roundtrip_with_numpy_integer_arguments(tmp_path):
@@ -524,6 +535,26 @@ def test_load_rejects_metadata_that_is_not_an_object(tmp_path, metadata):
     assert str(info.value) == f"line 1: metadata must be a dict, got {metadata!r}"
 
 
+@pytest.mark.parametrize("provenance", [5, [1, 2], "x", None],
+                         ids=["number", "list", "string", "null"])
+def test_load_rejects_provenance_that_is_not_an_object(tmp_path, provenance):
+    """A record's provenance must be a JSON object, as an Example's must be
+    a dict; anything else is refused on its line."""
+    g = line_graph(3, [0, 1, 2])
+    with pytest.raises(TypeError, match="provenance must be a dict"):
+        Example(g, CLASSICAL, provenance=provenance)
+    path = tmp_path / "d.jsonl"
+    save(_tiny_dataset(), path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["provenance"] = provenance
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert str(info.value) == f"line 3: provenance must be a dict, got {provenance!r}"
+
+
 def test_load_gives_absent_header_fields_the_dataset_defaults(tmp_path):
     path = tmp_path / "d.jsonl"
     save(Dataset(_tiny_dataset().examples, "train", {"kind": "hand"}), path)
@@ -580,9 +611,12 @@ def test_load_names_the_bad_line(tmp_path):
         (1, "indeterminate", "false"),
         (3, "indeterminate", 0),
         (3, "indeterminate", None),
+        (1, "provenance", [1, 2]),
+        (3, "provenance", "x"),
     ],
     ids=["t-nan", "t-negative", "t-bool", "t-infinite", "label-bool", "label-float",
-         "indeterminate-string", "indeterminate-int", "indeterminate-null"],
+         "indeterminate-string", "indeterminate-int", "indeterminate-null",
+         "provenance-list", "provenance-string"],
 )
 def test_load_rejects_malformed_hit_time_or_label(tmp_path, row, key, value):
     """Hit times must be None or finite, non-negative, non-bool numbers, the
@@ -650,6 +684,73 @@ def test_load_rejects_corrupt_adjacency(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetFormatError):
         load(path)
+
+
+def _joined(lines) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _first_record(**changes):
+    """The tiny dataset's file with each given key of its first record set,
+    or removed when the value is ...; for the refusal table below."""
+    def build(lines):
+        record = json.loads(lines[1])
+        for key, value in changes.items():
+            if value is ...:
+                del record[key]
+            else:
+                record[key] = value
+        return _joined([lines[0], json.dumps(record), *lines[2:]])
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda lines: b"", "line 1: empty file", id="empty-file"),
+        pytest.param(lambda lines: b"\xff" + _joined(lines),
+                     "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+                     "invalid start byte", id="not-utf8"),
+        pytest.param(lambda lines: _joined(['{"format": "qwalk-dataset",', *lines[1:]]),
+                     "line 1: invalid JSON: Expecting property name enclosed in double "
+                     "quotes: line 1 column 28 (char 27)", id="broken-header"),
+        pytest.param(lambda lines: _joined(["[1, 2]", *lines[1:]]),
+                     "line 1: missing dataset header", id="header-not-an-object"),
+        pytest.param(lambda lines: _joined([lines[0], "", *lines[1:]]),
+                     "line 2: empty record", id="empty-record"),
+        pytest.param(lambda lines: _joined([lines[0], "[1, 2]", *lines[1:]]),
+                     "line 2: record must be a JSON object", id="record-not-an-object"),
+        pytest.param(_first_record(label=...), "line 2: missing field 'label'",
+                     id="missing-field"),
+        pytest.param(_first_record(n=2), "line 2: n must be >= 3, got 2", id="n-too-small"),
+        pytest.param(_first_record(n="3"), "line 2: n must be an integer, got '3'",
+                     id="n-string"),
+        pytest.param(_first_record(adjacency="0110"),
+                     "line 2: adjacency must be a bitstring of length n*n",
+                     id="adjacency-short"),
+        pytest.param(_first_record(adjacency="01101011é"),
+                     "line 2: adjacency must be a bitstring of length n*n",
+                     id="adjacency-not-ascii"),
+    ],
+)
+def test_load_refusals_give_their_line_and_reason(tmp_path, build, message):
+    """Each way a file can fail to parse is refused with a DatasetFormatError
+    naming its line (the decoding errors name none) and the reason."""
+    path = tmp_path / "d.jsonl"
+    save(_tiny_dataset(), path)
+    path.write_bytes(build(path.read_text().splitlines()))
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert str(info.value) == message
+
+
+def test_datasets_refuse_no_examples_and_unknown_split_tags():
+    with pytest.raises(ValueError, match="^a dataset must contain at least one example$"):
+        Dataset(())
+    with pytest.raises(ValueError, match="^split_tag must be one of .*, got 'dev'$"):
+        Dataset(_tiny_dataset().examples, "dev")
+    with pytest.raises(ValueError, match="^merge needs at least one dataset$"):
+        merge([])
 
 
 def test_load_rejects_non_gzip_bytes(tmp_path):

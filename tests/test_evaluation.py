@@ -13,7 +13,8 @@ Tests verify:
   evaluate calls read it in a row; it keeps one key's rows only; the kept
   rows are read-only, leave `==` and `repr` alone, and train exactly as
   freshly encoded rows do
-- ensemble mean/deviation identities and architecture checks
+- ensemble mean/deviation identities, and the architecture, schedule and
+  at-least-one-run checks
 - CSV writers' layouts
 """
 from __future__ import annotations
@@ -443,8 +444,17 @@ def test_ensemble_rejects_mixed_architectures():
 def test_ensemble_rejects_mismatched_schedules():
     r1 = _quick_runs([9], epochs=30)[0]
     r2 = _quick_runs([9], epochs=40)[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ensemble histories must share one schedule$"):
         ensemble_stats([r1, r2])
+    # as long, but over other epochs
+    shifted = [{**row, "epoch": row["epoch"] + 1} for row in r1[1]]
+    with pytest.raises(ValueError, match="^ensemble histories must share one schedule$"):
+        ensemble_stats([r1, (r1[0], shifted)])
+
+
+def test_ensemble_needs_a_run():
+    with pytest.raises(ValueError, match="^ensemble_stats needs at least one run$"):
+        ensemble_stats([])
 
 
 # ====== CSV export ======

@@ -16,6 +16,7 @@ Tests verify:
   independent of the propagator ladder's base step
 - recorded traces that bracket the located hit times
 - invariance under free-vertex relabeling
+- the trace CSV, and its refusal of an outcome recorded without traces
 """
 from __future__ import annotations
 
@@ -394,3 +395,10 @@ def test_write_trace_csv_roundtrip(tmp_path):
     assert (t, pc, pq) == (0.0, 0.0, 0.0)
     last = [float(x) for x in lines[-1].split(",")]
     assert last[2] == out.quantum_trace.values[-1]
+
+
+def test_write_trace_csv_needs_recorded_traces(tmp_path):
+    out = label_graph(line_graph(3, [0, 2, 1]))
+    with pytest.raises(ValueError, match="^outcome carries no traces; rerun with record_traces=True$"):
+        write_trace_csv(out, tmp_path / "trace.csv")
+    assert not (tmp_path / "trace.csv").exists()
