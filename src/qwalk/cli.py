@@ -13,11 +13,12 @@ entropy.
 
 Each command names its input and output files once, to `_files`, which
 checks them all after the usage checks and before any work: every input
-is an existing file, every written file (outputs and manifest) is named
-once among the run's files and is not a directory, and every output is in
-an existing directory and is new unless --force is given. The manifest
-records the same lists. Checks the library makes, such as a graph too
-large for the model, are not restated here.
+is an existing file, and every written file (outputs and manifest) is
+named once among the run's files, is not a directory, is in an existing
+directory and is new unless --force is given. The manifest records the
+same lists. Input contents are read only after these checks, and a file
+that cannot be read as its kind is a runtime failure. Checks the library
+makes, such as a graph too large for the model, are not restated here.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -102,22 +103,23 @@ def _files(args: argparse.Namespace, inputs: list, outputs: list) -> tuple[list,
     Every input must be an existing file. Every file the run writes (the
     outputs and `<first output>.manifest.json`) must be named once among
     all its files, paths compared once resolved, and must not be a
-    directory. An output must be in an existing directory, and must be new
-    unless --force is given.
+    directory. It must be in an existing directory, and must be new unless
+    --force is given, so that no run replaces an earlier run's record.
     """
     for path in inputs:
         if not Path(path).is_file():
             raise RuntimeError(f"cannot read {path}: no such file")
     named = dict.fromkeys((Path(p).resolve() for p in inputs), "an input")
-    written = [(_manifest_path(outputs[0]), "the run's manifest")]
-    for path, role in written + [(p, "another output") for p in outputs]:
+    manifest = _manifest_path(outputs[0])
+    written = [(manifest, "the run's manifest")] + [(p, "another output") for p in outputs]
+    for path, role in written:
         key = Path(path).resolve()
         if key in named:
             raise RuntimeError(f"cannot write {path}: the same file is {named[key]}")
         if Path(path).is_dir():
             raise RuntimeError(f"cannot write {path}: it is a directory")
         named[key] = role
-    for path in outputs:
+    for path in [*outputs, manifest]:
         if not Path(path).parent.is_dir():
             raise RuntimeError(f"cannot write {path}: no directory {Path(path).parent}")
         if Path(path).exists() and not args.force:
@@ -236,7 +238,7 @@ def _read_graph_file(path, v_init: int, v_target: int) -> Graph:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot read graph file {path}: {exc}") from exc
+        raise RuntimeError(f"cannot read graph file {path}: {exc}") from exc
     rows = []
     for line in text.splitlines():
         line = line.strip()
@@ -248,11 +250,11 @@ def _read_graph_file(path, v_init: int, v_target: int) -> Graph:
         try:
             rows.append([int(c) for c in cells])
         except ValueError as exc:
-            raise UsageError(f"graph file {path} has a non-binary row: {line!r}") from exc
+            raise ValueError(f"graph file {path} has a non-binary row: {line!r}") from exc
     try:
         return Graph(np.array(rows, dtype=np.int64), v_init, v_target)
     except ValueError as exc:
-        raise UsageError(f"graph file {path} is not a valid graph: {exc}") from exc
+        raise ValueError(f"graph file {path} is not a valid graph: {exc}") from exc
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -265,9 +267,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             graph = line_graph(len(labeling), labeling)
         except ValueError as exc:
             raise UsageError(f"bad --line value: {exc}") from exc
-    else:
-        graph = _read_graph_file(args.graph, args.v_init, args.v_target)
     files = _files(args, [args.graph] if args.graph is not None else [], [args.out])
+    if args.graph is not None:
+        graph = _read_graph_file(args.graph, args.v_init, args.v_target)
     outcome = label_graph(graph, _walk_config(args), record_traces=True)
     write_trace_csv(outcome, args.out)
     print(f"p_threshold: {outcome.p_threshold:.6f}")

@@ -2,8 +2,10 @@
 
 Tests verify:
 - simulate on inline line specs and graph files (packed, space- or
-  tab-separated)
-- gen-dataset line/random flows and overwrite protection
+  tab-separated); a graph file that is missing or is not a graph exits 1
+  and writes nothing
+- gen-dataset line/random flows and overwrite protection, which also
+  keeps the manifest of a run whose output was moved away
 - every run's files are checked before any work (exit 1, nothing written):
   a missing input, an output whose directory does not exist, and a
   written file (output or manifest) that is a directory or is named twice
@@ -110,9 +112,31 @@ def test_simulate_rejects_bad_line_spec(tmp_path, capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_simulate_missing_graph_file_is_usage_error(tmp_path, capsys):
-    rc = main(["simulate", "--graph", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "t.csv")])
-    assert rc == 2
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        pytest.param(None, "cannot read {graph}: no such file", id="missing"),
+        pytest.param("0110\n10x0\n1101\n0010\n",
+                     "graph file {graph} has a non-binary row: '10x0'", id="non-binary-row"),
+        pytest.param("0110\n1010\n1101\n0000\n",
+                     "graph file {graph} is not a valid graph: adjacency must be symmetric",
+                     id="asymmetric"),
+    ],
+)
+def test_simulate_refuses_a_bad_graph_file(tmp_path, capsys, graph, message):
+    """A graph file that is missing or cannot be read as a graph is a
+    runtime failure, as every other input is: exit 1 with its message, no
+    usage text, and nothing written."""
+    path = tmp_path / "g.txt"
+    if graph is not None:
+        path.write_text(graph)
+    before = _tree(tmp_path)
+    rc = main(["simulate", "--graph", str(path), "--out", str(tmp_path / "t.csv")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"qwalk: error: {message.format(graph=path)}\n"
+    assert captured.out == ""
+    assert _tree(tmp_path) == before
 
 
 def test_simulate_needs_exactly_one_graph_source(tmp_path):
@@ -123,32 +147,22 @@ def test_simulate_needs_exactly_one_graph_source(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, graph, message",
+    "argv, message",
     [
-        pytest.param(["simulate", "--line", "1,x", "--out", "{out}"], None,
+        pytest.param(["simulate", "--line", "1,x", "--out", "{out}"],
                      "--line expects comma-separated integers, got '1,x'", id="line-not-integers"),
-        pytest.param(["simulate", "--graph", "{graph}", "--out", "{out}"],
-                     "0110\n10x0\n1101\n0010\n",
-                     "graph file {graph} has a non-binary row: '10x0'", id="graph-non-binary-row"),
-        pytest.param(["simulate", "--graph", "{graph}", "--out", "{out}"],
-                     "0110\n1010\n1101\n0000\n",
-                     "graph file {graph} is not a valid graph: adjacency must be symmetric",
-                     id="graph-asymmetric"),
-        pytest.param(["inspect", "{model}", "--ensemble", "{tmp}", "--out", "{out}"], None,
+        pytest.param(["inspect", "{model}", "--ensemble", "{tmp}", "--out", "{out}"],
                      "give exactly one of MODEL or --ensemble DIR", id="inspect-both"),
-        pytest.param(["inspect", "--out", "{out}"], None,
+        pytest.param(["inspect", "--out", "{out}"],
                      "give exactly one of MODEL or --ensemble DIR", id="inspect-neither"),
-        pytest.param(["rerun", "{tmp}/none.manifest.json"], None,
+        pytest.param(["rerun", "{tmp}/none.manifest.json"],
                      "manifest not found: {tmp}/none.manifest.json", id="rerun-missing-manifest"),
     ],
 )
-def test_usage_errors_name_their_argument(tmp_path, capsys, argv, graph, message):
+def test_usage_errors_name_their_argument(tmp_path, capsys, argv, message):
     """A bad command line exits 2 with the usage text and its message, and
     writes nothing."""
-    paths = {"tmp": tmp_path, "out": tmp_path / "out.csv", "model": tmp_path / "m.json",
-             "graph": tmp_path / "g.txt"}
-    if graph is not None:
-        paths["graph"].write_text(graph)
+    paths = {"tmp": tmp_path, "out": tmp_path / "out.csv", "model": tmp_path / "m.json"}
     qwalk.save_model(qwalk.new_model("simple", 4, seed=0), paths["model"])
     before = _tree(tmp_path)
     rc = main([arg.format(**paths) for arg in argv])
@@ -198,6 +212,22 @@ def test_gen_dataset_refuses_overwrite_without_force(tmp_path, capsys):
     assert main(["gen-dataset", "line", "--n", "4", "--out", str(out)]) == 0
     rc = main(["gen-dataset", "line", "--n", "4", "--out", str(out)])
     assert rc == 1
+    assert main(["gen-dataset", "line", "--n", "4", "--out", str(out), "--force"]) == 0
+
+
+def test_gen_dataset_keeps_the_manifest_of_a_moved_output(tmp_path, capsys):
+    """After `mv a.jsonl kept.jsonl`, a new run to a.jsonl would replace the
+    only record of how kept.jsonl was made: it is refused without --force."""
+    out, manifest = tmp_path / "a.jsonl", tmp_path / "a.jsonl.manifest.json"
+    assert main(["gen-dataset", "line", "--n", "4", "--out", str(out)]) == 0
+    out.rename(tmp_path / "kept.jsonl")
+    recorded = manifest.read_bytes()
+    capsys.readouterr()
+    rc = main(["gen-dataset", "line", "--n", "4", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"qwalk: error: refusing to overwrite {manifest} (use --force)\n"
+    assert manifest.read_bytes() == recorded
+    assert not out.exists()
     assert main(["gen-dataset", "line", "--n", "4", "--out", str(out), "--force"]) == 0
 
 
