@@ -12,11 +12,15 @@ crosses the detection threshold 1/ln(n) strictly before the classical
 target probability does.
 
 Both walkers are propagated on one path: `label_graph` builds a ladder of
-exact propagators exp(G h) per walker, locates each hit time by descending
-it, and records the curves for `simulate` on the same rungs. Each ladder
-starts from two matrix exponentials, which `_exp` computes in numpy by
-scaling and squaring a truncated Taylor series, so walks need no library
-beyond numpy.
+exact propagators exp(G h) per walker, locates each hit time by climbing
+and descending it, and records the curves for `simulate` on the same
+rungs. Each ladder has one anchor, exp(0.1 G), computed in numpy by
+scaling and squaring a truncated Taylor series; its squarings are the
+ladder's shortest rungs, and longer rungs are squared only when a walk
+reaches them. Inside the last step before a crossing the state is the
+same Taylor series, so the crossing is placed on the grid of step
+0.1 * 2**-24 from a polynomial in the step fraction. Walks need no
+library beyond numpy.
 """
 
 from __future__ import annotations
@@ -47,19 +51,24 @@ QUANTUM = 1
 LABEL_NAMES = {CLASSICAL: "classical", QUANTUM: "quantum"}
 
 # The label path propagates with a ladder of exact propagators exp(G h)
-# for h = _BASE_STEP * 2**j, j = -_FINE_LEVELS, ..., J, where the longest
-# step reaches the horizon. Hit times are located on the grid of the
-# shortest step, 0.1 * 2**-24 (about 6e-9).
+# that starts at h = _BASE_STEP, halved as often as the anchor G _BASE_STEP
+# needs to reach a 1-norm of 2, and doubles per rung. Hit times are located
+# on the grid of step _BASE_STEP * 2**-_GRID_LEVELS (about 6e-9).
 _BASE_STEP = 0.1
-_FINE_LEVELS = 24
+_GRID_LEVELS = 24
 # Records per window of a recorded trace; after each window the record
 # interval doubles, starting from _BASE_STEP, so late, slow dynamics are
 # sampled coarsely.
 _WINDOW_RECORDS = 256
-# The Taylor coefficients 1/k!, k = 0..24, of `_exp`, in five blocks of five.
+# The Taylor coefficients 1/k!, k = 0..24, of the ladder's series, in five
+# blocks of five.
 _TAYLOR_BLOCKS = np.array([[1.0 / math.factorial(5 * j + i) for i in range(5)] for j in range(5)])
-# The 1-norm up to which `_exp` sums the series only to degree 2.
-_TINY_NORM = 2.0**-17
+# k + l for entry (k, l) of the series terms' Gram matrix: the power of the
+# step fraction that entry multiplies.
+_GRAM_DEGREES = np.add.outer(np.arange(25), np.arange(25)).ravel()
+# Newton probes for the crossing inside the last step before bisection
+# takes over; most crossings need three or four.
+_NEWTON_PROBES = 8
 
 
 @dataclass(frozen=True)
@@ -153,106 +162,176 @@ def label_from_hit_times(t_classical: float | None, t_quantum: float | None) -> 
     return CLASSICAL
 
 
-# ====== label path: binary descent over a propagator ladder ======
+# ====== label path: a propagator ladder, descended, then a Taylor series ======
 
 
-def _rung_step(k: int) -> float:
-    return _BASE_STEP * 2.0 ** (k - _FINE_LEVELS)
+class _Ladder:
+    """The propagators exp(G h_k), h_k = _BASE_STEP * 2**(k - squarings),
+    for k = 0, 1, ..., each squared from the one below when first asked for.
 
-
-def _exp(x: np.ndarray) -> np.ndarray:
-    """exp(x) of a square matrix, by scaling and squaring a truncated
-    Taylor series (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
-
-    x is scaled by 2**-s to y with ||y||_1 <= 2, the series is summed to
-    degree 24 in eight matrix products (Paterson & Stockmeyer, SIAM J.
-    Comput. 2, 60 (1973)), and the sum is squared s times. The truncated
-    tail is at most sum_{k>=25} ||y||^k / k! <= 2**25 / 25! / (1 - 2/26)
-    < 3e-18, below 2**-53 whatever the 1-norm of x. When ||x||_1 <= 2**-17,
-    as at the ladder's shortest step, the sum stops at x**2 / 2, whose tail
-    is at most ||x||^3 / 6 / (1 - ||x|| / 4) < 2**-53.
+    The anchor x = G _BASE_STEP is scaled by 2**-squarings to y with
+    ||y||_1 <= 2 (Moler & Van Loan, SIAM Rev. 45, 3 (2003)), and rung 0,
+    exp(y), is its Taylor series summed to degree 24 in eight matrix
+    products (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)). The
+    truncated tail is at most sum_{k>=25} ||y||^k / k! <= 2**25 / 25! /
+    (1 - 2/26) < 3e-18, below 2**-53 whatever the 1-norm of x. Rung
+    `squarings` is exp(x), and every rung from it on has a step of
+    _BASE_STEP * 2**j. The powers of y stay, so the same series also gives
+    the state anywhere inside one step of rung 0 (`series`).
     """
-    n = len(x)
-    eye = np.eye(n, dtype=x.dtype)
-    norm = float(np.abs(x).sum(axis=0).max())
-    if norm <= _TINY_NORM:
-        return eye + x + (x @ x) / 2
-    squarings = max(0, math.frexp(norm / 2)[1])  # norm < 2 * 2**squarings
-    y = x * 2.0**-squarings  # exact: scaled by a power of two
-    powers = [eye, y]
-    for _ in range(4):
-        powers.append(powers[-1] @ y)
-    y5 = powers.pop()
-    # block j is sum_i y**i / (5j + i)!, and the series is sum_j y5**j block_j
-    blocks = (_TAYLOR_BLOCKS @ np.stack(powers).reshape(5, -1)).reshape(5, n, n)
-    result = blocks[4]
-    for block in blocks[3::-1]:
-        result = block + y5 @ result
-    for _ in range(squarings):
-        result = result @ result
-    return result
+
+    def __init__(self, generator: np.ndarray) -> None:
+        x = generator * _BASE_STEP
+        n = len(x)
+        norm = float(np.abs(x).sum(axis=0).max())
+        self.squarings = max(0, math.frexp(norm / 2)[1])  # norm < 2 * 2**squarings
+        y = x * 2.0**-self.squarings  # exact: scaled by a power of two
+        self.powers = np.empty((5, n, n), dtype=x.dtype)  # [I, y, y**2, y**3, y**4]
+        self.powers[0], self.powers[1] = np.eye(n), y
+        for i in range(2, 5):
+            np.matmul(self.powers[i - 1], y, out=self.powers[i])
+        self.y5 = self.powers[4] @ y
+        # block j is sum_i y**i / (5j + i)!, and the series is sum_j y5**j block_j
+        blocks = (_TAYLOR_BLOCKS @ self.powers.reshape(5, -1)).reshape(5, n, n)
+        result = blocks[4]
+        for block in blocks[3::-1]:
+            result = block + self.y5 @ result
+        self.rungs = [result]
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        while len(self.rungs) <= k:
+            self.rungs.append(self.rungs[-1] @ self.rungs[-1])
+        return self.rungs[k]
+
+    def step(self, k: int) -> float:
+        return _BASE_STEP * 2.0 ** (k - self.squarings)
+
+    def series(self, state: np.ndarray) -> np.ndarray:
+        """The (25, n) terms y**k state / k!, row k, so that exp(theta y)
+        state is their sum weighted by theta**k, for theta in [0, 1]."""
+        n = len(state)
+        rows = np.empty((5, n), dtype=self.y5.dtype)  # y5**j state, j = 0..4
+        rows[0] = state
+        for j in range(1, 5):
+            rows[j] = self.y5 @ rows[j - 1]
+        # entry [j, i] is y**i y5**j state, the term of degree 5j + i
+        terms = (rows @ self.powers.reshape(5 * n, n).T).reshape(5, 5, n)
+        return (terms * _TAYLOR_BLOCKS[..., np.newaxis]).reshape(25, n)
 
 
-def _ladder(generator: np.ndarray, cap: float) -> list[np.ndarray]:
-    """exp(generator * _rung_step(k)) for k = 0, 1, ..., up to the first
-    step that reaches cap.
+def _sink_series(terms: np.ndarray) -> np.ndarray:
+    """The coefficients in theta of 1 - ||sum_k theta**k terms[k]||**2,
+    from the terms' Gram matrix."""
+    gram = (terms.conj() @ terms.T).real
+    coefficients = -np.bincount(_GRAM_DEGREES, weights=gram.ravel())
+    coefficients[0] += 1.0
+    return coefficients
 
-    The rungs below _BASE_STEP are one `_exp` at the shortest step squared
-    up; the rest are one `_exp` at _BASE_STEP squared up. The second
-    anchor keeps the rounding of 24 more squarings of the first out of the
-    longer rungs.
+
+def _last_grid_point(coefficients: np.ndarray, p_th: float, per_step: int, top: int) -> int:
+    """The largest j <= top with c(j / per_step) <= p_th, where c is the
+    polynomial with these coefficients and c(0) <= p_th.
+
+    Each probe is the grid point at or below the Newton root from the last
+    one, kept strictly inside the bracket, so near the crossing it checks
+    m and then m + 1. After _NEWTON_PROBES probes, or where the curve is
+    flat, the bracket is bisected instead, so no curve can stall it.
     """
-    rungs = [_exp(generator * _rung_step(0))]
-    while len(rungs) < _FINE_LEVELS:
-        rungs.append(rungs[-1] @ rungs[-1])
-    rungs.append(_exp(generator * _BASE_STEP))
-    while _rung_step(len(rungs) - 1) < cap:
-        rungs.append(rungs[-1] @ rungs[-1])
-    return rungs
+    highest_first = coefficients[::-1].tolist()
+
+    def curve(j: int) -> tuple[float, float]:
+        theta, c, slope = j / per_step, 0.0, 0.0
+        for a in highest_first:
+            slope = slope * theta + c
+            c = c * theta + a
+        return c - p_th, slope
+
+    lo, hi = 0, top + 1  # c(lo) <= p_th; no grid point from hi on is taken
+    j, probes = 0, 0
+    f, slope = highest_first[-1] - p_th, highest_first[-2]  # c(0) - p_th and c'(0)
+    while hi - lo > 1:
+        if probes < _NEWTON_PROBES and slope > 0:
+            j = math.floor(min(max(j - f * per_step / slope, lo + 1), hi - 1))
+        else:
+            j = (lo + hi) // 2
+        probes += 1
+        f, slope = curve(j)
+        if f <= 0:
+            lo = j
+        else:
+            hi = j
+    return lo
 
 
-def _hit_time(rungs: list[np.ndarray], state: np.ndarray, value, p_th: float, cap: float):
+def _hit_time(ladder: _Ladder, start: np.ndarray, value, series_value, p_th: float, cap: float):
     """First time value(state) exceeds p_th, or None if not by cap.
 
-    The curve is non-decreasing, so descending the ladder from its
-    longest step, and taking each step that stays within the horizon and
-    keeps value <= p_th, ends at the last point of the finest grid where
-    the curve is still <= p_th. The crossing lies within one finest step
-    after it; the end of that step is reported. Time is counted exactly,
-    in finest steps.
+    The curve is non-decreasing. Time is counted exactly, in units of
+    _BASE_STEP * 2**-levels, the grid step or rung 0's if that is finer.
+    The climb applies rungs 0, 1, ... to the start until one overshoots
+    p_th or the horizon, so no rung past the crossing is squared. The
+    descent from the rung below it takes each shorter step that stays
+    within the horizon and keeps value <= p_th, and ends inside one step
+    of rung 0 before the crossing. There value is a polynomial in the
+    fraction of that step (`_Ladder.series`, reduced by series_value), and
+    the last grid point at or below p_th is found on it. The crossing lies
+    within one grid step after that point; the end of that step is
+    reported.
     """
-    last = math.floor(cap / _rung_step(0))
-    ticks = 0
-    for k in reversed(range(len(rungs))):
-        if ticks + 2**k > last:
-            continue
-        ahead = rungs[k] @ state
-        if value(ahead) <= p_th:
-            ticks, state = ticks + 2**k, ahead
-    return (ticks + 1) * _rung_step(0) if ticks < last else None
+    levels = max(_GRID_LEVELS, ladder.squarings)
+    last = math.floor(cap / (_BASE_STEP * 2.0**-levels))
+    per_step = 2 ** (levels - ladder.squarings)  # units in a step of rung 0
+    state, ticks, k = start, 0, 0
+    while per_step << k <= last and value(ahead := ladder[k] @ start) <= p_th:
+        state, ticks, k = ahead, per_step << k, k + 1
+    for k in reversed(range(k - 1)):
+        if ticks + (per_step << k) <= last and value(ahead := ladder.rungs[k] @ state) <= p_th:
+            state, ticks = ahead, ticks + (per_step << k)
+    top = min(per_step - 1, last - ticks)
+    if top > 0:
+        ticks += _last_grid_point(series_value(ladder.series(state)), p_th, per_step, top)
+    per_grid = 2 ** (levels - _GRID_LEVELS)
+    grid = ticks // per_grid
+    return (grid + 1) * (_BASE_STEP * 2.0**-_GRID_LEVELS) if grid < last // per_grid else None
 
 
-def _record(rungs: list[np.ndarray], state: np.ndarray, value, t_stop: float) -> Trace:
+def _record(ladder: _Ladder, state: np.ndarray, value, t_stop: float) -> Trace:
     """Sample the curve on the window-doubled record grid, up to the first
     record at or past t_stop."""
     times, values = [0.0], [value(state)]
-    k = _FINE_LEVELS
+    k = ladder.squarings
     while True:
+        rung, step = ladder[k], ladder.step(k)
         for _ in range(_WINDOW_RECORDS):
-            state = rungs[k] @ state
-            times.append(times[-1] + _rung_step(k))
+            state = rung @ state
+            times.append(times[-1] + step)
             values.append(value(state))
             if times[-1] >= t_stop:
                 return Trace(np.array(times), np.array(values))
         k += 1
 
 
+def _walkers(g: Graph, gamma: float) -> tuple:
+    """(ladder, start, value, series_value) for the classical walker, then
+    for the quantum one."""
+    p0 = np.eye(g.n)[g.v_init]
+    target = g.v_target
+    return (
+        (_Ladder(classical_variant(g) - np.eye(g.n)), p0, lambda p: float(p[target]),
+         lambda terms: terms[:, target]),
+        (_Ladder(-1j * quantum_variant(g, gamma)), p0.astype(np.complex128), _sink_population,
+         _sink_series),
+    )
+
+
 def label_graph(g: Graph, cfg: WalkConfig = WalkConfig(), record_traces: bool = False) -> WalkOutcome:
     """Run both walkers on g and decide which one detects faster.
 
     Each hit time is the first point of a grid of step 0.1 * 2**-24 at
-    which the exact curve exceeds p_th, so it lies within 1e-6 relative of
-    the exact crossing (the propagators' rounding dominates the grid).
+    which the curve exceeds p_th: the end of the grid step that holds the
+    exact crossing, up to the propagators' rounding (a few 1e-14 on the
+    curve, so within 1e-10 relative of the exact crossing, besides the
+    grid step, on every graph checked against brentq roots).
     The label is quantum exactly when the quantum hitting time exists and
     is strictly smaller than the classical one (or the classical walker
     never crosses). When neither crosses by the horizon the label falls
@@ -265,12 +344,8 @@ def label_graph(g: Graph, cfg: WalkConfig = WalkConfig(), record_traces: bool = 
     """
     p_th = cfg.p_threshold(g.n)
     cap = cfg.t_max(g.n)
-    p0 = np.eye(g.n)[g.v_init]
-    walkers = (
-        (_ladder(classical_variant(g) - np.eye(g.n), cap), p0, lambda p: float(p[g.v_target])),
-        (_ladder(-1j * quantum_variant(g, cfg.gamma), cap), p0.astype(np.complex128), _sink_population),
-    )
-    t_c, t_q = (_hit_time(rungs, start, value, p_th, cap) for rungs, start, value in walkers)
+    walkers = _walkers(g, cfg.gamma)
+    t_c, t_q = (_hit_time(*walker, p_th, cap) for walker in walkers)
 
     traces = (None, None)
     if record_traces:
@@ -278,7 +353,7 @@ def label_graph(g: Graph, cfg: WalkConfig = WalkConfig(), record_traces: bool = 
         if t_c is not None and t_q is not None:
             last = max(t_c, t_q)
             t_stop = min(cap, max(1.25 * last, last + 5.0))
-        traces = tuple(_record(rungs, start, value, t_stop) for rungs, start, value in walkers)
+        traces = tuple(_record(ladder, start, value, t_stop) for ladder, start, value, _ in walkers)
     return WalkOutcome(
         classical_hit_time=t_c,
         quantum_hit_time=t_q,

@@ -9,6 +9,8 @@ oracles are a fine-step explicit Euler product over a walk matrix built
 with loops and a symmetric eigendecomposition instead of a
 scaling-and-squaring exponential, hit
 times are brentq roots instead of a descent over a propagator ladder, the
+quantum walker's long-time sink population comes from eigenprojectors of A
+instead of from propagating the walk, the
 filter oracles count neighbor edges from explicit edge lists with Python
 loops instead of vectorized row/column sums, encoded input rows are
 built graph by graph from explicitly shifted maps instead of window sums
@@ -137,6 +139,42 @@ def oracle_hit_times(
             lambda t: liouvillian_expm_density(g, t, gamma)[sink, sink].real, p_th, t_max
         ),
     )
+
+
+# ====== quantum: the bright-state weight that bounds the sink ======
+
+# Eigenvalues of A closer than this are read as one degenerate eigenvalue.
+# A is an integer symmetric matrix, and eigh places its eigenvalues within
+# about 1e-14 of the exact ones, far inside the tolerance.
+EIGENVALUE_TOLERANCE = 1e-8
+# A target weight <t|P|t> below this on an eigenspace is read as zero.
+TARGET_WEIGHT_TOLERANCE = 1e-10
+
+
+def eta(g: Graph, gamma: float = 1.0) -> float:
+    """The limit of the quantum walker's sink population.
+
+    For each eigenvalue of A with eigenprojector P, the bright state
+    P|t>/||P|t>|| is the one direction of its eigenspace that the target
+    couples to; the rest of the eigenspace is dark, an eigenspace of
+    H_eff = A - (i gamma/2)|t><t| with a real eigenvalue. The bright and
+    dark spans are both invariant under H_eff, and for gamma > 0 the bright
+    one decays fully, so the sink population rises to the start state's
+    weight on the bright states, sum |<t|P|s>|^2 / <t|P|t>, and never
+    exceeds it. With gamma = 0 nothing leaks and the limit is 0.
+    """
+    if gamma == 0:
+        return 0.0
+    lam, vec = np.linalg.eigh(g.adjacency.astype(np.float64))
+    # eigh sorts the eigenvalues, so each degenerate group is a run
+    cuts = np.flatnonzero(np.diff(lam) > EIGENVALUE_TOLERANCE) + 1
+    total = 0.0
+    for group in np.split(np.arange(g.n), cuts):
+        projector = vec[:, group] @ vec[:, group].T
+        weight = projector[g.v_target, g.v_target]
+        if weight > TARGET_WEIGHT_TOLERANCE:
+            total += projector[g.v_target, g.v_init] ** 2 / weight
+    return float(total)
 
 
 # ====== filters: explicit edge-list counting ======

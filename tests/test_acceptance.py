@@ -42,7 +42,6 @@ from qwalk import (
     train,
 )
 from qwalk.cli import main as cli_main
-from qwalk.walkers import _ladder
 
 from oracles import (
     brute_ete_from_edges,
@@ -51,6 +50,7 @@ from oracles import (
     liouvillian_expm_density,
 )
 from test_cqcnn import _example, _finite_difference_check
+from test_walkers import _rungs
 
 LINES = {n: build_line_dataset(n) for n in (4, 5, 6, 7)}
 
@@ -99,14 +99,14 @@ def test_criterion_2_simulation_properties():
             worst_oracle = max(worst_oracle, err)
             assert err < 1e-5, f"oracle mismatch {err:.2e} (n={g.n}, t={t})"
 
-        rungs = np.array(_ladder(classical_variant(g) - np.eye(g.n), out.t_max))
+        rungs = _rungs(classical_variant(g) - np.eye(g.n), out.t_max)
         drift = np.abs(rungs.sum(axis=1) - 1.0).max()
         worst_drift = max(worst_drift, drift)
         assert drift < 1e-9, f"probability leak {drift:.2e} (n={g.n})"
         assert rungs.min() >= -1e-12, f"negative probability (n={g.n})"
         # rho is psi psi^dagger plus the sink 1 - ||psi||^2: its trace,
         # Hermiticity and positivity hold while every propagator contracts psi.
-        rungs = np.array(_ladder(-1j * quantum_variant(g), out.t_max))
+        rungs = _rungs(-1j * quantum_variant(g), out.t_max)
         excess = (np.linalg.norm(rungs, 2, axis=(1, 2)) - 1.0).max()
         worst_excess = max(worst_excess, excess)
         assert excess <= 1e-8, f"a rung amplifies psi by {excess:.2e} (n={g.n})"

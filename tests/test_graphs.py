@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from qwalk import (
     Graph,
-    WalkConfig,
     build_line_dataset,
     classical_variant,
     enumerate_line_graphs,
@@ -38,7 +37,7 @@ from qwalk import (
     random_graph,
 )
 from qwalk.graphs import _BLOCK_GRAPHS, _first_fault, _unchecked_stack
-from qwalk.walkers import _ladder, _rung_step
+from qwalk.walkers import _Ladder
 
 from oracles import connected_graphs, loop_walk_matrix
 
@@ -320,13 +319,12 @@ def test_classical_variant_worked_example():
 
 def test_classical_generator_is_transition_minus_identity():
     """The classical walk's generator is T - I: from the start vertex, the
-    walk's initial velocity over the label path's shortest propagator step
-    is T's start column minus the start unit vector."""
+    first-order term of the label path's in-step Taylor series, over its
+    step, is T's start column minus the start unit vector."""
     g = line_graph(5, [0, 3, 1, 4, 2])
     t = classical_variant(g)
-    h = _rung_step(0)
-    first = _ladder(t - np.eye(5), WalkConfig().t_max(g.n))[0]
-    velocity = ((first - np.eye(5)) / h)[:, g.v_init]
+    ladder = _Ladder(t - np.eye(5))
+    velocity = ladder.series(np.eye(5)[g.v_init])[1] / ladder.step(0)
     assert np.allclose(velocity, (t - np.eye(5))[:, g.v_init], atol=1e-6)
 
 
