@@ -26,6 +26,7 @@ Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -412,11 +413,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _command_parser(command) -> argparse.ArgumentParser | None:
-    """The parser of a command that writes a manifest, as `build_parser`
-    defines it, or None for any other value."""
+    """The subparser of a command that writes a manifest, or None for any
+    other value."""
     if not isinstance(command, str) or command == "rerun":
         return None
-    actions = build_parser()._actions
+    actions = _parser()._actions
     subcommands = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
     return subcommands.choices.get(command)
 
@@ -649,8 +650,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, which `main` and `rerun` share: built
+    on first use, as parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -7,6 +7,13 @@ and metadata, then one line per example carrying the packed adjacency
 bitstring, endpoint indices, label, hitting times, and provenance.
 An absent optional key takes the default of its `Example` or `Dataset`
 field; the header's metadata must be a JSON object.
+
+Records are checked and built in columns. `_example_fault` states the
+`Example` rules once, over columns of field values: `Example` runs it on
+one row and `load` on every record of a file. The examples that pass, and
+those `build_line_dataset` and `build_random_dataset` make, which are
+valid by construction, are built without running the rules again. `save` packs the adjacency
+bitstrings of each vertex count from one stacked array.
 """
 
 from __future__ import annotations
@@ -15,20 +22,25 @@ import gzip
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from functools import partial
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from ._io import compact_json, write_atomic
 from .graphs import (
+    _FLOATS,
     Graph,
     _first_fault,
     _integer,
+    _integers_in,
     _line_labelings,
     _path_graphs,
+    _raised,
     _real,
+    _unchecked,
     _unchecked_stack,
     random_graph,
 )
@@ -71,6 +83,91 @@ class DatasetFormatError(ValueError):
     """A dataset file failed to parse or violated a record invariant."""
 
 
+def _instances(values, kind: type) -> np.ndarray:
+    """Whether each of `values` is an instance of `kind`, as a boolean array."""
+    if set(map(type, values)) <= {kind}:
+        return np.ones(len(values), dtype=bool)
+    return np.fromiter((isinstance(v, kind) for v in values), dtype=bool, count=len(values))
+
+
+def _times_in(values) -> np.ndarray:
+    """Whether each of `values` is None or a hit time `_real(name, t, 0)`
+    passes, as a boolean array. A column of Python floats passes at once
+    when they sum to a finite number and none is negative; any other goes
+    through `_real` value by value."""
+    numbers = [t for t in values if t is not None]
+    if set(map(type, numbers)) <= {float} and 0 <= min(numbers, default=0) and (
+        math.isfinite(sum(numbers))
+    ):
+        return np.ones(len(values), dtype=bool)
+    return np.fromiter(
+        (t is None or _raised(_real, "t", t, 0) is None for t in values),
+        dtype=bool,
+        count=len(values),
+    )
+
+
+def _stored(values: list) -> list:
+    """Labels or hit times that keep their rules, as `Example` stores them:
+    each a Python int or float (or None), which `save` can encode."""
+    if set(map(type, values)) <= {int, float, type(None)}:
+        return values
+    return [None if v is None else float(v) if isinstance(v, _FLOATS) else int(v) for v in values]
+
+
+def _example_fault(label, t_classical, t_quantum, indeterminate, provenance):
+    """The first row of these `Example` field columns (given in
+    `_EXAMPLE_KEYS` order) that breaks an `Example` rule, as (row, the
+    exception `Example` raises for it), or None when every row keeps them.
+
+    A row's exception is that of the first rule it breaks, in this order:
+    the label is an integer in [0, 1] (`_integer`); each hit time is None or
+    a finite number >= 0 (`_real`); the label is the one
+    `label_from_hit_times` gives; the indeterminate flag is a bool; a
+    flagged row has no hit times; the provenance is a dict. Each rule runs
+    over whole columns.
+    """
+    typed = (
+        (_integers_in(label, CLASSICAL, QUANTUM),
+         lambda i: _raised(_integer, "label", label[i], CLASSICAL, QUANTUM)),
+        (_times_in(t_classical), lambda i: _raised(_real, "classical_hit_time", t_classical[i], 0)),
+        (_times_in(t_quantum), lambda i: _raised(_real, "quantum_hit_time", t_quantum[i], 0)),
+    )
+    numeric = np.logical_and.reduce([ok for ok, _ in typed])
+    # The later rules read the label and hit times, so they run on the rows
+    # before the first whose label or hit time breaks its rule.
+    end = len(label) if numeric.all() else int(np.argmin(numeric))
+    labels, t_c, t_q = (_stored(column[:end]) for column in (label, t_classical, t_quantum))
+    flags = indeterminate[:end]
+    later = (
+        (np.equal(labels, list(map(label_from_hit_times, t_c, t_q))),
+         lambda i: ValueError("label contradicts the stored hitting times")),
+        (_instances(flags, bool),
+         lambda i: ValueError(f"indeterminate must be true or false, got {indeterminate[i]!r}")),
+        (np.fromiter((f is not True or c is q is None for f, c, q in zip(flags, t_c, t_q)),
+                     dtype=bool, count=end),
+         lambda i: ValueError("an indeterminate example cannot carry hitting times")),
+        (_instances(provenance[:end], dict),
+         lambda i: TypeError(f"provenance must be a dict, got {provenance[i]!r}")),
+    )
+    kept = np.logical_and.reduce([ok for ok, _ in later])
+    if not kept.all():
+        i, rules = int(np.argmin(kept)), later
+    elif end < len(label):
+        i, rules = end, typed
+    else:
+        return None
+    return i, next(error(i) for ok, error in rules if not ok[i])
+
+
+def _unchecked_examples(graphs: list[Graph], *columns) -> list[Example]:
+    """The examples of `graphs` and of their field columns, given in
+    `_EXAMPLE_KEYS` order, which keep every `Example` rule, as
+    `_example_fault` found or as `_labeled_examples` made them."""
+    names = [name for _, name in _EXAMPLE_KEYS]
+    return _unchecked(Example, {"graph": graphs, **dict(zip(names, columns))})
+
+
 @dataclass(frozen=True)
 class Example:
     """One labeled graph together with the hitting times behind the label."""
@@ -83,24 +180,11 @@ class Example:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # store a checked value only when it was converted: `load` makes an Example per record
-        label = _integer("label", self.label, CLASSICAL, QUANTUM)
-        if label is not self.label:
-            object.__setattr__(self, "label", label)
-        for name in ("classical_hit_time", "quantum_hit_time"):
-            t = getattr(self, name)
-            if t is not None and (checked := _real(name, t, 0)) is not t:
-                object.__setattr__(self, name, checked)
-        if self.label != label_from_hit_times(self.classical_hit_time, self.quantum_hit_time):
-            raise ValueError("label contradicts the stored hitting times")
-        if not isinstance(self.indeterminate, bool):
-            raise ValueError(f"indeterminate must be true or false, got {self.indeterminate!r}")
-        if self.indeterminate and not (
-            self.classical_hit_time is None and self.quantum_hit_time is None
-        ):
-            raise ValueError("an indeterminate example cannot carry hitting times")
-        if not isinstance(self.provenance, dict):
-            raise TypeError(f"provenance must be a dict, got {self.provenance!r}")
+        fault = _example_fault(*([getattr(self, name)] for _, name in _EXAMPLE_KEYS))
+        if fault is not None:
+            raise fault[1]
+        for name in ("label", "classical_hit_time", "quantum_hit_time"):
+            object.__setattr__(self, name, _stored([getattr(self, name)])[0])
 
 
 @dataclass(frozen=True)
@@ -155,20 +239,24 @@ class Dataset:
 # ====== generation ======
 
 
-def _example(graph: Graph, outcome: WalkOutcome, provenance: dict) -> Example:
-    return Example(
-        graph=graph,
-        label=outcome.label,
-        classical_hit_time=outcome.classical_hit_time,
-        quantum_hit_time=outcome.quantum_hit_time,
-        indeterminate=outcome.indeterminate,
-        provenance=provenance,
+def _labeled_examples(
+    graphs: list[Graph], outcomes: list[WalkOutcome], provenance: list[dict]
+) -> list[Example]:
+    """The examples of graphs labeled by `label_graph`, one outcome and one
+    provenance dict each, built unchecked: an outcome's label is the one its
+    hit times give, its hit times are None or finite floats >= 0, and it is
+    flagged indeterminate exactly when both are None."""
+    fields = (
+        list(map(attrgetter(name), outcomes)) if name != "provenance" else provenance
+        for _, name in _EXAMPLE_KEYS
     )
+    return _unchecked_examples(graphs, *fields)
 
 
 def _random_example(seed: int, n: int, cfg: WalkConfig) -> Example:
     graph = random_graph(n, seed)
-    return _example(graph, label_graph(graph, cfg), {"kind": "random", "seed": seed})
+    provenance = {"kind": "random", "seed": seed}
+    return _labeled_examples([graph], [label_graph(graph, cfg)], [provenance])[0]
 
 
 def _map(fn, items: list, jobs: int) -> list:
@@ -191,7 +279,8 @@ def build_line_dataset(n: int, cfg: WalkConfig = WalkConfig()) -> Dataset:
     One representative per class, 0 at i, 1 at j and 2..n-1 in order
     elsewhere, is labeled, and every graph of the class carries its outcome.
     Examples come in lexicographic order of their labeling, which each
-    records as provenance.
+    records as provenance. The graphs and examples are built unchecked, as
+    paths with their `label_graph` outcomes are valid by construction.
     """
     n = _integer("n", n, 3, 10)
     labelings = _line_labelings(n)
@@ -206,13 +295,13 @@ def build_line_dataset(n: int, cfg: WalkConfig = WalkConfig()) -> Dataset:
         rest = iter(range(2, n))
         representatives.append([0 if p == i else 1 if p == j else next(rest) for p in range(n)])
     labeled = [label_graph(g, cfg) for g in _path_graphs(np.array(representatives))]
-    outcomes = dict(zip(classes, labeled))
-    examples = tuple(
-        _example(graph, outcomes[key], {"kind": "line", "labeling": perm})
-        for graph, key, perm in zip(_path_graphs(labelings), keys, labelings.tolist())
+    outcome = dict(zip(classes, labeled))
+    provenance = [{"kind": "line", "labeling": perm} for perm in labelings.tolist()]
+    examples = _labeled_examples(
+        _path_graphs(labelings), [outcome[key] for key in keys], provenance
     )
     metadata = {"kind": "line", "n": n, "config": asdict(cfg)}
-    return Dataset(examples, "unsplit", metadata)
+    return Dataset(tuple(examples), "unsplit", metadata)
 
 
 def build_random_dataset(
@@ -277,16 +366,36 @@ def drop_indeterminate(d: Dataset) -> Dataset:
 # ====== serialization ======
 
 
-def _example_record(e: Example) -> dict:
-    bits = (e.graph.adjacency.reshape(-1) + 48).astype(np.uint8)  # ASCII "0" and "1"
-    record = {
-        "n": e.graph.n,
-        "adjacency": bits.tobytes().decode("ascii"),
-        "v_init": e.graph.v_init,
-        "v_target": e.graph.v_target,
-    }
-    record.update((key, getattr(e, name)) for key, name in _EXAMPLE_KEYS)
-    return record
+def _groups(keys) -> dict:
+    """The positions of each key in `keys`, in order, by key."""
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    return groups
+
+
+def _example_records(examples: Sequence[Example]) -> Iterator[dict]:
+    """The file record of each example, one at a time. The adjacency
+    bitstrings of each vertex count are packed from one stacked array."""
+    graphs = list(map(attrgetter("graph"), examples))
+    adjacency = list(map(attrgetter("adjacency"), graphs))
+    sizes = list(map(len, adjacency))
+    bits: list = [None] * len(graphs)
+    for n, members in _groups(sizes).items():
+        # entries are 0 or 1, so uint8 holds them exactly
+        rows = np.concatenate([adjacency[k] for k in members], dtype=np.uint8, casting="unsafe")
+        rows += 48  # ASCII "0" and "1"
+        packed = rows.tobytes().decode("ascii")
+        for k, start in zip(members, range(0, len(packed), n * n)):
+            bits[k] = packed[start : start + n * n]
+    keys = ("n", "adjacency", "v_init", "v_target", *(key for key, _ in _EXAMPLE_KEYS))
+    columns = (
+        sizes,
+        bits,
+        *(list(map(attrgetter(name), graphs)) for name in ("v_init", "v_target")),
+        *(list(map(attrgetter(name), examples)) for _, name in _EXAMPLE_KEYS),
+    )
+    return (dict(zip(keys, row)) for row in zip(*columns))
 
 
 def save(d: Dataset, path) -> None:
@@ -299,7 +408,7 @@ def save(d: Dataset, path) -> None:
     header = {"format": _FORMAT, "version": _VERSION, "count": len(d.examples)}
     header.update((key, getattr(d, name)) for key, name in _HEADER_KEYS)
     lines = [compact_json(header)]
-    lines.extend(compact_json(_example_record(e)) for e in d.examples)
+    lines.extend(map(compact_json, _example_records(d.examples)))
     data = ("\n".join(lines) + "\n").encode("utf-8")
     if str(path).endswith(".gz"):
         raw = io.BytesIO()
@@ -312,33 +421,50 @@ def save(d: Dataset, path) -> None:
     write_atomic(path, data)
 
 
+_decode = json.JSONDecoder().raw_decode
+
+
+def _line_error(lineno: int, message) -> DatasetFormatError:
+    return DatasetFormatError(f"line {lineno}: {message}")
+
+
 def _parse_record(line: str, lineno: int) -> dict:
-    """One example line as a JSON object with every required key, a
-    well-formed vertex count and bitstring; its `Graph` and `Example` rules
-    unchecked."""
-
-    def fail(msg: str):
-        raise DatasetFormatError(f"line {lineno}: {msg}")
-
-    if not line.strip():
-        fail("empty record")
+    """One example line, read as `json.loads` reads it, as a JSON object
+    with every required key; its other rules unchecked."""
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        fail(f"invalid JSON: {exc}")
+        record, end = _decode(line)
+    except json.JSONDecodeError:
+        end = None
+    if end != len(line):
+        # no JSON text, or blanks around it: only `json.loads` reads these
+        # as it does, and names the fault as it does
+        if not line.strip():
+            raise _line_error(lineno, "empty record")
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise _line_error(lineno, f"invalid JSON: {exc}")
     if not isinstance(record, dict):
-        fail("record must be a JSON object")
+        raise _line_error(lineno, "record must be a JSON object")
     for key in ("n", "adjacency", "v_init", "v_target", "label"):
         if key not in record:
-            fail(f"missing field {key!r}")
-    try:
-        n = _integer("n", record["n"], 3)
-    except (TypeError, ValueError) as exc:
-        fail(str(exc))
-    bits = record["adjacency"]
-    if not isinstance(bits, str) or len(bits) != n * n or not bits.isascii():
-        fail("adjacency must be a bitstring of length n*n")
+            raise _line_error(lineno, f"missing field {key!r}")
     return record
+
+
+def _size_fault(records: list[dict]) -> tuple[int, str] | None:
+    """The first record whose `n` is not an integer >= 3, or whose
+    adjacency is not a string of n*n ASCII characters, as (index, message),
+    or None when every record keeps both rules."""
+    ns = list(map(itemgetter("n"), records))
+    sizes = _integers_in(ns, 3)
+    end = len(ns) if sizes.all() else int(np.argmin(sizes))
+    for k, (n, bits) in enumerate(zip(ns[:end], map(itemgetter("adjacency"), records))):
+        if not (isinstance(bits, str) and len(bits) == n * n and bits.isascii()):
+            return k, "adjacency must be a bitstring of length n*n"
+    if end < len(ns):
+        return end, str(_raised(_integer, "n", ns[end], 3))
+    return None
 
 
 def _record_graphs(records: list[dict]) -> tuple[list[Graph], tuple[int, str] | None]:
@@ -347,16 +473,13 @@ def _record_graphs(records: list[dict]) -> tuple[list[Graph], tuple[int, str] | 
     Returns the graphs before the first record (in file order) whose graph
     breaks a `Graph` rule, and that record's index and message, or None.
     """
-    groups: dict[int, list[int]] = {}
-    for k, record in enumerate(records):
-        groups.setdefault(record["n"], []).append(k)
     graphs: list = [None] * len(records)
     first = None
-    for n, members in groups.items():
-        bits = "".join(records[k]["adjacency"] for k in members).encode("ascii")
+    for n, members in _groups(map(itemgetter("n"), records)).items():
+        group = [records[k] for k in members]
+        bits = "".join(map(itemgetter("adjacency"), group)).encode("ascii")
         stack = (np.frombuffer(bits, np.uint8) - 48).reshape(-1, n, n)  # "0"/"1" to 0/1
-        v_init = [records[k]["v_init"] for k in members]
-        v_target = [records[k]["v_target"] for k in members]
+        v_init, v_target = (list(map(itemgetter(key), group)) for key in ("v_init", "v_target"))
         fault = _first_fault(stack, v_init, v_target)
         if fault is not None:
             index, message = fault
@@ -369,14 +492,21 @@ def _record_graphs(records: list[dict]) -> tuple[list[Graph], tuple[int, str] | 
     return graphs[:end], first
 
 
-def load(path) -> Dataset:
-    """Read a dataset file, validating every record.
+def _field_column(records: list[dict], key: str, name: str) -> list:
+    """The `Example` field `name` of each record: its value under `key`,
+    or the field's default when the record lacks the key."""
+    try:
+        return list(map(itemgetter(key), records))
+    except KeyError:  # a record lacks the key
+        spec = Example.__dataclass_fields__[name]
+    if spec.default_factory is not MISSING:
+        # a default of its own for each record, as `Example` gives one
+        return [r[key] if key in r else spec.default_factory() for r in records]
+    return [r.get(key, spec.default) for r in records]
 
-    Records are parsed one by one; their graphs are checked in stacked
-    blocks, one per vertex count, against the same rules `Graph` applies.
-    Raises DatasetFormatError naming the first offending line on any parse
-    or invariant failure, with the message the failed check gives.
-    """
+
+def _text_lines(path) -> list[str]:
+    """The lines of a dataset file, decompressed when its name ends in .gz."""
     with open(path, "rb") as fh:
         data = fh.read()
     if str(path).endswith(".gz"):
@@ -385,10 +515,24 @@ def load(path) -> Dataset:
         except OSError as exc:
             raise DatasetFormatError(f"not a gzip file: {exc}") from exc
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"not UTF-8 text: {exc}") from exc
-    lines = text.splitlines()
+
+
+def load(path) -> Dataset:
+    """Read a dataset file, validating every record.
+
+    Each line is parsed on its own, as `json.loads` reads it. The records'
+    sizes and bitstrings are then checked over columns, their graphs in
+    stacked blocks, one per vertex count, against the same rules `Graph`
+    applies, and their other fields over columns against the rules
+    `Example` applies; the records that pass are built without running the
+    rules again. Raises DatasetFormatError naming the first offending line
+    on any parse or invariant failure, with the message the failed check
+    gives.
+    """
+    lines = _text_lines(path)
     if not lines:
         raise DatasetFormatError("line 1: empty file")
     try:
@@ -411,19 +555,25 @@ def load(path) -> Dataset:
         except DatasetFormatError as exc:
             parse_error = exc
             break
+    del lines  # not needed past here; freeing it lowers the peak
+    size_fault = _size_fault(records)
+    if size_fault is not None:
+        index, message = size_fault
+        parse_error = _line_error(index + 2, message)
+        records = records[:index]
     graphs, graph_fault = _record_graphs(records)
-    examples = []
-    for lineno, (record, graph) in enumerate(zip(records, graphs), start=2):
-        try:
-            fields = {name: record[key] for key, name in _EXAMPLE_KEYS if key in record}
-            examples.append(Example(graph, **fields))
-        except (TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"line {lineno}: {exc}") from exc
+    records = records[: len(graphs)]
+    columns = [_field_column(records, key, name) for key, name in _EXAMPLE_KEYS]
+    example_fault = _example_fault(*columns)
+    if example_fault is not None:
+        index, exc = example_fault
+        raise _line_error(index + 2, exc) from exc
     if graph_fault is not None:
         index, message = graph_fault
-        raise DatasetFormatError(f"line {index + 2}: {message}")
+        raise _line_error(index + 2, message)
     if parse_error is not None:
         raise parse_error
+    examples = _unchecked_examples(graphs, *columns)
     count = header.get("count")
     try:
         _integer("count", count, len(examples), len(examples))

@@ -99,6 +99,30 @@ def _real(name: str, value, low: float, high: float = math.inf, strict: bool = F
     return number
 
 
+def _raised(rule, *args) -> Exception | None:
+    """The TypeError or ValueError that `rule(*args)` raises, or None."""
+    try:
+        rule(*args)
+    except (TypeError, ValueError) as exc:
+        return exc
+    return None
+
+
+def _integers_in(values, low: int, high: int | None = None) -> np.ndarray:
+    """Whether each of `values` passes `_integer(name, value, low, high)`,
+    as a boolean array. A column of Python ints in range passes at once;
+    any other goes through `_integer` value by value."""
+    if set(map(type, values)) <= {int} and low <= min(values, default=low) and (
+        high is None or max(values, default=high) <= high
+    ):
+        return np.ones(len(values), dtype=bool)
+    return np.fromiter(
+        (_raised(_integer, "value", v, low, high) is None for v in values),
+        dtype=bool,
+        count=len(values),
+    )
+
+
 def _endpoint_fault(v_init, v_target, n: int) -> str | None:
     """The message of the first endpoint rule one graph breaks, or None."""
     for name, v in (("v_init", v_init), ("v_target", v_target)):
@@ -111,6 +135,17 @@ def _endpoint_fault(v_init, v_target, n: int) -> str | None:
     return None
 
 
+def _endpoints_kept(v_init, v_target, n: int) -> np.ndarray:
+    """Whether each graph's endpoints keep their rules (`_endpoint_fault`
+    finds none), as a boolean array."""
+    indices = _integers_in(v_init, 0, n - 1) & _integers_in(v_target, 0, n - 1)
+    if indices.all():
+        return np.not_equal(v_init, v_target)
+    # compared only where both are vertex indices
+    pairs = zip(indices, v_init, v_target)
+    return np.fromiter((ok and s != t for ok, s, t in pairs), dtype=bool, count=len(indices))
+
+
 # Graphs checked at once: bounds the validator's working memory (a few bytes
 # per matrix entry) whatever the stack's length.
 _BLOCK_GRAPHS = 256
@@ -120,42 +155,65 @@ def _first_fault(adjacency: np.ndarray, v_init, v_target) -> tuple[int, str] | N
     """The first graph of a (B, n, n) stack that breaks a `Graph` rule, as
     (index, message), or None when every graph keeps them all.
 
-    `v_init` and `v_target` hold one endpoint per graph. Each rule runs on
-    a block of up to `_BLOCK_GRAPHS` graphs at once. The message is the one of the first rule that graph
-    breaks, in this order: at least 3 vertices, 0/1 entries, symmetry,
-    zero diagonal, endpoints in range, distinct endpoints, connectivity.
+    `v_init` and `v_target` hold one endpoint per graph. The endpoint rules
+    run over those columns at once, and the matrix rules on a block of up
+    to `_BLOCK_GRAPHS` graphs at once. The message is the one of the first
+    rule that graph breaks, in this order: at least 3 vertices, 0/1
+    entries, symmetry, zero diagonal, endpoints in range, distinct
+    endpoints, connectivity.
     """
     b, n = adjacency.shape[:2]
     if b and n < 3:
         return 0, f"need at least 3 vertices, got {n}"
+    endpoints = _endpoints_kept(v_init, v_target, n)
     for start in range(0, b, _BLOCK_GRAPHS):
         block = slice(start, start + _BLOCK_GRAPHS)
-        fault = _block_fault(adjacency[block], v_init[block], v_target[block])
+        fault = _block_fault(adjacency[block], endpoints[block])
         if fault is not None:
-            return start + fault[0], fault[1]
+            i, message = start + fault[0], fault[1]
+            return i, message or _endpoint_fault(v_init[i], v_target[i], n)
     return None
 
 
-def _block_fault(adjacency: np.ndarray, v_init, v_target) -> tuple[int, str] | None:
-    """`_first_fault` of one block, whose graphs have at least 3 vertices."""
+def _block_fault(adjacency: np.ndarray, endpoints: np.ndarray) -> tuple[int, str | None] | None:
+    """`_first_fault` of one block, whose graphs have at least 3 vertices,
+    given whether each graph's endpoints keep their rules; the message is
+    None when the first rule that graph breaks is an endpoint rule."""
     b, n = adjacency.shape[:2]
     edges = adjacency == 1
     binary = (adjacency == 0) | edges
     symmetric = adjacency == adjacency.transpose(0, 2, 1)
     loops = adjacency.reshape(b, n * n)[:, :: n + 1] != 0  # the diagonals
-    endpoints = [_endpoint_fault(s, t, n) for s, t in zip(v_init, v_target)]
-    kept = (binary & symmetric).all(axis=(1, 2)) & ~loops.any(axis=1) & _connected(edges)
-    if kept.all() and not any(endpoints):
+    kept = (binary & symmetric).reshape(b, n * n).all(axis=1) & ~loops.any(axis=1) & endpoints
+    kept &= _connected(edges)
+    if kept.all():
         return None
-    kept &= [fault is None for fault in endpoints]
     i = int(np.argmin(kept))
     rules = (
         (binary[i].all(), "adjacency entries must be 0 or 1"),
         (symmetric[i].all(), "adjacency must be symmetric"),
         (not loops[i].any(), "adjacency diagonal must be zero"),
-        (endpoints[i] is None, endpoints[i]),
+        (endpoints[i], None),
     )
     return i, next((message for ok, message in rules if not ok), "graph must be connected")
+
+
+def _unchecked(cls: type, columns: dict) -> list:
+    """Instances of the frozen dataclass `cls`, one per row of `columns`
+    (field name to a column of values, in field order), with each field set
+    as `cls.__init__` sets it and no `__post_init__` check."""
+    names = list(columns)
+    new, put = object.__new__, object.__setattr__
+    objects = []
+    # Each instance is filled before the next is made, as `cls(...)` does:
+    # making them all first stops CPython from sharing one attribute key
+    # table among them, which about doubles their size.
+    for row in zip(*columns.values()):
+        obj = new(cls)
+        for name, value in zip(names, row):
+            put(obj, name, value)
+        objects.append(obj)
+    return objects
 
 
 def _unchecked_stack(adjacency: np.ndarray, v_init, v_target) -> list[Graph]:
@@ -167,14 +225,8 @@ def _unchecked_stack(adjacency: np.ndarray, v_init, v_target) -> list[Graph]:
     """
     a = np.asarray(adjacency, dtype=np.int64)
     a.setflags(write=False)
-    graphs = []
-    for rows, s, t in zip(a, v_init, v_target):
-        g = object.__new__(Graph)
-        object.__setattr__(g, "adjacency", rows)
-        object.__setattr__(g, "v_init", int(s))
-        object.__setattr__(g, "v_target", int(t))
-        graphs.append(g)
-    return graphs
+    columns = {"adjacency": a, "v_init": map(int, v_init), "v_target": map(int, v_target)}
+    return _unchecked(Graph, columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +309,9 @@ def _path_graphs(labelings: np.ndarray) -> list[Graph]:
 def _line_labelings(n: int) -> np.ndarray:
     """(n!/2, n) array of each labeling of the n-vertex path that reads no
     later than its reverse, in lexicographic order."""
-    kept = (perm for perm in itertools.permutations(range(n)) if perm <= perm[::-1])
+    # A labeling and its reverse first differ at their ends, so the one that
+    # reads first is the one that starts with the smaller end.
+    kept = (perm for perm in itertools.permutations(range(n)) if perm[0] < perm[-1])
     return np.fromiter(itertools.chain.from_iterable(kept), np.int64).reshape(-1, n)
 
 
@@ -323,24 +377,24 @@ def permute_free_vertices(g: Graph, perm) -> Graph:
 
 
 def _absorbing_walk(a: np.ndarray, v_target) -> np.ndarray:
-    """(B, n, n) jump matrices of a (B, n, n) stack of float adjacency
-    matrices, one target per graph.
+    """Jump matrices of float adjacency matrices: of an (n, n) matrix with
+    one target, or of a (B, n, n) stack with one target per graph.
 
     Column u spreads uniformly over u's neighbours; each target column is
     the unit vector at its target, so the walker cannot leave once it
     arrives.
     """
-    take = np.arange(len(a))
-    t = a / a.sum(axis=1, keepdims=True)
-    t[take, :, v_target] = 0.0
-    t[take, v_target, v_target] = 1.0
+    graphs = () if a.ndim == 2 else (np.arange(len(a)),)
+    t = a / a.sum(axis=-2, keepdims=True)
+    t[(*graphs, slice(None), v_target)] = 0.0
+    t[(*graphs, v_target, v_target)] = 1.0
     return t
 
 
 def classical_variant(g: Graph) -> np.ndarray:
     """Read-only n x n column-stochastic jump matrix T of the classical
     walk, with the target made absorbing; the walker's generator is T - I."""
-    t = _absorbing_walk(g.adjacency[np.newaxis].astype(np.float64), [g.v_target])[0]
+    t = _absorbing_walk(g.adjacency.astype(np.float64), g.v_target)
     t.setflags(write=False)
     return t
 

@@ -23,7 +23,11 @@ Tests verify:
 - `load` checks graphs in one stack per vertex count: a bad record in a
   later group fails with its own line number and the message `Graph`
   gives, for every graph rule, and when several records are bad the first
-  in the file is named, whichever check (parse, graph, example) fails
+  in the file is named, whichever check (parse, graph, example) fails,
+  also past the first block of stacked graphs
+- `load` gives each field the Python object a constructor stores: an int
+  label, a float or int hit time as the file holds it, a bool flag, and a
+  fresh empty provenance dict for each record without one
 """
 from __future__ import annotations
 
@@ -58,6 +62,7 @@ from qwalk import (
     save,
     split,
 )
+from qwalk.graphs import _BLOCK_GRAPHS
 
 LINES4 = build_line_dataset(4)
 LINES5 = build_line_dataset(5)
@@ -865,3 +870,77 @@ def test_load_names_a_graph_fault_before_a_parse_fault(tmp_path):
     with pytest.raises(DatasetFormatError) as info:
         load(path)
     assert str(info.value).startswith("line 3: invalid JSON")
+
+
+_LINES6 = build_line_dataset(6)
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({300: {"label": 7}, 340: {"v_target": 0}}, "line 301: label must lie in [0, 1], got 7"),
+        ({280: {"v_target": 0}, 300: {"label": 7}}, "line 281: v_init and v_target must differ"),
+    ],
+    ids=["example-then-graph", "graph-then-example"],
+)
+@pytest.mark.parametrize("broken_json_after", [False, True], ids=["", "parse-fault-behind"])
+def test_load_names_the_first_fault_past_one_block(tmp_path, faults, message, broken_json_after):
+    """The faults sit in the second block of stacked graphs of one vertex
+    count; a parse fault behind them does not hide them."""
+    assert len(_LINES6) == 360 > _BLOCK_GRAPHS
+    path = tmp_path / "l6.jsonl"
+    save(_LINES6, path)
+    lines = path.read_text().splitlines()
+    for row, changes in faults.items():
+        assert row > _BLOCK_GRAPHS
+        _rewrite(path, lines, row, **changes)
+    if broken_json_after:
+        lines[350] = lines[350][:-5]  # line 351
+        path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert str(info.value) == message
+
+
+def test_load_names_a_parse_fault_past_one_block(tmp_path):
+    path = tmp_path / "l6.jsonl"
+    save(_LINES6, path)
+    lines = path.read_text().splitlines()
+    lines[350] = lines[350][:-5]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert str(info.value).startswith("line 351: invalid JSON: ")
+
+
+def test_load_gives_the_objects_a_constructor_stores(tmp_path):
+    """A loaded field has the type `Example` stores: the label an int, a hit
+    time a float, or an int where the file holds one, or None, the flag a
+    bool; and each record without a provenance gets an empty dict of its
+    own."""
+    path = tmp_path / "d.jsonl"
+    save(_tiny_dataset(), path)
+    lines = path.read_text().splitlines()
+    first = json.loads(lines[1])
+    assert first["label"] == CLASSICAL and first["t_quantum"] is None
+    _rewrite(path, lines, 1, t_classical=3)
+    for row in (2, 3):
+        record = json.loads(lines[row])
+        del record["provenance"]
+        lines[row] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load(path).examples
+    for e in loaded:
+        fields = (e.label, e.classical_hit_time, e.quantum_hit_time, e.indeterminate)
+        built = Example(e.graph, *fields)
+        assert [type(v) for v in fields] == [
+            type(getattr(built, name))
+            for name in ("label", "classical_hit_time", "quantum_hit_time", "indeterminate")
+        ]
+        assert type(e.label) is int and type(e.indeterminate) is bool
+        for t in (e.classical_hit_time, e.quantum_hit_time):
+            assert t is None or type(t) is float or t == 3
+    assert type(loaded[0].classical_hit_time) is int and loaded[0].classical_hit_time == 3
+    assert loaded[1].provenance == {} and loaded[2].provenance == {}
+    loaded[1].provenance["note"] = "mine"
+    assert loaded[2].provenance == {}
