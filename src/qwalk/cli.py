@@ -296,12 +296,12 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
         dataset = build_line_dataset(args.n, cfg)
     else:
         args.seed = _resolve_seed(args.seed)
-        dataset = build_random_dataset(args.n, args.count, args.seed, cfg, jobs=args.jobs)
+        dataset = build_random_dataset(args.n, args.count, args.seed, cfg)
     if args.drop_indeterminate:
         dataset = drop_indeterminate(dataset)
     save(dataset, args.out)
     kappa = dataset.class_fractions
-    flagged = sum(1 for e in dataset if e.indeterminate)
+    flagged = len(dataset) - len(drop_indeterminate(dataset))
     print(f"{len(dataset)} examples written to {args.out}")
     print(f"class fractions: classical {kappa[0]:.4f}, quantum {kappa[1]:.4f}")
     if flagged:
@@ -583,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="workers, random kind only (default 1)",
+        help="ignored, as every build runs in one process; must be >= 1 (default 1)",
     )
     gen.add_argument("--out", required=True, help="dataset path (.gz compresses)")
     gen.add_argument("--force", action="store_true", help="overwrite existing outputs")

@@ -16,11 +16,14 @@ A graph is encoded once into a fixed input row (`encode`); `forward`,
 full variant's convolution and the vertex collapse after it are both
 linear, so the row holds the collapsed one-pixel shifts of each channel
 map and the convolution becomes a matrix product with the kernel.
-`encode` is one stacked kernel per variant: the filters are row and
-column sums over the last two axes, so they run on blocks of zero-padded
-graphs at once, and each shift's collapse comes from window sums of those
-sums, without building the shifted maps. That one writer also pads the
-graphs and refuses one larger than n_max; `extract_features` is its
+Rows are written by one private kernel (`_encode`) from adjacency stacks,
+one per vertex count, in blocks of graphs: `encode` stacks its graphs by
+vertex count for it, and a dataset hands it the stacks it holds. The
+vertex features have a closed form in the degrees; the full variant's
+filters are row and column sums over the last two axes, so they run on
+blocks of zero-padded graphs at once, and each shift's collapse comes from
+window sums of those sums, without building the shifted maps. The kernel
+also refuses a graph larger than n_max; `extract_features` is its
 simple-variant row of a single graph.
 
 All gradients are hand-derived; there is no autodiff anywhere.
@@ -46,7 +49,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._io import compact_json, write_atomic
-from .graphs import Graph, _absorbing_walk, _integer, _real
+from .graphs import Graph, _absorbing_walk, _integer, _real, _Stacks
 from .walkers import CLASSICAL, LABEL_NAMES, QUANTUM
 
 __all__ = [
@@ -121,15 +124,25 @@ def feature_slot(vertex: int, feature: int) -> int:
     return 1 + 4 * _integer("vertex", vertex, 0) + (_integer("feature", feature, 1, 4) - 1)
 
 
-def _vertex_features(a: np.ndarray, v_init: np.ndarray, v_target: np.ndarray) -> np.ndarray:
-    """(B, n_max, 4) features of a (B, n_max, n_max) stack of zero-padded
-    adjacency matrices: degree, neighboring-edge total, start and target
-    adjacency."""
-    take = np.arange(len(a))
-    return np.stack(
-        [_etv(np.triu(a)), _etv(np.triu(_ete(a))), a[take, v_init], a[take, v_target]],
-        axis=-1,
-    )
+def _vertex_features(a: np.ndarray, v_init, v_target, n_max: int) -> np.ndarray:
+    """(B, n_max, 4) features of a (B, n, n) integer stack of adjacency
+    matrices, zero-padded to n_max vertices: degree, neighboring-edge
+    total, start and target adjacency.
+
+    They are `etv_filter` of the desymmetrized matrix and of its desymmetrized
+    `ete_filter`, in closed form: on 0/1, symmetric, zero-diagonal matrices
+    the degrees are d = A 1 and the neighboring-edge totals d^2 - 2d + A d,
+    exact integers.
+    """
+    b, n = a.shape[:2]
+    take = np.arange(b)
+    degree = a.sum(axis=2, dtype=np.int64)
+    features = np.zeros((b, n_max, 4))
+    features[:, :n, 0] = degree
+    features[:, :n, 1] = degree * (degree - 2) + (a @ degree[:, :, np.newaxis])[:, :, 0]
+    features[:, :n, 2] = a[take, v_init]
+    features[:, :n, 3] = a[take, v_target]
+    return features
 
 
 def extract_features(g: Graph, n_max: int) -> np.ndarray:
@@ -140,7 +153,7 @@ def extract_features(g: Graph, n_max: int) -> np.ndarray:
     the start and target vertices. Vertices beyond g.n are zero-padded.
     It is the simple variant's `encode` row of the one graph.
     """
-    return _encode(_architecture("simple", n_max, 0), [g])[0]
+    return _encode(_architecture("simple", n_max, 0), _Stacks.of([g], np.uint8))[0]
 
 
 # ====== model ======
@@ -277,16 +290,18 @@ def _shift_collapses(m: np.ndarray) -> np.ndarray:
     return etv
 
 
-def _write_full_rows(
-    rows, index, a: np.ndarray, n: int, v_init, v_target, arch: _Architecture
-) -> None:
-    b, n_max = len(a), a.shape[-1]
+def _write_full_rows(rows, index, a: np.ndarray, features: np.ndarray, v_init, v_target,
+                     arch: _Architecture) -> None:
+    b, n = a.shape[:2]
+    n_max = arch.n_max
     take = np.arange(b)
+    padded = np.zeros((b, n_max, n_max))
+    padded[:, :n, :n] = a
     # Channel stack: the adjacency map plus repeatedly edge-to-edge filtered
     # copies, each rescaled to unit max per graph so deep stages stay O(1),
     # and each desymmetrized before its shifts are collapsed.
     span = 9 * n_max
-    current = a
+    current = padded
     for c in range(arch.channels):
         if c:
             current = _ete(current)
@@ -297,11 +312,11 @@ def _write_full_rows(
     # The tail. First a scaled copy of the simple feature block: degree-like
     # features shrink with n_max so every tail entry stays O(1).
     scale = np.array([1.0 / n_max, 1.0 / n_max**2, 1.0, 1.0])
-    features = _vertex_features(a, v_init, v_target) * scale
+    features = features * scale
 
     # Then one- and two-step transition probabilities into the special
     # vertices, from the column-stochastic walk matrix with an absorbing target.
-    t1 = _absorbing_walk(a[:, :n, :n], v_target)
+    t1 = _absorbing_walk(padded[:, :n, :n], v_target)
     t2 = t1 @ t1
     transitions = np.zeros((b, 4, n_max))
     transitions[:, :, :n] = np.stack(
@@ -328,41 +343,37 @@ def encode(model: CqcnnModel, graphs: Sequence[Graph]) -> np.ndarray:
     8*n_max tail of scaled vertex features and transition rows: 795 floats
     at n_max 15.
 
-    Graphs are encoded in stacked blocks: grouped by vertex count (input
-    order kept within a group) and zero-padded into (B, n_max, n_max)
-    stacks of at most 64 graphs, which every filter processes over its last
-    two axes at once. Each block writes its rows straight into the returned
-    array, so the working memory does not grow with the number of graphs.
-    The collapse of each one-pixel shift comes from window sums of the row
-    and column sums of the zero-bordered channel map plus one diagonal
-    gather, so no shifted map is built. A row does not depend on the other
-    graphs in the list.
+    The graphs are stacked by vertex count, one byte per matrix entry, and
+    encoded from those stacks in blocks of at most 64 graphs, which every
+    filter processes over its last two axes at once. Each block writes its
+    rows straight into the returned array. The vertex features come in
+    closed form from the degrees. The collapse of each one-pixel shift
+    comes from window sums of the row and column sums of the zero-bordered
+    channel map plus one diagonal gather, so no shifted map is built. A row
+    does not depend on the other graphs in the list.
     """
-    return _encode(_architecture(model.variant, model.n_max, model.hidden_width), graphs)
+    arch = _architecture(model.variant, model.n_max, model.hidden_width)
+    return _encode(arch, graphs if isinstance(graphs, _Stacks) else _Stacks.of(graphs, np.uint8))
 
 
-def _encode(arch: _Architecture, graphs: Sequence[Graph]) -> np.ndarray:
-    """`encode` at an architecture: the one writer of every input row."""
-    n_max = arch.n_max
-    groups: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        if g.n > n_max:
-            raise ValueError(f"graph has {g.n} vertices but the model allows {n_max}")
-        groups.setdefault(g.n, []).append(i)
+def _encode(arch: _Architecture, graphs: _Stacks) -> np.ndarray:
+    """The rows of graphs held in stacks at an architecture: the one writer
+    of every input row."""
+    too_large = graphs.n > arch.n_max
+    if too_large.any():
+        n = graphs.n[np.argmax(too_large)]
+        raise ValueError(f"graph has {n} vertices but the model allows {arch.n_max}")
     rows = np.empty((len(graphs), arch.width))
-    for n, members in groups.items():
+    for members, stack, at, v_init, v_target in graphs.groups():
         for start in range(0, len(members), _BLOCK_GRAPHS):
-            index = members[start : start + _BLOCK_GRAPHS]
-            block = [graphs[i] for i in index]
-            a = np.zeros((len(block), n_max, n_max))
-            a[:, :n, :n] = np.stack([g.adjacency for g in block])
-            v_init = np.array([g.v_init for g in block])
-            v_target = np.array([g.v_target for g in block])
+            block = slice(start, start + _BLOCK_GRAPHS)
+            index, a = members[block], stack[at[block]]
+            features = _vertex_features(a, v_init[block], v_target[block], arch.n_max)
             if arch.block:
-                _write_full_rows(rows, index, a, n, v_init, v_target, arch)
+                _write_full_rows(rows, index, a, features, v_init[block], v_target[block], arch)
             else:  # the simple variant: bias, then the vertex features
                 rows[index, 0] = 1.0
-                rows[index, 1:] = _vertex_features(a, v_init, v_target).reshape(len(a), -1)
+                rows[index, 1:] = features.reshape(len(a), -1)
     return rows
 
 

@@ -8,12 +8,17 @@ bitstring, endpoint indices, label, hitting times, and provenance.
 An absent optional key takes the default of its `Example` or `Dataset`
 field; the header's metadata must be a JSON object.
 
-Records are checked and built in columns. `_example_fault` states the
-`Example` rules once, over columns of field values: `Example` runs it on
-one row and `load` on every record of a file. The examples that pass, and
-those `build_line_dataset` and `build_random_dataset` make, which are
-valid by construction, are built without running the rules again. `save` packs the adjacency
-bitstrings of each vertex count from one stacked array.
+A dataset holds its records in columns: one read-only int64 adjacency
+stack per vertex count with each record's vertex count, row and endpoints
+(`graphs._Stacks`), and one column of each `Example` field besides the
+graph, in the form `Example` stores it. `examples` is built from these
+columns on first read and then kept. `load`, the builders, `split`,
+`merge`, `drop_indeterminate` and `save` read and write columns only, and
+a dataset's input rows are encoded from its stacks, so none of them makes
+an `Example` or a `Graph` per record.
+
+`_example_fault` states the `Example` rules once, over columns of field
+values: `Example` runs it on one row and `load` on every record of a file.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ import gzip
 import io
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field
-from functools import partial
+import itertools
+from dataclasses import MISSING, FrozenInstanceError, asdict, dataclass, field
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -40,8 +46,8 @@ from .graphs import (
     _path_graphs,
     _raised,
     _real,
+    _Stacks,
     _unchecked,
-    _unchecked_stack,
     random_graph,
 )
 from .walkers import CLASSICAL, QUANTUM, WalkConfig, WalkOutcome, label_from_hit_times, label_graph
@@ -139,12 +145,15 @@ def _example_fault(label, t_classical, t_quantum, indeterminate, provenance):
     end = len(label) if numeric.all() else int(np.argmin(numeric))
     labels, t_c, t_q = (_stored(column[:end]) for column in (label, t_classical, t_quantum))
     flags = indeterminate[:end]
+    bools = _instances(flags, bool)
     later = (
         (np.equal(labels, list(map(label_from_hit_times, t_c, t_q))),
          lambda i: ValueError("label contradicts the stored hitting times")),
-        (_instances(flags, bool),
+        (bools,
          lambda i: ValueError(f"indeterminate must be true or false, got {indeterminate[i]!r}")),
-        (np.fromiter((f is not True or c is q is None for f, c, q in zip(flags, t_c, t_q)),
+        # a column of bools none of which is true flags no row
+        (np.ones(end, dtype=bool) if bools.all() and True not in flags else
+         np.fromiter((f is not True or c is q is None for f, c, q in zip(flags, t_c, t_q)),
                      dtype=bool, count=end),
          lambda i: ValueError("an indeterminate example cannot carry hitting times")),
         (_instances(provenance[:end], dict),
@@ -158,14 +167,6 @@ def _example_fault(label, t_classical, t_quantum, indeterminate, provenance):
     else:
         return None
     return i, next(error(i) for ok, error in rules if not ok[i])
-
-
-def _unchecked_examples(graphs: list[Graph], *columns) -> list[Example]:
-    """The examples of `graphs` and of their field columns, given in
-    `_EXAMPLE_KEYS` order, which keep every `Example` rule, as
-    `_example_fault` found or as `_labeled_examples` made them."""
-    names = [name for _, name in _EXAMPLE_KEYS]
-    return _unchecked(Example, {"graph": graphs, **dict(zip(names, columns))})
 
 
 @dataclass(frozen=True)
@@ -187,25 +188,86 @@ class Example:
             object.__setattr__(self, name, _stored([getattr(self, name)])[0])
 
 
-@dataclass(frozen=True)
 class Dataset:
-    examples: tuple[Example, ...]
-    split_tag: str = "unsplit"
-    metadata: dict = field(default_factory=dict)
-    # (key, rows) of the last `_rows_for` call: one copy of rows at most.
-    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    """Labeled examples in order, with a split tag and metadata.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "examples", tuple(self.examples))
-        if not self.examples:
+    `Dataset(examples, split_tag, metadata)` keeps the examples it is given
+    and derives its columns from them; the builders, `load` and the
+    reshaping functions make datasets from columns alone, whose `examples`
+    are built, unchecked, on first read. Two datasets are equal when their
+    examples, split tags and metadata are. A dataset is immutable.
+    """
+
+    def __init__(self, examples: Sequence[Example], split_tag: str = "unsplit",
+                 metadata: dict = MISSING) -> None:
+        examples = tuple(examples)
+        kinds = _instances(examples, Example)
+        if not kinds.all():
+            i = int(np.argmin(kinds))
+            raise TypeError(f"example {i} must be an Example, got {examples[i]!r}")
+        fields = {name: list(map(attrgetter(name), examples)) for _, name in _EXAMPLE_KEYS}
+        self._init(_Stacks.of([e.graph for e in examples]), fields, split_tag, metadata)
+        self.__dict__["examples"] = examples
+
+    @classmethod
+    def _of(cls, graphs: _Stacks, fields: dict, split_tag: str = "unsplit",
+            metadata: dict = MISSING) -> Dataset:
+        """The dataset of these graph columns and `Example` field columns
+        (field name to a list, in `_EXAMPLE_KEYS` order), which keep every
+        `Example` rule."""
+        d = object.__new__(cls)
+        d._init(graphs, fields, split_tag, metadata)
+        return d
+
+    def _init(self, graphs: _Stacks, fields: dict, split_tag: str, metadata: dict) -> None:
+        if not len(graphs):
             raise ValueError("a dataset must contain at least one example")
-        if self.split_tag not in _SPLIT_TAGS:
-            raise ValueError(f"split_tag must be one of {_SPLIT_TAGS}, got {self.split_tag!r}")
-        if not isinstance(self.metadata, dict):
-            raise TypeError(f"metadata must be a dict, got {self.metadata!r}")
+        if split_tag not in _SPLIT_TAGS:
+            raise ValueError(f"split_tag must be one of {_SPLIT_TAGS}, got {split_tag!r}")
+        metadata = {} if metadata is MISSING else metadata
+        if not isinstance(metadata, dict):
+            raise TypeError(f"metadata must be a dict, got {metadata!r}")
+        self.__dict__.update(
+            split_tag=split_tag,
+            metadata=metadata,
+            _graphs=graphs,
+            _fields=fields,
+            # (key, rows) of the last `_rows_for` call: one copy of rows at most.
+            _kept=None,
+        )
+
+    def _take(self, index, split_tag: str, metadata: dict) -> Dataset:
+        """The records at the positions in the list `index`, in that order,
+        sharing these stacks."""
+        fields = {name: [column[k] for k in index] for name, column in self._fields.items()}
+        return Dataset._of(self._graphs.take(index), fields, split_tag, metadata)
+
+    @cached_property
+    def examples(self) -> tuple[Example, ...]:
+        columns = {"graph": self._graphs, **self._fields}
+        return tuple(_unchecked(Example, columns))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.examples, self.split_tag, self.metadata) == (
+            other.examples, other.split_tag, other.metadata
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"Dataset(examples={self.examples!r}, split_tag={self.split_tag!r}, "
+                f"metadata={self.metadata!r})")
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self._graphs)
 
     def __iter__(self) -> Iterator[Example]:
         return iter(self.examples)
@@ -213,61 +275,42 @@ class Dataset:
     @property
     def class_fractions(self) -> tuple[float, float]:
         """Empirical (classical, quantum) fractions of the examples."""
-        quantum = sum(1 for e in self.examples if e.label == QUANTUM)
-        total = len(self.examples)
+        quantum = self._fields["label"].count(QUANTUM)
+        total = len(self)
         return ((total - quantum) / total, quantum / total)
 
     @property
     def max_n(self) -> int:
-        return max(e.graph.n for e in self.examples)
+        return int(self._graphs.n.max())
 
     @property
     def labels(self) -> np.ndarray:
-        return np.array([e.label for e in self.examples], dtype=np.int64)
+        return np.array(self._fields["label"], dtype=np.int64)
 
     def _rows_for(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """The rows `build` makes from these examples, kept read-only and
+        """The rows `build` makes from this dataset's graphs, kept read-only and
         returned again while later calls pass an equal key. Only the last
         key's rows are kept; a call with another key replaces them."""
         if self._kept is None or self._kept[0] != key:
             rows = build()
             rows.setflags(write=False)
-            object.__setattr__(self, "_kept", (key, rows))
+            self.__dict__["_kept"] = (key, rows)
         return self._kept[1]
 
 
 # ====== generation ======
 
 
-def _labeled_examples(
-    graphs: list[Graph], outcomes: list[WalkOutcome], provenance: list[dict]
-) -> list[Example]:
-    """The examples of graphs labeled by `label_graph`, one outcome and one
-    provenance dict each, built unchecked: an outcome's label is the one its
-    hit times give, its hit times are None or finite floats >= 0, and it is
-    flagged indeterminate exactly when both are None."""
-    fields = (
-        list(map(attrgetter(name), outcomes)) if name != "provenance" else provenance
+def _outcome_fields(outcomes: list[WalkOutcome], provenance: list[dict]) -> dict:
+    """The `Example` field columns of graphs labeled by `label_graph`, one
+    outcome and one provenance dict each. They keep every `Example` rule: an
+    outcome's label is the one its hit times give, its hit times are None
+    or finite floats >= 0, and it is flagged indeterminate exactly when both
+    are None."""
+    return {
+        name: provenance if name == "provenance" else list(map(attrgetter(name), outcomes))
         for _, name in _EXAMPLE_KEYS
-    )
-    return _unchecked_examples(graphs, *fields)
-
-
-def _random_example(seed: int, n: int, cfg: WalkConfig) -> Example:
-    graph = random_graph(n, seed)
-    provenance = {"kind": "random", "seed": seed}
-    return _labeled_examples([graph], [label_graph(graph, cfg)], [provenance])[0]
-
-
-def _map(fn, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    # imported here so that only a pooled build loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(items) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+    }
 
 
 def build_line_dataset(n: int, cfg: WalkConfig = WalkConfig()) -> Dataset:
@@ -279,8 +322,9 @@ def build_line_dataset(n: int, cfg: WalkConfig = WalkConfig()) -> Dataset:
     One representative per class, 0 at i, 1 at j and 2..n-1 in order
     elsewhere, is labeled, and every graph of the class carries its outcome.
     Examples come in lexicographic order of their labeling, which each
-    records as provenance. The graphs and examples are built unchecked, as
-    paths with their `label_graph` outcomes are valid by construction.
+    records as provenance. The paths are one stack and the outcomes columns,
+    unchecked, as paths with their `label_graph` outcomes are valid by
+    construction.
     """
     n = _integer("n", n, 3, 10)
     labelings = _line_labelings(n)
@@ -297,27 +341,29 @@ def build_line_dataset(n: int, cfg: WalkConfig = WalkConfig()) -> Dataset:
     labeled = [label_graph(g, cfg) for g in _path_graphs(np.array(representatives))]
     outcome = dict(zip(classes, labeled))
     provenance = [{"kind": "line", "labeling": perm} for perm in labelings.tolist()]
-    examples = _labeled_examples(
-        _path_graphs(labelings), [outcome[key] for key in keys], provenance
-    )
+    fields = _outcome_fields([outcome[key] for key in keys], provenance)
     metadata = {"kind": "line", "n": n, "config": asdict(cfg)}
-    return Dataset(tuple(examples), "unsplit", metadata)
+    return Dataset._of(_path_graphs(labelings), fields, "unsplit", metadata)
 
 
 def build_random_dataset(
-    n: int, count: int, seed: int, cfg: WalkConfig = WalkConfig(), jobs: int = 1
+    n: int, count: int, seed: int, cfg: WalkConfig = WalkConfig()
 ) -> Dataset:
     """Label `count` random connected graphs, deterministically under `seed`.
 
-    Each example gets its own child seed drawn up front, so the result does
-    not depend on worker count.
+    Each example gets its own child seed drawn up front, and its graph and
+    label depend on that seed alone.
     """
     n, count, seed = _integer("n", n, 3), _integer("count", count, 1), _integer("seed", seed, 0)
-    child_seeds = np.random.default_rng(seed).integers(2**63, size=count)
-    label = partial(_random_example, n=n, cfg=cfg)
-    examples = _map(label, [int(s) for s in child_seeds], jobs)
+    child_seeds = np.random.default_rng(seed).integers(2**63, size=count).tolist()
+    graphs, outcomes = [], []
+    for child in child_seeds:
+        graphs.append(random_graph(n, child))
+        outcomes.append(label_graph(graphs[-1], cfg))
+    provenance = [{"kind": "random", "seed": child} for child in child_seeds]
     metadata = {"kind": "random", "n": n, "count": count, "seed": seed, "config": asdict(cfg)}
-    return Dataset(tuple(examples), "unsplit", metadata)
+    fields = _outcome_fields(outcomes, provenance)
+    return Dataset._of(_Stacks.of(graphs), fields, "unsplit", metadata)
 
 
 # ====== reshaping ======
@@ -327,7 +373,7 @@ def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datase
     """Random train/test partition; train size is round(fraction * size)."""
     train_fraction = _real("train_fraction", train_fraction, 0, 1, strict=True)
     seed = _integer("seed", seed, 0)
-    size = len(d.examples)
+    size = len(d)
     n_train = int(math.floor(train_fraction * size + 0.5))
     if n_train == 0 or n_train == size:
         raise ValueError(f"split of {size} examples at {train_fraction} leaves one side empty")
@@ -335,10 +381,8 @@ def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datase
     train_idx = np.sort(order[:n_train])
     test_idx = np.sort(order[n_train:])
     extra = {"split_seed": seed, "train_fraction": train_fraction}
-    train = Dataset(
-        tuple(d.examples[i] for i in train_idx), "train", {**d.metadata, **extra}
-    )
-    test = Dataset(tuple(d.examples[i] for i in test_idx), "test", {**d.metadata, **extra})
+    train = d._take(train_idx.tolist(), "train", {**d.metadata, **extra})
+    test = d._take(test_idx.tolist(), "test", {**d.metadata, **extra})
     return train, test
 
 
@@ -350,50 +394,46 @@ def merge(parts: Sequence[Dataset]) -> Dataset:
         return parts[0]
     tags = {d.split_tag for d in parts}
     tag = tags.pop() if len(tags) == 1 else "unsplit"
-    examples = tuple(e for d in parts for e in d.examples)
-    return Dataset(examples, tag, {"kind": "merged", "parts": [d.metadata for d in parts]})
+    graphs = _Stacks.concat([d._graphs for d in parts])
+    fields = {
+        name: list(itertools.chain.from_iterable(d._fields[name] for d in parts))
+        for _, name in _EXAMPLE_KEYS
+    }
+    metadata = {"kind": "merged", "parts": [d.metadata for d in parts]}
+    return Dataset._of(graphs, fields, tag, metadata)
 
 
 def drop_indeterminate(d: Dataset) -> Dataset:
     """Remove examples whose walkers never crossed the threshold."""
-    kept = tuple(e for e in d.examples if not e.indeterminate)
-    dropped = len(d.examples) - len(kept)
+    kept = [k for k, flag in enumerate(d._fields["indeterminate"]) if not flag]
+    dropped = len(d) - len(kept)
     if dropped == 0:
         return d
-    return Dataset(kept, d.split_tag, {**d.metadata, "indeterminate_dropped": dropped})
+    return d._take(kept, d.split_tag, {**d.metadata, "indeterminate_dropped": dropped})
 
 
 # ====== serialization ======
 
 
-def _groups(keys) -> dict:
-    """The positions of each key in `keys`, in order, by key."""
-    groups: dict = {}
-    for k, key in enumerate(keys):
-        groups.setdefault(key, []).append(k)
-    return groups
-
-
-def _example_records(examples: Sequence[Example]) -> Iterator[dict]:
+def _records(d: Dataset) -> Iterator[dict]:
     """The file record of each example, one at a time. The adjacency
-    bitstrings of each vertex count are packed from one stacked array."""
-    graphs = list(map(attrgetter("graph"), examples))
-    adjacency = list(map(attrgetter("adjacency"), graphs))
-    sizes = list(map(len, adjacency))
+    bitstrings of each vertex count are packed from its stack."""
+    graphs = d._graphs
     bits: list = [None] * len(graphs)
-    for n, members in _groups(sizes).items():
-        # entries are 0 or 1, so uint8 holds them exactly
-        rows = np.concatenate([adjacency[k] for k in members], dtype=np.uint8, casting="unsafe")
-        rows += 48  # ASCII "0" and "1"
-        packed = rows.tobytes().decode("ascii")
-        for k, start in zip(members, range(0, len(packed), n * n)):
+    for members, stack, rows, _, _ in graphs.groups():
+        n = stack.shape[1]
+        # entries are 0 or 1, so uint8 holds them and ASCII "0" and "1"
+        chars = np.add(stack, 48, dtype=np.uint8, casting="unsafe")[rows]
+        packed = chars.tobytes().decode("ascii")
+        for k, start in zip(members.tolist(), range(0, len(packed), n * n)):
             bits[k] = packed[start : start + n * n]
     keys = ("n", "adjacency", "v_init", "v_target", *(key for key, _ in _EXAMPLE_KEYS))
     columns = (
-        sizes,
+        graphs.n.tolist(),
         bits,
-        *(list(map(attrgetter(name), graphs)) for name in ("v_init", "v_target")),
-        *(list(map(attrgetter(name), examples)) for _, name in _EXAMPLE_KEYS),
+        graphs.v_init.tolist(),
+        graphs.v_target.tolist(),
+        *(d._fields[name] for _, name in _EXAMPLE_KEYS),
     )
     return (dict(zip(keys, row)) for row in zip(*columns))
 
@@ -405,11 +445,12 @@ def save(d: Dataset, path) -> None:
     round-trip floats, zeroed gzip timestamp, fixed compression level 6), so
     identical datasets give identical files. The file is replaced atomically.
     """
-    header = {"format": _FORMAT, "version": _VERSION, "count": len(d.examples)}
+    header = {"format": _FORMAT, "version": _VERSION, "count": len(d)}
     header.update((key, getattr(d, name)) for key, name in _HEADER_KEYS)
     lines = [compact_json(header)]
-    lines.extend(map(compact_json, _example_records(d.examples)))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    lines.extend(map(compact_json, _records(d)))
+    lines.append("")  # for the final newline
+    data = "\n".join(lines).encode("utf-8")
     if str(path).endswith(".gz"):
         raw = io.BytesIO()
         # filename="" keeps the gzip header free of the output path
@@ -421,75 +462,100 @@ def save(d: Dataset, path) -> None:
     write_atomic(path, data)
 
 
-_decode = json.JSONDecoder().raw_decode
+# The scanner `JSONDecoder.raw_decode` calls at index 0, called directly: it
+# gives (value, end), or raises StopIteration where no value starts.
+_scan = json.JSONDecoder().scan_once
+# The keys every example line must have, in the order their absence is named.
+_RECORD_KEYS = ("n", "adjacency", "v_init", "v_target", "label")
+_REQUIRED_KEYS = frozenset(_RECORD_KEYS)
 
 
 def _line_error(lineno: int, message) -> DatasetFormatError:
     return DatasetFormatError(f"line {lineno}: {message}")
 
 
-def _parse_record(line: str, lineno: int) -> dict:
-    """One example line, read as `json.loads` reads it, as a JSON object
-    with every required key; its other rules unchecked."""
-    try:
-        record, end = _decode(line)
-    except json.JSONDecodeError:
-        end = None
-    if end != len(line):
-        # no JSON text, or blanks around it: only `json.loads` reads these
-        # as it does, and names the fault as it does
-        if not line.strip():
-            raise _line_error(lineno, "empty record")
+def _parse_records(lines: list[str]) -> tuple[list[dict], DatasetFormatError | None]:
+    """The records of the example lines, each read as `json.loads` reads
+    it, as a JSON object with every required key (its other rules
+    unchecked), up to the first line that is not one, and that line's
+    error, or None."""
+    records = []
+    for line in lines:
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise _line_error(lineno, f"invalid JSON: {exc}")
-    if not isinstance(record, dict):
-        raise _line_error(lineno, "record must be a JSON object")
-    for key in ("n", "adjacency", "v_init", "v_target", "label"):
-        if key not in record:
-            raise _line_error(lineno, f"missing field {key!r}")
-    return record
+            record, end = _scan(line, 0)
+        except (json.JSONDecodeError, StopIteration):
+            end = None
+        if end != len(line):
+            # no JSON text, or blanks around it: only `json.loads` reads these
+            # as it does, and names the fault as it does
+            if not line.strip():
+                return records, _line_error(len(records) + 2, "empty record")
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                return records, _line_error(len(records) + 2, f"invalid JSON: {exc}")
+        if not isinstance(record, dict):
+            return records, _line_error(len(records) + 2, "record must be a JSON object")
+        if not record.keys() >= _REQUIRED_KEYS:
+            missing = next(key for key in _RECORD_KEYS if key not in record)
+            return records, _line_error(len(records) + 2, f"missing field {missing!r}")
+        records.append(record)
+    return records, None
 
 
-def _size_fault(records: list[dict]) -> tuple[int, str] | None:
-    """The first record whose `n` is not an integer >= 3, or whose
-    adjacency is not a string of n*n ASCII characters, as (index, message),
-    or None when every record keeps both rules."""
-    ns = list(map(itemgetter("n"), records))
+def _size_fault(ns: list, strings: list) -> tuple[int, str] | None:
+    """The first record whose `n` (in `ns`) is not an integer >= 3, or whose
+    adjacency (in `strings`) is not a string of n*n ASCII characters, as
+    (index, message), or None when every record keeps both rules."""
     sizes = _integers_in(ns, 3)
     end = len(ns) if sizes.all() else int(np.argmin(sizes))
-    for k, (n, bits) in enumerate(zip(ns[:end], map(itemgetter("adjacency"), records))):
-        if not (isinstance(bits, str) and len(bits) == n * n and bits.isascii()):
-            return k, "adjacency must be a bitstring of length n*n"
+    head = strings[:end]
+    # a column of ASCII strings of the right lengths passes at once; any
+    # other goes record by record
+    if not (set(map(type, head)) <= {str} and all(map(str.isascii, head))
+            and list(map(len, head)) == [n * n for n in ns[:end]]):
+        for k, (n, bits) in enumerate(zip(ns, head)):
+            if not (isinstance(bits, str) and len(bits) == n * n and bits.isascii()):
+                return k, "adjacency must be a bitstring of length n*n"
     if end < len(ns):
         return end, str(_raised(_integer, "n", ns[end], 3))
     return None
 
 
-def _record_graphs(records: list[dict]) -> tuple[list[Graph], tuple[int, str] | None]:
-    """The graphs of the records, checked in one stack per vertex count.
+def _record_graphs(ns: list, strings: list, v_init: list, v_target: list
+                   ) -> tuple[_Stacks | None, tuple[int, str] | None]:
+    """The graphs of records that keep the `_size_fault` rules, from their
+    `n`, `adjacency`, `v_init` and `v_target` columns, checked in one stack
+    per vertex count.
 
-    Returns the graphs before the first record (in file order) whose graph
-    breaks a `Graph` rule, and that record's index and message, or None.
+    Returns their columns and None when every graph keeps the `Graph`
+    rules, or None and the index and message of the first record (in file
+    order) whose graph breaks one.
     """
-    graphs: list = [None] * len(records)
-    first = None
-    for n, members in _groups(map(itemgetter("n"), records)).items():
-        group = [records[k] for k in members]
-        bits = "".join(map(itemgetter("adjacency"), group)).encode("ascii")
-        stack = (np.frombuffer(bits, np.uint8) - 48).reshape(-1, n, n)  # "0"/"1" to 0/1
-        v_init, v_target = (list(map(itemgetter(key), group)) for key in ("v_init", "v_target"))
-        fault = _first_fault(stack, v_init, v_target)
+    sizes = np.array(ns, dtype=np.int64)
+    row = np.empty(len(ns), dtype=np.int64)
+    stacks, first = {}, None
+    for n in dict.fromkeys(ns):
+        members = np.flatnonzero(sizes == n)
+        columns = (strings, v_init, v_target)
+        if len(members) < len(ns):
+            columns = ([column[k] for k in members.tolist()] for column in columns)
+        bits, starts, targets = columns
+        chars = np.frombuffer("".join(bits).encode("ascii"), np.uint8)
+        stack = np.subtract(chars, 48, dtype=np.int64).reshape(-1, n, n)  # "0"/"1" to 0/1
+        fault = _first_fault(stack, starts, targets)
         if fault is not None:
-            index, message = fault
-            if first is None or members[index] < first[0]:
-                first = (members[index], message)
-            stack, v_init, v_target = stack[:index], v_init[:index], v_target[:index]
-        for k, graph in zip(members, _unchecked_stack(stack, v_init, v_target)):
-            graphs[k] = graph
-    end = len(records) if first is None else first[0]
-    return graphs[:end], first
+            index, message = int(members[fault[0]]), fault[1]
+            if first is None or index < first[0]:
+                first = (index, message)
+        elif first is None:
+            stack.setflags(write=False)
+            stacks[n] = stack
+            row[members] = np.arange(len(members))
+    if first is not None:
+        return None, first
+    endpoints = (np.array(v, dtype=np.int64) for v in (v_init, v_target))
+    return _Stacks(stacks, sizes, row, *endpoints), None
 
 
 def _field_column(records: list[dict], key: str, name: str) -> list:
@@ -548,21 +614,18 @@ def load(path) -> Dataset:
         raise DatasetFormatError(f"line 1: unsupported version {version!r}") from exc
     # A record's checks run in the order parse, graph, example; the error
     # raised is that of the first record in the file that fails any of them.
-    records, parse_error = [], None
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            records.append(_parse_record(line, lineno))
-        except DatasetFormatError as exc:
-            parse_error = exc
-            break
+    records, parse_error = _parse_records(lines[1:])
     del lines  # not needed past here; freeing it lowers the peak
-    size_fault = _size_fault(records)
+    graph_columns = [list(map(itemgetter(key), records)) for key in _RECORD_KEYS[:4]]
+    size_fault = _size_fault(*graph_columns[:2])
     if size_fault is not None:
         index, message = size_fault
         parse_error = _line_error(index + 2, message)
         records = records[:index]
-    graphs, graph_fault = _record_graphs(records)
-    records = records[: len(graphs)]
+        graph_columns = [column[:index] for column in graph_columns]
+    graphs, graph_fault = _record_graphs(*graph_columns)
+    if graph_fault is not None:
+        records = records[: graph_fault[0]]
     columns = [_field_column(records, key, name) for key, name in _EXAMPLE_KEYS]
     example_fault = _example_fault(*columns)
     if example_fault is not None:
@@ -573,16 +636,16 @@ def load(path) -> Dataset:
         raise _line_error(index + 2, message)
     if parse_error is not None:
         raise parse_error
-    examples = _unchecked_examples(graphs, *columns)
     count = header.get("count")
     try:
-        _integer("count", count, len(examples), len(examples))
+        _integer("count", count, len(records), len(records))
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(
-            f"header promises {count} examples, file has {len(examples)}"
+            f"header promises {count} examples, file has {len(records)}"
         ) from exc
-    fields = {name: header[key] for key, name in _HEADER_KEYS if key in header}
+    fields = dict(zip((name for _, name in _EXAMPLE_KEYS), columns))
+    header_fields = {name: header[key] for key, name in _HEADER_KEYS if key in header}
     try:
-        return Dataset(tuple(examples), **fields)
+        return Dataset._of(graphs, fields, **header_fields)
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"line 1: {exc}") from exc

@@ -95,9 +95,7 @@ def evaluate(
 def _rows(model: CqcnnModel, dataset: Dataset) -> np.ndarray:
     """The dataset's read-only input rows for the model, kept with the
     dataset under the model's encoding key."""
-    return dataset._rows_for(
-        _encoding_key(model), lambda: encode(model, [e.graph for e in dataset])
-    )
+    return dataset._rows_for(_encoding_key(model), lambda: encode(model, dataset._graphs))
 
 
 def _metrics(model, rows, labels, kappas) -> Metrics:

@@ -23,6 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterator
 
 import numpy as np
 
@@ -230,6 +232,81 @@ def _unchecked_stack(adjacency: np.ndarray, v_init, v_target) -> list[Graph]:
 
 
 @dataclass(frozen=True, eq=False)
+class _Stacks:
+    """Graphs kept in columns: one read-only adjacency stack per vertex
+    count, and each graph's vertex count, row in the stack of that count,
+    start and target (int64 arrays).
+
+    Iterating gives the graphs, built unchecked on each pass as `Graph`s
+    over read-only views of their stack rows, which are int64 for that;
+    `cqcnn.encode` stacks a list of graphs in bytes and never iterates them.
+    """
+
+    stacks: dict
+    n: np.ndarray
+    row: np.ndarray
+    v_init: np.ndarray
+    v_target: np.ndarray
+
+    @classmethod
+    def of(cls, graphs, dtype=np.int64) -> _Stacks:
+        """The columns of a list of graphs, their 0/1 matrices copied into
+        one stack of `dtype` per vertex count."""
+        sizes = np.fromiter((g.n for g in graphs), np.int64, count=len(graphs))
+        row = np.empty(len(graphs), dtype=np.int64)
+        stacks = {}
+        for n in dict.fromkeys(sizes.tolist()):
+            members = np.flatnonzero(sizes == n)
+            matrices = [graphs[k].adjacency for k in members]
+            stacks[n] = np.stack(matrices, dtype=dtype, casting="unsafe")
+            stacks[n].setflags(write=False)
+            row[members] = np.arange(len(members))
+        endpoints = (np.fromiter(map(attrgetter(name), graphs), np.int64, count=len(graphs))
+                     for name in ("v_init", "v_target"))
+        return cls(stacks, sizes, row, *endpoints)
+
+    @classmethod
+    def concat(cls, parts: list[_Stacks]) -> _Stacks:
+        """The graphs of `parts` in order, each vertex count's rows copied
+        into one new stack."""
+        n, v_init, v_target = (
+            np.concatenate([getattr(p, name) for p in parts])
+            for name in ("n", "v_init", "v_target")
+        )
+        row = np.empty(len(n), dtype=np.int64)
+        stacks = {}
+        for size in dict.fromkeys(n.tolist()):
+            pieces = [p.stacks[size][p.row[p.n == size]] for p in parts if size in p.stacks]
+            stacks[size] = np.concatenate(pieces)
+            stacks[size].setflags(write=False)
+            members = n == size
+            row[members] = np.arange(np.count_nonzero(members))
+        return cls(stacks, n, row, v_init, v_target)
+
+    def take(self, index) -> _Stacks:
+        """The graphs at `index`, sharing these stacks."""
+        columns = (self.n, self.row, self.v_init, self.v_target)
+        return _Stacks(self.stacks, *(column[index] for column in columns))
+
+    def groups(self) -> Iterator[tuple]:
+        """(positions, stack, rows, v_init, v_target) of each vertex count:
+        the graphs at `positions`, in order, are the `rows` of `stack`."""
+        for n, stack in self.stacks.items():
+            members = np.flatnonzero(self.n == n)
+            if len(members):
+                ends = self.v_init[members], self.v_target[members]
+                yield members, stack, self.row[members], *ends
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __iter__(self) -> Iterator[Graph]:
+        views = map(lambda n, r: self.stacks[n][r], self.n.tolist(), self.row.tolist())
+        ends = {name: getattr(self, name).tolist() for name in ("v_init", "v_target")}
+        return iter(_unchecked(Graph, {"adjacency": views, **ends}))
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected connected graph with a marked start and target vertex.
 
@@ -292,10 +369,10 @@ def line_graph(n: int, labeling) -> Graph:
     permutation controls where they land on the path.
     """
     n = _integer("n", n, 3)
-    return _path_graphs(np.array([_permutation("labeling", labeling, n)]))[0]
+    return list(_path_graphs(np.array([_permutation("labeling", labeling, n)])))[0]
 
 
-def _path_graphs(labelings: np.ndarray) -> list[Graph]:
+def _path_graphs(labelings: np.ndarray) -> _Stacks:
     """The path graphs of a (B, n) array of permutations of range(n), built
     as one (B, n, n) stack."""
     b, n = labelings.shape
@@ -303,7 +380,9 @@ def _path_graphs(labelings: np.ndarray) -> list[Graph]:
     rows = np.arange(b)[:, np.newaxis]
     a[rows, labelings[:, :-1], labelings[:, 1:]] = 1
     a[rows, labelings[:, 1:], labelings[:, :-1]] = 1
-    return _unchecked_stack(a, [0] * b, [1] * b)
+    a.setflags(write=False)
+    ends = np.zeros(b, dtype=np.int64), np.ones(b, dtype=np.int64)
+    return _Stacks({n: a}, np.full(b, n), np.arange(b), *ends)
 
 
 def _line_labelings(n: int) -> np.ndarray:
@@ -321,7 +400,7 @@ def enumerate_line_graphs(n: int) -> list[Graph]:
     A labeling and its reverse describe the same path, so exactly n!/2
     graphs come back, in lexicographic order of the kept labeling.
     """
-    return _path_graphs(_line_labelings(_integer("n", n, 3, 12)))
+    return list(_path_graphs(_line_labelings(_integer("n", n, 3, 12))))
 
 
 def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:

@@ -121,7 +121,9 @@ def _first_crossing(curve, p_th: float, t_max: float) -> float | None:
     # Both curves are non-decreasing, so a crossing by t_max is bracketed by [0, t_max].
     if curve(t_max) <= p_th:
         return None
-    return brentq(lambda t: curve(t) - p_th, 0.0, t_max, xtol=1e-12, rtol=1e-12)
+    # brentq's sharpest relative tolerance, and an absolute one that never binds
+    eps = np.finfo(float).eps
+    return brentq(lambda t: curve(t) - p_th, 0.0, t_max, xtol=np.finfo(float).tiny, rtol=4 * eps)
 
 
 def oracle_hit_times(

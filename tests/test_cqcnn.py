@@ -9,6 +9,8 @@ Tests verify:
 - feature extraction layout, padding, and relabeling equivariance
 - encoded row widths and full-variant weight shapes wherever the channel
   count steps, batch consistency, and width checks
+- the closed-form vertex features against the etv/ete filter route on
+  padded random stacks, bit for bit
 - encoded rows against a graph-by-graph loop oracle at n_max 4, 7, 15, 20
   over lists that mix vertex counts and cross a 64-graph block, bit for
   bit wherever the arithmetic is exact; rows independent of the list a
@@ -77,6 +79,8 @@ from qwalk import (
     score_loss,
     sgd_step,
 )
+
+from qwalk.cqcnn import _ete, _etv, _vertex_features
 
 from oracles import (
     brute_ete,
@@ -377,13 +381,28 @@ def _mixed_graphs(n_max: int, seed: int) -> tuple[list[Graph], list[int]]:
 
 @pytest.mark.parametrize("n_max", [4, 7, 15, 20])
 def test_encode_matches_loop_oracle(n_max):
-    """Rows equal the graph-by-graph loop oracle. Simple rows, and the parts
-    of full rows made by exact arithmetic (integer sums of the adjacency
-    channel, scaled vertex features, one-step transition rows), match bit
-    for bit; the rest are sums of rounded floats that the oracle adds in
-    another order, so they match to a few ulps of n_max-term sums."""
+    """The closed-form vertex features equal the `etv`/`ete` filter route
+    bit for bit, and rows equal the graph-by-graph loop oracle. Simple
+    rows, and the parts of full rows made by exact arithmetic (integer sums
+    of the adjacency channel, scaled vertex features, one-step transition
+    rows), match bit for bit; the rest are sums of rounded floats that the
+    oracle adds in another order, so they match to a few ulps of n_max-term
+    sums."""
     pool, order = _mixed_graphs(n_max, seed=n_max)
     graphs = [pool[k] for k in order]
+    # the closed-form vertex features equal the filter route, etv of the
+    # desymmetrized matrix and of its desymmetrized ete, on padded stacks
+    for n in range(3, n_max + 1):
+        group = [g for g in pool if g.n == n]
+        a = np.stack([g.adjacency for g in group])
+        v_init, v_target = (np.array([getattr(g, name) for g in group])
+                            for name in ("v_init", "v_target"))
+        padded = np.zeros((len(group), n_max, n_max))
+        padded[:, :n, :n] = a
+        take = np.arange(len(group))
+        route = np.stack([_etv(np.triu(padded)), _etv(np.triu(_ete(padded))),
+                          padded[take, v_init], padded[take, v_target]], axis=-1)
+        assert np.array_equal(_vertex_features(a, v_init, v_target, n_max), route)
     for variant in ("simple", "full"):
         model = new_model(variant, n_max, seed=0)
         rows = encode(model, graphs)

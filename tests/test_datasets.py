@@ -4,8 +4,9 @@ Tests verify:
 - exhaustive line datasets carry the expected sizes and label mix, label
   one representative per start/target placement class, give every class
   member its outcome bit for bit, record the smaller path reading as
-  provenance, and do not depend on the worker count
-- random datasets are deterministic under a seed, independent of workers
+  provenance
+- random datasets are deterministic under a seed, each example fixed by
+  its own child seed
 - split/merge arithmetic and disjointness
 - indeterminate handling
 - byte-exact serialization round-trips (plain and gzip), also over
@@ -13,7 +14,13 @@ Tests verify:
   file's bytes, and each line is the per-record `json.dumps` of its header
   or example; a save into a missing directory or onto a directory names
   the target path
-- a dataset needs an example and a known split tag, and merge a dataset
+- a dataset needs an example and a known split tag, and merge a dataset;
+  an entry that is not an `Example` is refused by its index
+- a dataset is its columns: loading, building, saving, reshaping,
+  measuring and encoding it build no examples; `examples`, built on first
+  read, is the same tuple every read; a loaded file saves to its own bytes,
+  and a dataset made from examples saves to the bytes of the one they came
+  from
 - loader rejections name the offending line and reason: an empty or
   undecodable file, a broken header, an empty record or one that is not an
   object, a missing field, a bad `n` or bitstring, malformed hit times and
@@ -59,6 +66,7 @@ from qwalk import (
     line_graph,
     load,
     merge,
+    random_graph,
     save,
     split,
 )
@@ -193,11 +201,19 @@ def test_random_dataset_determinism():
     assert any(a != b for a, b in zip(d1.examples, d3.examples))
 
 
-def test_random_dataset_worker_count_does_not_change_content():
-    """Per-example child seeds make results independent of --jobs."""
-    serial = build_random_dataset(5, 6, seed=7, jobs=1)
-    pooled = build_random_dataset(5, 6, seed=7, jobs=2)
-    assert all(a == b for a, b in zip(serial.examples, pooled.examples))
+def test_random_dataset_child_seeds_alone_fix_the_content():
+    """Each example is the graph its recorded child seed draws, labeled on
+    its own: the seeds are drawn up front from the dataset seed, and no
+    example depends on another."""
+    d = build_random_dataset(5, 6, seed=7)
+    seeds = np.random.default_rng(7).integers(2**63, size=6).tolist()
+    assert [e.provenance for e in d] == [{"kind": "random", "seed": s} for s in seeds]
+    for e, s in zip(d, seeds):
+        graph = random_graph(5, s)
+        outcome = label_graph(graph)
+        alone = Example(graph, outcome.label, outcome.classical_hit_time,
+                        outcome.quantum_hit_time, outcome.indeterminate, e.provenance)
+        assert e == alone
 
 
 def test_random_dataset_records_provenance():
@@ -749,6 +765,13 @@ def test_load_refusals_give_their_line_and_reason(tmp_path, build, message):
     assert str(info.value) == message
 
 
+def test_datasets_refuse_entries_that_are_not_examples():
+    cases = (((1, 2, 3), 0, "1"), ((LINES4.examples[0], "x"), 1, "'x'"))
+    for examples, index, entry in cases:
+        with pytest.raises(TypeError, match=f"^example {index} must be an Example, got {entry}$"):
+            Dataset(examples)
+
+
 def test_datasets_refuse_no_examples_and_unknown_split_tags():
     with pytest.raises(ValueError, match="^a dataset must contain at least one example$"):
         Dataset(())
@@ -944,3 +967,54 @@ def test_load_gives_the_objects_a_constructor_stores(tmp_path):
     assert loaded[1].provenance == {} and loaded[2].provenance == {}
     loaded[1].provenance["note"] = "mine"
     assert loaded[2].provenance == {}
+
+
+# ====== columns ======
+
+
+def _unbuilt(d: Dataset) -> bool:
+    return "examples" not in vars(d)
+
+
+def test_datasets_build_no_examples_until_read(tmp_path):
+    """Building, loading, saving, reshaping, measuring and encoding a
+    dataset leave its examples unbuilt; read twice, they are one tuple."""
+    from qwalk import evaluate, new_model
+
+    built = build_line_dataset(5)
+    path = tmp_path / "l5.jsonl.gz"
+    save(built, path)
+    loaded = load(path)
+    parts = [*split(loaded, 0.5, 1), merge([loaded, built]), drop_indeterminate(loaded)]
+    for d in (built, loaded, *parts):
+        len(d), d.labels, d.class_fractions, d.max_n
+        save(d, tmp_path / "again.jsonl")
+        for variant in ("simple", "full"):
+            evaluate(new_model(variant, d.max_n, seed=0), d)
+        assert _unbuilt(d)
+    examples = loaded.examples
+    assert loaded.examples is examples and len(examples) == 60
+    assert all(type(e) is Example for e in examples)
+
+
+@pytest.mark.parametrize(
+    "name", ["l4.jsonl.gz", "l5.jsonl", "l6.jsonl.gz", "l7.jsonl.gz", "r8.jsonl"]
+)
+def test_loaded_files_save_to_their_own_bytes(tmp_path, name):
+    """`save(load(f))` writes f's bytes, and a dataset made from another's
+    examples, split tag and metadata saves to the same bytes."""
+    d = build_random_dataset(8, 20, 3) if name[0] == "r" else build_line_dataset(int(name[1]))
+    first, again, copied = (tmp_path / f"{k}{name}" for k in ("first", "again", "copied"))
+    save(d, first)
+    save(load(first), again)
+    assert again.read_bytes() == first.read_bytes()
+    save(Dataset(d.examples, d.split_tag, d.metadata), copied)
+    assert copied.read_bytes() == first.read_bytes()
+
+
+def test_a_dataset_keeps_the_examples_it_is_given():
+    examples = LINES4.examples[:5]
+    d = Dataset(examples, "test", {"note": 1})
+    assert d.examples is examples
+    assert d == Dataset(list(examples), "test", {"note": 1})
+    assert len(d) == 5 and list(d.labels) == [e.label for e in examples]

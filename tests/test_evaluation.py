@@ -12,7 +12,8 @@ Tests verify:
 - a dataset is encoded once per encoding key, however many train and
   evaluate calls read it in a row; it keeps one key's rows only; the kept
   rows are read-only, leave `==` and `repr` alone, and train exactly as
-  freshly encoded rows do
+  freshly encoded rows do; the rows a merged, split dataset of several
+  vertex counts reads from its stacks equal `encode` of its graphs
 - ensemble mean/deviation identities, and the architecture, schedule and
   at-least-one-run checks
 - CSV writers' layouts
@@ -340,6 +341,20 @@ def test_each_dataset_is_encoded_once_per_key(monkeypatch):
     evaluate(model, te)
     evaluate(model, tr)
     assert calls[4:] == [("full", 5, len(te))]
+
+
+def test_rows_of_reshaped_columns_match_encoding_their_graphs():
+    """The rows a merged, split dataset of several vertex counts gets from
+    its stacks equal `encode` of its examples' graphs, bit for bit."""
+    from qwalk import build_random_dataset, merge
+    from qwalk.evaluation import _rows
+
+    mixed = merge([build_line_dataset(4), build_random_dataset(6, 9, 2), build_line_dataset(5)])
+    for part in (mixed, *split(mixed, 0.6, 8)):
+        for variant in ("simple", "full"):
+            model = new_model(variant, 7, seed=0)
+            rows = _rows(model, part)
+            assert rows.tobytes() == encode(model, [e.graph for e in part]).tobytes()
 
 
 def test_kept_rows_refuse_writes():

@@ -3,8 +3,7 @@
 Tests verify:
 - importing qwalk and training, evaluating and inspecting models, through
   the API and the CLI (rerun included), loads neither scipy nor the
-  process pool; walks load no scipy module either, and the first pooled
-  build loads the pool and nothing else
+  process pool; walks and a random dataset build load neither either
 - a simulate run in a fresh process, which has never loaded scipy, prints
   the same text and writes the same trace bytes as one run in this process
 
@@ -62,9 +61,9 @@ with contextlib.redirect_stdout(io.StringIO()):
 cold = heavy()
 label_graph(line_graph(4, [0, 2, 1, 3]))
 walked = heavy()
-build_random_dataset(4, 4, 0, jobs=2)
-pooled = heavy()
-print(json.dumps({"codes": codes, "cold": cold, "walked": walked, "pooled": pooled}))
+build_random_dataset(4, 4, 0)
+built = heavy()
+print(json.dumps({"codes": codes, "cold": cold, "walked": walked, "built": built}))
 """
 
 
@@ -88,7 +87,7 @@ def test_cold_path_loads_neither_scipy_nor_the_process_pool(tmp_path):
     assert seen["codes"] == [0, 0, 0, 0, 0]
     assert seen["cold"] == []
     assert seen["walked"] == []
-    assert seen["pooled"] == ["concurrent.futures.process"]
+    assert seen["built"] == []
 
 
 def test_first_propagation_in_a_fresh_process_matches_this_one(tmp_path, monkeypatch, capsys):

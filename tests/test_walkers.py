@@ -402,7 +402,7 @@ def test_hit_times_end_the_grid_step_holding_the_root():
     """On the line classes n = 4..7 and random graphs n = 6, 8, 10 (seeds
     0..5), every located hit time t is the end of the grid step that holds
     the exact root, root <= t <= root + 0.1 2^-24, up to 1e-10 of root on
-    either side. The slack covers brentq's tolerance (2.7e-10 at t = 268)
+    either side. The slack covers brentq's tolerance (2.4e-13 at t = 268)
     and the propagators' rounding: on random_graph(8, 5) the quantum curve
     rises by 1.8e-4 per unit time at its root, which 40-digit arithmetic
     puts 0.05 grid steps past a grid point, and the label path's value
