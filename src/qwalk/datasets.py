@@ -593,8 +593,8 @@ def load(path) -> Dataset:
     sizes and bitstrings are then checked over columns, their graphs in
     stacked blocks, one per vertex count, against the same rules `Graph`
     applies, and their other fields over columns against the rules
-    `Example` applies; the records that pass are built without running the
-    rules again. Raises DatasetFormatError naming the first offending line
+    `Example` applies; the records that pass become the dataset's columns
+    without running the rules again. Raises DatasetFormatError naming the first offending line
     on any parse or invariant failure, with the message the failed check
     gives.
     """
@@ -616,7 +616,8 @@ def load(path) -> Dataset:
     # raised is that of the first record in the file that fails any of them.
     records, parse_error = _parse_records(lines[1:])
     del lines  # not needed past here; freeing it lowers the peak
-    graph_columns = [list(map(itemgetter(key), records)) for key in _RECORD_KEYS[:4]]
+    graph_keys = ("n", "adjacency", "v_init", "v_target")
+    graph_columns = [list(map(itemgetter(key), records)) for key in graph_keys]
     size_fault = _size_fault(*graph_columns[:2])
     if size_fault is not None:
         index, message = size_fault
