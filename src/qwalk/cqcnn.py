@@ -23,8 +23,7 @@ vertex features have a closed form in the degrees; the full variant's
 filters are row and column sums over the last two axes, so they run on
 blocks of zero-padded graphs at once, and each shift's collapse comes from
 window sums of those sums, without building the shifted maps. The kernel
-also refuses a graph larger than n_max; `extract_features` is its
-simple-variant row of a single graph.
+also refuses a graph larger than n_max.
 
 All gradients are hand-derived; there is no autodiff anywhere.
 `loss_and_gradients` and `sgd_step` check their arguments, then call one
@@ -57,7 +56,6 @@ __all__ = [
     "ModelFormatError",
     "ete_filter",
     "etv_filter",
-    "extract_features",
     "feature_slot",
     "new_model",
     "encode",
@@ -143,17 +141,6 @@ def _vertex_features(a: np.ndarray, v_init, v_target, n_max: int) -> np.ndarray:
     features[:, :n, 2] = a[take, v_init]
     features[:, :n, 3] = a[take, v_target]
     return features
-
-
-def extract_features(g: Graph, n_max: int) -> np.ndarray:
-    """Per-vertex feature vector of length 4*n_max + 1 (bias slot first).
-
-    Feature 1 is the vertex degree, feature 2 the neighboring-edge total
-    of the edges meeting the vertex, features 3 and 4 flag adjacency to
-    the start and target vertices. Vertices beyond g.n are zero-padded.
-    It is the simple variant's `encode` row of the one graph.
-    """
-    return _encode(_architecture("simple", n_max, 0), _Stacks.of([g], np.uint8))[0]
 
 
 # ====== model ======
@@ -337,7 +324,10 @@ def _encoding_key(model: CqcnnModel) -> tuple:
 def encode(model: CqcnnModel, graphs: Sequence[Graph]) -> np.ndarray:
     """Fixed input rows, one per graph, read by forward and loss_and_gradients.
 
-    Simple variant: the extract_features vector. Full variant: the
+    Simple variant: a bias slot, then four features per vertex, zero for
+    vertices past the graph's n up to n_max: the degree, the
+    neighboring-edge total of the edges meeting the vertex, and adjacency
+    to the start and to the target; 4*n_max + 1 floats. Full variant: the
     edge-to-vertex collapse of each of the 9*C one-pixel shifts of the
     C = ceil(log2 n_max) + 1 channel maps, a (9*C, n_max) block, then an
     8*n_max tail of scaled vertex features and transition rows: 795 floats

@@ -4,9 +4,15 @@ A dataset is an ordered collection of labeled examples plus a split tag.
 The on-disk format is one self-describing JSON record per line (gzip when
 the path ends in .gz): a header line with format name, version, split tag,
 and metadata, then one line per example carrying the packed adjacency
-bitstring, endpoint indices, label, hitting times, and provenance.
-An absent optional key takes the default of its `Example` or `Dataset`
-field; the header's metadata must be a JSON object.
+bitstring, endpoint indices, label, hitting times, indeterminate flag and
+provenance. An absent optional key takes the default of its `Example` or
+`Dataset` field (a flag, the one the hitting times give); the header's
+metadata must be a JSON object.
+
+An `Example` stores what was measured: its graph, two hitting times and
+provenance; its label and indeterminate flag are derived from the hitting
+times (`walkers._HitTimes`). `save` writes both, and `load` refuses a
+record whose stored ones are not those its hitting times give.
 
 A dataset holds its records in columns: one read-only int64 adjacency
 stack per vertex count with each record's vertex count, row and endpoints
@@ -16,9 +22,6 @@ columns on first read and then kept. `load`, the builders, `split`,
 `merge`, `drop_indeterminate` and `save` read and write columns only, and
 a dataset's input rows are encoded from its stacks, so none of them makes
 an `Example` or a `Graph` per record.
-
-`_example_fault` states the `Example` rules once, over columns of field
-values: `Example` runs it on one row and `load` on every record of a file.
 """
 
 from __future__ import annotations
@@ -30,14 +33,13 @@ import math
 import itertools
 from dataclasses import MISSING, FrozenInstanceError, asdict, dataclass, field
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from ._io import compact_json, write_atomic
 from .graphs import (
-    _FLOATS,
     Graph,
     _first_fault,
     _integer,
@@ -50,7 +52,16 @@ from .graphs import (
     _unchecked,
     random_graph,
 )
-from .walkers import CLASSICAL, QUANTUM, WalkConfig, WalkOutcome, label_from_hit_times, label_graph
+from .walkers import (
+    CLASSICAL,
+    QUANTUM,
+    WalkConfig,
+    WalkOutcome,
+    _HitTimes,
+    _indeterminate,
+    label_from_hit_times,
+    label_graph,
+)
 
 __all__ = [
     "Example",
@@ -72,13 +83,12 @@ _SPLIT_TAGS = ("train", "test", "unsplit")
 # into a file about 6% larger.
 _GZIP_LEVEL = 6
 # Record key of each `Example` field a dataset line carries besides its
-# graph. `save` writes every one; `load` passes on the keys a record has,
-# so an absent optional key takes the field's default in `Example`.
+# graph. `save` writes every one, with the derived "label" and
+# "indeterminate"; `load` passes on the keys a record has, so an absent
+# optional key takes the field's default in `Example`.
 _EXAMPLE_KEYS = (
-    ("label", "label"),
     ("t_classical", "classical_hit_time"),
     ("t_quantum", "quantum_hit_time"),
-    ("indeterminate", "indeterminate"),
     ("provenance", "provenance"),
 )
 # Header key of each `Dataset` field the header line carries, used the same way.
@@ -113,25 +123,24 @@ def _times_in(values) -> np.ndarray:
     )
 
 
-def _stored(values: list) -> list:
-    """Labels or hit times that keep their rules, as `Example` stores them:
-    each a Python int or float (or None), which `save` can encode."""
-    if set(map(type, values)) <= {int, float, type(None)}:
-        return values
-    return [None if v is None else float(v) if isinstance(v, _FLOATS) else int(v) for v in values]
+def _provenance(value) -> dict:
+    """`value` when it is a dict, as an example's provenance must be."""
+    if not isinstance(value, dict):
+        raise TypeError(f"provenance must be a dict, got {value!r}")
+    return value
 
 
-def _example_fault(label, t_classical, t_quantum, indeterminate, provenance):
-    """The first row of these `Example` field columns (given in
-    `_EXAMPLE_KEYS` order) that breaks an `Example` rule, as (row, the
-    exception `Example` raises for it), or None when every row keeps them.
+def _record_fault(label, t_classical, t_quantum, indeterminate, provenance):
+    """The first row of these example-record columns (its stored label,
+    hitting times, indeterminate flag and provenance) that breaks a record
+    rule, as (row, the exception for it), or None when every row keeps them.
 
     A row's exception is that of the first rule it breaks, in this order:
     the label is an integer in [0, 1] (`_integer`); each hit time is None or
-    a finite number >= 0 (`_real`); the label is the one
-    `label_from_hit_times` gives; the indeterminate flag is a bool; a
-    flagged row has no hit times; the provenance is a dict. Each rule runs
-    over whole columns.
+    a finite number >= 0 (`_real`, as `Example` checks it); the label is the
+    one `label_from_hit_times` gives; the indeterminate flag is a bool; it
+    is the flag the hit times give; the provenance is a dict (`_provenance`).
+    Each rule runs over whole columns.
     """
     typed = (
         (_integers_in(label, CLASSICAL, QUANTUM),
@@ -143,21 +152,17 @@ def _example_fault(label, t_classical, t_quantum, indeterminate, provenance):
     # The later rules read the label and hit times, so they run on the rows
     # before the first whose label or hit time breaks its rule.
     end = len(label) if numeric.all() else int(np.argmin(numeric))
-    labels, t_c, t_q = (_stored(column[:end]) for column in (label, t_classical, t_quantum))
-    flags = indeterminate[:end]
-    bools = _instances(flags, bool)
+    t_c, t_q, flags = t_classical[:end], t_quantum[:end], indeterminate[:end]
     later = (
-        (np.equal(labels, list(map(label_from_hit_times, t_c, t_q))),
+        (np.equal(label[:end], list(map(label_from_hit_times, t_c, t_q))),
          lambda i: ValueError("label contradicts the stored hitting times")),
-        (bools,
+        (_instances(flags, bool),
          lambda i: ValueError(f"indeterminate must be true or false, got {indeterminate[i]!r}")),
-        # a column of bools none of which is true flags no row
-        (np.ones(end, dtype=bool) if bools.all() and True not in flags else
-         np.fromiter((f is not True or c is q is None for f, c, q in zip(flags, t_c, t_q)),
-                     dtype=bool, count=end),
-         lambda i: ValueError("an indeterminate example cannot carry hitting times")),
-        (_instances(provenance[:end], dict),
-         lambda i: TypeError(f"provenance must be a dict, got {provenance[i]!r}")),
+        # `is` holds only for the bool the hit times give
+        (np.fromiter(map(is_, flags, map(_indeterminate, t_c, t_q)), dtype=bool, count=end),
+         lambda i: ValueError("an indeterminate example cannot carry hitting times" if flags[i]
+                              else "indeterminate is false, but neither hitting time is stored")),
+        (_instances(provenance[:end], dict), lambda i: _raised(_provenance, provenance[i])),
     )
     kept = np.logical_and.reduce([ok for ok, _ in later])
     if not kept.all():
@@ -170,22 +175,21 @@ def _example_fault(label, t_classical, t_quantum, indeterminate, provenance):
 
 
 @dataclass(frozen=True)
-class Example:
-    """One labeled graph together with the hitting times behind the label."""
+class Example(_HitTimes):
+    """One graph with the hitting times its two walkers were measured at
+    (None for a walker that never crossed). Its `label` and `indeterminate`
+    flag are derived from them on each read."""
 
     graph: Graph
-    label: int
     classical_hit_time: float | None = None
     quantum_hit_time: float | None = None
-    indeterminate: bool = False
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        fault = _example_fault(*([getattr(self, name)] for _, name in _EXAMPLE_KEYS))
-        if fault is not None:
-            raise fault[1]
-        for name in ("label", "classical_hit_time", "quantum_hit_time"):
-            object.__setattr__(self, name, _stored([getattr(self, name)])[0])
+        for name in ("classical_hit_time", "quantum_hit_time"):
+            if (t := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _real(name, t, 0))
+        _provenance(self.provenance)
 
 
 class Dataset:
@@ -272,10 +276,14 @@ class Dataset:
     def __iter__(self) -> Iterator[Example]:
         return iter(self.examples)
 
+    def _of_hit_times(self, rule: Callable) -> list:
+        """`rule` of each example's two hit times, in order."""
+        return list(map(rule, self._fields["classical_hit_time"], self._fields["quantum_hit_time"]))
+
     @property
     def class_fractions(self) -> tuple[float, float]:
         """Empirical (classical, quantum) fractions of the examples."""
-        quantum = self._fields["label"].count(QUANTUM)
+        quantum = self._of_hit_times(label_from_hit_times).count(QUANTUM)
         total = len(self)
         return ((total - quantum) / total, quantum / total)
 
@@ -285,7 +293,7 @@ class Dataset:
 
     @property
     def labels(self) -> np.ndarray:
-        return np.array(self._fields["label"], dtype=np.int64)
+        return np.array(self._of_hit_times(label_from_hit_times), dtype=np.int64)
 
     def _rows_for(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
         """The rows `build` makes from this dataset's graphs, kept read-only and
@@ -303,10 +311,8 @@ class Dataset:
 
 def _outcome_fields(outcomes: list[WalkOutcome], provenance: list[dict]) -> dict:
     """The `Example` field columns of graphs labeled by `label_graph`, one
-    outcome and one provenance dict each. They keep every `Example` rule: an
-    outcome's label is the one its hit times give, its hit times are None
-    or finite floats >= 0, and it is flagged indeterminate exactly when both
-    are None."""
+    outcome and one provenance dict each. They keep every `Example` rule, as
+    an outcome's hit times are None or finite floats >= 0."""
     return {
         name: provenance if name == "provenance" else list(map(attrgetter(name), outcomes))
         for _, name in _EXAMPLE_KEYS
@@ -405,7 +411,7 @@ def merge(parts: Sequence[Dataset]) -> Dataset:
 
 def drop_indeterminate(d: Dataset) -> Dataset:
     """Remove examples whose walkers never crossed the threshold."""
-    kept = [k for k, flag in enumerate(d._fields["indeterminate"]) if not flag]
+    kept = [k for k, flag in enumerate(d._of_hit_times(_indeterminate)) if not flag]
     dropped = len(d) - len(kept)
     if dropped == 0:
         return d
@@ -416,8 +422,9 @@ def drop_indeterminate(d: Dataset) -> Dataset:
 
 
 def _records(d: Dataset) -> Iterator[dict]:
-    """The file record of each example, one at a time. The adjacency
-    bitstrings of each vertex count are packed from its stack."""
+    """The file record of each example, one at a time, with the label and
+    indeterminate flag its hit times give. The adjacency bitstrings of each
+    vertex count are packed from its stack."""
     graphs = d._graphs
     bits: list = [None] * len(graphs)
     for members, stack, rows, _, _ in graphs.groups():
@@ -427,12 +434,15 @@ def _records(d: Dataset) -> Iterator[dict]:
         packed = chars.tobytes().decode("ascii")
         for k, start in zip(members.tolist(), range(0, len(packed), n * n)):
             bits[k] = packed[start : start + n * n]
-    keys = ("n", "adjacency", "v_init", "v_target", *(key for key, _ in _EXAMPLE_KEYS))
+    keys = ("n", "adjacency", "v_init", "v_target", "label", "indeterminate",
+            *(key for key, _ in _EXAMPLE_KEYS))
     columns = (
         graphs.n.tolist(),
         bits,
         graphs.v_init.tolist(),
         graphs.v_target.tolist(),
+        d._of_hit_times(label_from_hit_times),
+        d._of_hit_times(_indeterminate),
         *(d._fields[name] for _, name in _EXAMPLE_KEYS),
     )
     return (dict(zip(keys, row)) for row in zip(*columns))
@@ -592,11 +602,13 @@ def load(path) -> Dataset:
     Each line is parsed on its own, as `json.loads` reads it. The records'
     sizes and bitstrings are then checked over columns, their graphs in
     stacked blocks, one per vertex count, against the same rules `Graph`
-    applies, and their other fields over columns against the rules
-    `Example` applies; the records that pass become the dataset's columns
-    without running the rules again. Raises DatasetFormatError naming the first offending line
-    on any parse or invariant failure, with the message the failed check
-    gives.
+    applies, and their other fields over columns (`_record_fault`) against
+    the rules `Example` applies and against the label and flag their
+    hitting times give; an absent flag reads as that one. The records that
+    pass become the dataset's columns, label and flag dropped, without
+    running the rules again. Raises DatasetFormatError naming the first
+    offending line on any parse or invariant failure, with the message the
+    failed check gives.
     """
     lines = _text_lines(path)
     if not lines:
@@ -628,9 +640,12 @@ def load(path) -> Dataset:
     if graph_fault is not None:
         records = records[: graph_fault[0]]
     columns = [_field_column(records, key, name) for key, name in _EXAMPLE_KEYS]
-    example_fault = _example_fault(*columns)
-    if example_fault is not None:
-        index, exc = example_fault
+    t_c, t_q, provenance = columns
+    # a record without a flag reads as the one its hit times give
+    flags = [r.get("indeterminate", _indeterminate(c, q)) for r, c, q in zip(records, t_c, t_q)]
+    record_fault = _record_fault(list(map(itemgetter("label"), records)), t_c, t_q, flags, provenance)
+    if record_fault is not None:
+        index, exc = record_fault
         raise _line_error(index + 2, exc) from exc
     if graph_fault is not None:
         index, message = graph_fault

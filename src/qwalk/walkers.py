@@ -9,7 +9,9 @@ the no-jump evolution psi' = -i H_eff psi, with H_eff = `quantum_variant`
 = A - (i gamma / 2)|target><target|, and the sink population is
 1 - ||psi||^2. A graph is labeled "quantum" when the sink population
 crosses the detection threshold 1/ln(n) strictly before the classical
-target probability does.
+target probability does. `label_from_hit_times` is that rule, the one
+place a label is decided; an outcome or a dataset example stores the two
+hit times and derives its label and indeterminate flag from them.
 
 Both walkers are propagated on one path: `label_graph` builds a ladder of
 exact propagators exp(G h) per walker, locates each hit time by climbing
@@ -40,7 +42,6 @@ __all__ = [
     "WalkConfig",
     "Trace",
     "WalkOutcome",
-    "hitting_time",
     "label_from_hit_times",
     "label_graph",
     "write_trace_csv",
@@ -111,12 +112,39 @@ class Trace:
     values: np.ndarray
 
 
+def label_from_hit_times(t_classical: float | None, t_quantum: float | None) -> int:
+    """QUANTUM exactly when the quantum walker crosses and the classical
+    one crosses later or never; CLASSICAL otherwise (ties included)."""
+    if t_quantum is not None and (t_classical is None or t_quantum < t_classical):
+        return QUANTUM
+    return CLASSICAL
+
+
+def _indeterminate(t_classical: float | None, t_quantum: float | None) -> bool:
+    """Whether neither walker crossed, so the label is only the fallback."""
+    return t_classical is None and t_quantum is None
+
+
+class _HitTimes:
+    """The label and indeterminate flag of a class that stores the two hit
+    times, derived from them on each read."""
+
+    @property
+    def label(self) -> int:
+        return label_from_hit_times(self.classical_hit_time, self.quantum_hit_time)
+
+    @property
+    def indeterminate(self) -> bool:
+        return _indeterminate(self.classical_hit_time, self.quantum_hit_time)
+
+
 @dataclass(frozen=True)
-class WalkOutcome:
+class WalkOutcome(_HitTimes):
+    """The hit times on one graph (None for a walker that does not cross
+    by t_max), from which `label` and `indeterminate` are derived."""
+
     classical_hit_time: float | None
     quantum_hit_time: float | None
-    label: int
-    indeterminate: bool
     p_threshold: float
     t_max: float
     classical_trace: Trace | None = None
@@ -125,41 +153,6 @@ class WalkOutcome:
 
 def _sink_population(psi: np.ndarray) -> float:
     return 1.0 - float(np.vdot(psi, psi).real)
-
-
-def hitting_time(trace: Trace, p_th: float, t_max: float | None = None) -> float | None:
-    """First time the detection probability strictly exceeds p_th.
-
-    The crossing is linearly interpolated between the bracketing grid
-    points; None when the curve never exceeds p_th by t_max (default:
-    end of trace).
-    """
-    times = np.asarray(trace.times, dtype=float)
-    values = np.asarray(trace.values, dtype=float)
-    above = np.nonzero(values > p_th)[0]
-    if above.size == 0:
-        return None
-    k = int(above[0])
-    if k == 0:
-        t_star = float(times[0])
-    else:
-        t0, t1 = times[k - 1], times[k]
-        p0, p1 = values[k - 1], values[k]
-        if p1 == p0:
-            t_star = float(times[k])
-        else:
-            t_star = float(t0 + (p_th - p0) * (t1 - t0) / (p1 - p0))
-    if t_max is not None and t_star > t_max:
-        return None
-    return t_star
-
-
-def label_from_hit_times(t_classical: float | None, t_quantum: float | None) -> int:
-    """QUANTUM exactly when the quantum walker crosses and the classical
-    one crosses later or never; CLASSICAL otherwise (ties included)."""
-    if t_quantum is not None and (t_classical is None or t_quantum < t_classical):
-        return QUANTUM
-    return CLASSICAL
 
 
 # ====== label path: a propagator ladder, descended, then a Taylor series ======
@@ -357,8 +350,6 @@ def label_graph(g: Graph, cfg: WalkConfig = WalkConfig(), record_traces: bool = 
     return WalkOutcome(
         classical_hit_time=t_c,
         quantum_hit_time=t_q,
-        label=label_from_hit_times(t_c, t_q),
-        indeterminate=t_c is None and t_q is None,
         p_threshold=p_th,
         t_max=cap,
         classical_trace=traces[0],

@@ -65,7 +65,6 @@ from qwalk import (
     ete_filter,
     etv_filter,
     export_last_layer,
-    extract_features,
     feature_slot,
     forward,
     line_graph,
@@ -109,8 +108,8 @@ K3 = np.array([
 def _example(labeling, label):
     g = line_graph(len(labeling), labeling)
     if label == QUANTUM:
-        return Example(graph=g, label=QUANTUM, classical_hit_time=9.0, quantum_hit_time=7.0)
-    return Example(graph=g, label=CLASSICAL, classical_hit_time=3.0, quantum_hit_time=None)
+        return Example(graph=g, classical_hit_time=9.0, quantum_hit_time=7.0)
+    return Example(graph=g, classical_hit_time=3.0, quantum_hit_time=None)
 
 
 def _rows(model, examples):
@@ -212,6 +211,11 @@ def test_desymmetrize_cases():
 # ====== feature extraction ======
 
 
+def _features(g, n_max):
+    """The simple variant's input row of the one graph g."""
+    return encode(new_model("simple", n_max, 0), [g])[0]
+
+
 def test_feature_slots_are_distinct():
     slots = [0] + [feature_slot(v, f) for v in range(7) for f in (1, 2, 3, 4)]
     assert slots == list(range(29))
@@ -221,7 +225,7 @@ def test_features_on_path_132():
     """Middle vertex of line 1-3-2: degree 2, two neighboring edges,
     adjacent to both endpoints."""
     g = line_graph(3, [0, 2, 1])
-    f = extract_features(g, n_max=3)
+    f = _features(g, 3)
     middle = 2  # the vertex the labeling places between initial and target
     got = [f[feature_slot(middle, k)] for k in (1, 2, 3, 4)]
     assert got == [2.0, 2.0, 1.0, 1.0]
@@ -230,7 +234,7 @@ def test_features_on_path_132():
 
 def test_feature_one_is_degree():
     g = line_graph(5, [3, 0, 4, 1, 2])
-    f = extract_features(g, n_max=5)
+    f = _features(g, 5)
     degrees = g.adjacency.sum(axis=1)
     got = [f[feature_slot(v, 1)] for v in range(5)]
     assert np.array_equal(got, degrees)
@@ -240,15 +244,15 @@ def test_feature_three_marks_the_direct_edge():
     """Feature 3 at the target vertex is the initial-target edge bit."""
     joined = line_graph(3, [0, 1, 2])      # edge {0,1} present
     apart = line_graph(3, [0, 2, 1])       # endpoints separated
-    f_joined = extract_features(joined, n_max=3)
-    f_apart = extract_features(apart, n_max=3)
+    f_joined = _features(joined, 3)
+    f_apart = _features(apart, 3)
     assert f_joined[feature_slot(1, 3)] == 1.0
     assert f_apart[feature_slot(1, 3)] == 0.0
 
 
 def test_features_zero_padded():
     g = line_graph(4, [0, 1, 2, 3])
-    f = extract_features(g, n_max=7)
+    f = _features(g, 7)
     assert len(f) == 29
     for v in range(4, 7):
         for k in (1, 2, 3, 4):
@@ -258,15 +262,15 @@ def test_features_zero_padded():
 def test_features_reject_oversized_graph():
     g = line_graph(5, [0, 1, 2, 3, 4])
     with pytest.raises(ValueError):
-        extract_features(g, n_max=4)
+        _features(g, 4)
 
 
 def test_features_are_equivariant_under_relabeling():
     """Permuting free vertices permutes the per-vertex feature blocks."""
     g = line_graph(5, [0, 4, 2, 3, 1])
     perm = [0, 1, 4, 2, 3]
-    f = extract_features(g, n_max=5)
-    f_perm = extract_features(permute_free_vertices(g, perm), n_max=5)
+    f = _features(g, 5)
+    f_perm = _features(permute_free_vertices(g, perm), 5)
     assert f_perm[0] == f[0]
     for v in range(5):
         for k in (1, 2, 3, 4):
@@ -293,7 +297,7 @@ def test_forward_simple_is_affine_in_features():
     model = new_model("simple", n_max=5, seed=8)
     for labeling in ([0, 1, 2, 3, 4], [2, 0, 3, 1, 4]):
         g = line_graph(5, labeling)
-        f = extract_features(g, model.n_max)
+        f = _features(g, model.n_max)
         assert np.array_equal(encode(model, [g])[0], f)
         assert np.allclose(_scores(model, g), model.weights["last"].T @ f)
 

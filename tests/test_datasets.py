@@ -7,6 +7,13 @@ Tests verify:
   provenance
 - random datasets are deterministic under a seed, each example fixed by
   its own child seed
+- an example and a walk outcome store two hit times and derive the label
+  (`label_from_hit_times`, ties classical) and the indeterminate flag
+  (neither crossed); an example takes no label or flag, and `load` refuses
+  a record whose stored label or flag its hit times do not give; a
+  dataset's labels, class fractions and `drop_indeterminate`, derived from
+  its hit-time columns, match the values once stored, on line datasets
+  n = 4..7
 - split/merge arithmetic and disjointness
 - indeterminate handling
 - byte-exact serialization round-trips (plain and gzip), also over
@@ -26,23 +33,25 @@ Tests verify:
   object, a missing field, a bad `n` or bitstring, malformed hit times and
   labels, a provenance that is not an object, and a header metadata that
   is not an object (line 1); an absent header split or metadata takes the
-  `Dataset` default
+  `Dataset` default, and an absent flag the one the hit times give
 - `load` checks graphs in one stack per vertex count: a bad record in a
   later group fails with its own line number and the message `Graph`
   gives, for every graph rule, and when several records are bad the first
   in the file is named, whichever check (parse, graph, example) fails,
   also past the first block of stacked graphs
-- `load` gives each field the Python object a constructor stores: an int
-  label, a float or int hit time as the file holds it, a bool flag, and a
-  fresh empty provenance dict for each record without one
+- `load` gives each field the Python object a constructor stores: a float
+  or int hit time as the file holds it, and a fresh empty provenance dict
+  for each record without one; the derived label is an int, the flag a bool
 """
 from __future__ import annotations
 
 import gzip
+import hashlib
 import itertools
 import json
 import math
 import tempfile
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +67,7 @@ from qwalk import (
     Example,
     Graph,
     WalkConfig,
+    WalkOutcome,
     build_line_dataset,
     build_random_dataset,
     drop_indeterminate,
@@ -85,10 +95,8 @@ def _tiny_dataset() -> Dataset:
         examples.append(
             Example(
                 graph=g,
-                label=out.label,
                 classical_hit_time=out.classical_hit_time,
                 quantum_hit_time=out.quantum_hit_time,
-                indeterminate=out.indeterminate,
                 provenance={"kind": "line", "labeling": lab},
             )
         )
@@ -211,8 +219,8 @@ def test_random_dataset_child_seeds_alone_fix_the_content():
     for e, s in zip(d, seeds):
         graph = random_graph(5, s)
         outcome = label_graph(graph)
-        alone = Example(graph, outcome.label, outcome.classical_hit_time,
-                        outcome.quantum_hit_time, outcome.indeterminate, e.provenance)
+        alone = Example(graph, outcome.classical_hit_time, outcome.quantum_hit_time,
+                        e.provenance)
         assert e == alone
 
 
@@ -224,35 +232,109 @@ def test_random_dataset_records_provenance():
         assert "seed" in e.provenance
 
 
-def test_example_rejects_inconsistent_label():
+# Hit-time pairs (classical, quantum) and the label and flag they give:
+# either order, a tie, a walker that never crosses on either side, neither.
+_HIT_TIME_PAIRS = [
+    ((5.0, 2.0), QUANTUM, False),
+    ((2.0, 5.0), CLASSICAL, False),
+    ((3.0, 3.0), CLASSICAL, False),
+    ((0, 0.0), CLASSICAL, False),
+    ((None, 2.0), QUANTUM, False),
+    ((2.0, None), CLASSICAL, False),
+    ((None, None), CLASSICAL, True),
+]
+
+
+@pytest.mark.parametrize("times, label, flag", _HIT_TIME_PAIRS)
+def test_examples_and_outcomes_derive_label_and_flag_from_hit_times(times, label, flag):
+    """An `Example` and a `WalkOutcome` store only the two hit times; their
+    label is the one `label_from_hit_times` gives (a tie is classical) and
+    they are indeterminate exactly when neither walker crossed."""
     g = line_graph(3, [0, 1, 2])
-    with pytest.raises(ValueError):
-        Example(graph=g, label=QUANTUM, classical_hit_time=2.0, quantum_hit_time=None)
-    with pytest.raises(ValueError):
-        Example(graph=g, label=CLASSICAL, classical_hit_time=5.0, quantum_hit_time=2.0)
-    with pytest.raises(ValueError):
-        # the indeterminate flag implies both walkers timed out
-        Example(
-            graph=g,
-            label=CLASSICAL,
-            classical_hit_time=2.0,
-            quantum_hit_time=None,
-            indeterminate=True,
-        )
+    example = Example(g, *times)
+    outcome = WalkOutcome(*times, p_threshold=0.5, t_max=10.0)
+    for derived in (example, outcome):
+        assert derived.label == label_from_hit_times(*times) == label
+        assert type(derived.label) is int
+        assert derived.indeterminate is flag
+        with pytest.raises(FrozenInstanceError):
+            derived.label = 1 - label
+    assert example == Example(g, *times) and "label" not in repr(example)
+
+
+def test_example_rejects_inconsistent_label(tmp_path):
+    """An example cannot hold a label or flag its hit times do not give: it
+    takes neither, and `load` refuses a file record that states one."""
+    g = line_graph(3, [0, 1, 2])
+    for name, value in (("label", QUANTUM), ("indeterminate", True)):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            Example(graph=g, classical_hit_time=2.0, **{name: value})
+    cases = [
+        (dict(label=QUANTUM, t_classical=2.0, t_quantum=None),
+         "label contradicts the stored hitting times"),
+        (dict(label=CLASSICAL, t_classical=5.0, t_quantum=2.0),
+         "label contradicts the stored hitting times"),
+        # the indeterminate flag says both walkers timed out
+        (dict(label=CLASSICAL, t_classical=2.0, t_quantum=None, indeterminate=True),
+         "an indeterminate example cannot carry hitting times"),
+        (dict(label=CLASSICAL, t_classical=None, t_quantum=None, indeterminate=False),
+         "indeterminate is false, but neither hitting time is stored"),
+    ]
+    path = tmp_path / "d.jsonl"
+    save(_tiny_dataset(), path)
+    lines = path.read_text().splitlines()
+    for changes, message in cases:
+        _rewrite(path, list(lines), 2, **changes)
+        with pytest.raises(DatasetFormatError) as info:
+            load(path)
+        assert str(info.value) == f"line 3: {message}"
 
 
 def test_example_rejects_values_a_dataset_file_cannot_hold():
-    """A numpy label or hit time is stored as the Python number it holds, so
-    `save` can encode it; an indeterminate flag that is not a bool is refused."""
+    """A numpy hit time is stored as the Python number it holds, so `save`
+    can encode it; an indeterminate flag, bool or not, is not taken."""
     g = line_graph(3, [0, 1, 2])
-    e = Example(graph=g, label=np.int64(CLASSICAL), classical_hit_time=np.float32(2.0))
+    e = Example(graph=g, classical_hit_time=np.float32(2.0), quantum_hit_time=np.int64(3))
+    assert type(e.classical_hit_time) is float and e.classical_hit_time == 2.0
+    assert type(e.quantum_hit_time) is int and e.quantum_hit_time == 3
     assert type(e.label) is int and e.label == CLASSICAL
+    for flag in ("false", 0, 1, np.bool_(True), None, False):
+        with pytest.raises(TypeError):
+            Example(graph=g, indeterminate=flag)
+    e = Example(graph=g, classical_hit_time=np.float64(2.0))
     assert type(e.classical_hit_time) is float and e.classical_hit_time == 2.0
-    for flag in ("false", 0, 1, np.bool_(True), None):
-        with pytest.raises(ValueError):
-            Example(graph=g, label=CLASSICAL, indeterminate=flag)
-    e = Example(graph=g, label=CLASSICAL, classical_hit_time=np.float64(2.0))
-    assert type(e.classical_hit_time) is float and e.classical_hit_time == 2.0
+
+
+# (labels sha256 prefix, quantum count, count kept by drop_indeterminate,
+# its labels' sha256 prefix) of each line dataset, as recorded when
+# datasets stored the label and flag `label_graph` gave each example.
+_LINE_LABELS = {
+    (4, None): ("3b364a593ad47a94", 4, 12, "3b364a593ad47a94"),
+    (5, None): ("fe1c9f3b78618e4f", 24, 60, "fe1c9f3b78618e4f"),
+    (6, None): ("0311787bfe698fb5", 192, 360, "0311787bfe698fb5"),
+    (7, None): ("5c1b75acf3be24b6", 1440, 2520, "5c1b75acf3be24b6"),
+    (4, 6.0): ("5ab9b89bee9ed50c", 2, 8, "6b03a2a9c7d3ea34"),
+    (5, 6.0): ("9e67878c481d5f42", 12, 42, "b72f9aea995d4ef8"),
+    (6, 6.0): ("572c53f9bfaf8732", 72, 216, "8286b1dc35e2aa2a"),
+    (7, 6.0): ("5dddb301ecd3ee1a", 240, 1200, "060386977c0e55d1"),
+}
+
+
+@pytest.mark.parametrize("n, cap", list(_LINE_LABELS), ids=lambda v: str(v))
+def test_derived_labels_match_the_stored_ones(n, cap):
+    """`labels`, `class_fractions` and `drop_indeterminate`, derived from the
+    hit-time columns, give what the stored columns gave on every line
+    dataset n = 4..7, at the default horizon and at a horizon of 6 that
+    leaves walkers uncrossed."""
+    labels_sha, quantum, kept_count, kept_sha = _LINE_LABELS[n, cap]
+    d = build_line_dataset(n, WalkConfig(t_max_cap=cap))
+    digest = lambda labels: hashlib.sha256(labels.tobytes()).hexdigest()[:16]
+    assert d.labels.dtype == np.int64 and digest(d.labels) == labels_sha
+    assert d.class_fractions == ((len(d) - quantum) / len(d), quantum / len(d))
+    kept = drop_indeterminate(d)
+    assert (len(kept), digest(kept.labels)) == (kept_count, kept_sha)
+    assert [e.label for e in d] == d.labels.tolist()
+    assert [e for e in d if not e.indeterminate] == list(kept)
 
 
 # ====== split / merge ======
@@ -300,8 +382,8 @@ def test_merge_concatenates():
 
 def test_drop_indeterminate_filters_flagged_rows():
     g = line_graph(3, [0, 1, 2])
-    flagged = Example(graph=g, label=CLASSICAL, classical_hit_time=None, quantum_hit_time=None,
-                      indeterminate=True)
+    flagged = Example(graph=g, classical_hit_time=None, quantum_hit_time=None)
+    assert flagged.indeterminate
     d = Dataset(examples=tuple(LINES4.examples) + (flagged,), split_tag="unsplit", metadata={})
     kept = drop_indeterminate(d)
     assert len(kept) == len(LINES4)
@@ -391,7 +473,7 @@ _HIT_TIMES = st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e6))
 @st.composite
 def _examples(draw) -> Example:
     """A connected graph (random spanning tree plus extra edges), distinct
-    endpoints, hit times or an indeterminate flag, and JSON provenance."""
+    endpoints, two hit times, each None or a number, and JSON provenance."""
     n = draw(st.integers(3, 8))
     a = np.zeros((n, n), dtype=np.int64)
     for v in range(1, n):
@@ -403,14 +485,10 @@ def _examples(draw) -> Example:
                 a[i, j] = a[j, i] = 1
     v_init = draw(st.integers(0, n - 1))
     v_target = draw(st.integers(0, n - 1).filter(lambda v: v != v_init))
-    indeterminate = draw(st.booleans())
-    t_c, t_q = (None, None) if indeterminate else (draw(_HIT_TIMES), draw(_HIT_TIMES))
     return Example(
         graph=Graph(a, v_init, v_target),
-        label=label_from_hit_times(t_c, t_q),
-        classical_hit_time=t_c,
-        quantum_hit_time=t_q,
-        indeterminate=indeterminate,
+        classical_hit_time=draw(_HIT_TIMES),
+        quantum_hit_time=draw(_HIT_TIMES),
         provenance=draw(_JSON_DICTS),
     )
 
@@ -462,10 +540,10 @@ def test_save_writes_each_line_as_json_dumps_would(tmp_path):
     keys and compact separators: on a line set, a random set and a merged
     set with int, float and absent hit times and non-ASCII provenance."""
     odd = Dataset((
-        Example(line_graph(3, [0, 1, 2]), CLASSICAL, 3, None,
+        Example(line_graph(3, [0, 1, 2]), 3, None,
                 provenance={"note": "Größe ψ → ✓", "values": [1, 2.5, None, True]}),
-        Example(line_graph(4, [0, 2, 3, 1]), QUANTUM, 9.25, 7),
-        Example(line_graph(3, [2, 0, 1]), CLASSICAL, None, None, indeterminate=True,
+        Example(line_graph(4, [0, 2, 3, 1]), 9.25, 7),
+        Example(line_graph(3, [2, 0, 1]), None, None,
                 provenance={"kind": "hand", "ключ": "значение"}),
     ), "test", {"source": "hand-made, naïve"})
     random_set = build_random_dataset(6, 5, 2)
@@ -563,7 +641,7 @@ def test_load_rejects_provenance_that_is_not_an_object(tmp_path, provenance):
     a dict; anything else is refused on its line."""
     g = line_graph(3, [0, 1, 2])
     with pytest.raises(TypeError, match="provenance must be a dict"):
-        Example(g, CLASSICAL, provenance=provenance)
+        Example(g, provenance=provenance)
     path = tmp_path / "d.jsonl"
     save(_tiny_dataset(), path)
     lines = path.read_text().splitlines()
@@ -660,20 +738,24 @@ def test_load_rejects_malformed_hit_time_or_label(tmp_path, row, key, value):
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1])
 def test_load_never_reads_a_non_boolean_indeterminate_flag(tmp_path, value):
-    """A record whose walkers both timed out may be flagged either way, so a
-    flag that is not a JSON boolean would be read one way or the other
-    without notice; it is rejected, and an absent flag reads as false."""
+    """A flag that is not a JSON boolean would be read one way or the other
+    without notice, so it is rejected; an absent flag reads as the one the
+    hit times give, on a record whose walkers both timed out and on one
+    with a hit time."""
     d = _tiny_dataset()
     path = tmp_path / "d.jsonl"
     save(d, path)
     lines = path.read_text().splitlines()
     record = json.loads(lines[1])
     assert record["label"] == CLASSICAL and record["t_quantum"] is None
-    record["t_classical"] = None
     del record["indeterminate"]
     lines[1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     assert load(path).examples[0].indeterminate is False
+    record["t_classical"] = None
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    assert load(path).examples[0].indeterminate is True
     record["indeterminate"] = value
     lines[1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
@@ -937,10 +1019,10 @@ def test_load_names_a_parse_fault_past_one_block(tmp_path):
 
 
 def test_load_gives_the_objects_a_constructor_stores(tmp_path):
-    """A loaded field has the type `Example` stores: the label an int, a hit
-    time a float, or an int where the file holds one, or None, the flag a
-    bool; and each record without a provenance gets an empty dict of its
-    own."""
+    """A loaded field has the type `Example` stores: a hit time a float, or
+    an int where the file holds one, or None; the derived label is an int
+    and the flag a bool; and each record without a provenance gets an empty
+    dict of its own."""
     path = tmp_path / "d.jsonl"
     save(_tiny_dataset(), path)
     lines = path.read_text().splitlines()
@@ -954,11 +1036,10 @@ def test_load_gives_the_objects_a_constructor_stores(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     loaded = load(path).examples
     for e in loaded:
-        fields = (e.label, e.classical_hit_time, e.quantum_hit_time, e.indeterminate)
+        fields = (e.classical_hit_time, e.quantum_hit_time)
         built = Example(e.graph, *fields)
         assert [type(v) for v in fields] == [
-            type(getattr(built, name))
-            for name in ("label", "classical_hit_time", "quantum_hit_time", "indeterminate")
+            type(getattr(built, name)) for name in ("classical_hit_time", "quantum_hit_time")
         ]
         assert type(e.label) is int and type(e.indeterminate) is bool
         for t in (e.classical_hit_time, e.quantum_hit_time):

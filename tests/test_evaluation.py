@@ -57,8 +57,8 @@ LINES4 = build_line_dataset(4)
 def _example(labeling, label):
     g = line_graph(len(labeling), labeling)
     if label == QUANTUM:
-        return Example(graph=g, label=QUANTUM, classical_hit_time=9.0, quantum_hit_time=7.0)
-    return Example(graph=g, label=CLASSICAL, classical_hit_time=3.0, quantum_hit_time=None)
+        return Example(graph=g, classical_hit_time=9.0, quantum_hit_time=7.0)
+    return Example(graph=g, classical_hit_time=3.0, quantum_hit_time=None)
 
 
 def _tiny_mixed() -> Dataset:

@@ -6,20 +6,23 @@ Tests verify:
 - every scalar argument the library takes is checked by one integer rule
   or one real-number rule: a bool, a fraction where an integer belongs, a
   NaN, a value below the bound are refused, and a numpy scalar is stored as
-  the Python number it holds
+  the Python number it holds; a dataset file's label, which `load` reads,
+  is refused by the same integer rule, with its message
 """
 from __future__ import annotations
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qwalk
 from qwalk import (
-    CLASSICAL,
-    QUANTUM,
     CqcnnModel,
+    DatasetFormatError,
     Example,
     Schedule,
     WalkConfig,
@@ -28,9 +31,11 @@ from qwalk import (
     enumerate_line_graphs,
     feature_slot,
     line_graph,
+    load,
     new_model,
     quantum_variant,
     random_graph,
+    save,
     split,
 )
 from qwalk import cqcnn, datasets, evaluation, graphs, walkers
@@ -56,6 +61,22 @@ G = line_graph(3, [0, 2, 1])
 LINES3 = build_line_dataset(3)
 WEIGHTS = new_model("simple", 3, 0).weights
 INTEGER = [T, T, T, V, T]  # an integer >= 0 refuses the first five probes
+
+def _file_label(value):
+    """The first example's label as `load` reads it from LINES3's file with
+    that record's label set to `value`, a numpy scalar written as the
+    number it holds."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "d.jsonl"
+        save(LINES3, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        assert record["label"] == 0
+        record["label"] = value
+        lines[1] = json.dumps(record, default=lambda v: v.item())
+        path.write_text("\n".join(lines) + "\n")
+        return load(path).examples[0].label
+
 
 # (entry point, call storing the value and returning what it stored, the
 # numpy-integer probe, and the outcome of each probe: True, 1.5, NaN, -1,
@@ -84,10 +105,12 @@ SCALAR_RULES = [
      .learning_rate, 2, [T, 1.5, V, V, 0.5, 2]),
     ("CqcnnModel seed", lambda v: CqcnnModel("simple", 3, WEIGHTS, seed=v).seed,
      2, INTEGER + [2]),
-    ("Example label", lambda v: Example(G, v).label, 0, INTEGER + [0]),
-    ("Example classical_hit_time", lambda v: Example(G, CLASSICAL, v).classical_hit_time,
+    # an example's label comes in only from a dataset file, and `load`
+    # refuses a bad one with a DatasetFormatError, a ValueError
+    ("Example label", lambda v: _file_label(v), 0, [V, V, V, V, V, 0]),
+    ("Example classical_hit_time", lambda v: Example(G, v).classical_hit_time,
      2, [T, 1.5, V, V, 0.5, 2]),
-    ("Example quantum_hit_time", lambda v: Example(G, QUANTUM, None, v).quantum_hit_time,
+    ("Example quantum_hit_time", lambda v: Example(G, None, v).quantum_hit_time,
      2, [T, 1.5, V, V, 0.5, 2]),
     ("split train_fraction", lambda v: split(LINES3, v, 0)[0].metadata["train_fraction"],
      1, [T, V, V, V, 0.5, V]),
@@ -127,3 +150,23 @@ def test_scalar_rules(call, value, outcome):
     else:
         stored = call(value)
         assert stored == outcome and type(stored) is type(outcome)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "label must be an integer, got True"),
+        (1.5, "label must be an integer, got 1.5"),
+        (math.nan, "label must be an integer, got nan"),
+        (-1, "label must lie in [0, 1], got -1"),
+        (2, "label must lie in [0, 1], got 2"),
+    ],
+    ids=["bool", "fraction", "nan", "below", "above"],
+)
+def test_file_labels_keep_the_integer_rule(value, message):
+    """A label comes in only from a dataset file, and `load` checks it by
+    the one integer rule: a bool, a fraction, a NaN or a value outside
+    [0, 1] is refused on its line with the message that rule gives."""
+    with pytest.raises(DatasetFormatError) as info:
+        _file_label(value)
+    assert str(info.value) == f"line 2: {message}"

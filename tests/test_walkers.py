@@ -13,7 +13,6 @@ Tests verify:
   explicit-Euler and eigendecomposition oracles, the sink one against a
   vectorized-Liouvillian matrix-exponential oracle at small n and at
   benchmark sizes, both starting at 0 and never decreasing
-- hitting-time interpolation rules and edge cases for recorded traces
 - the three n=3 line labelings and the K_3 golden outcome, with golden hit
   times from the brentq oracle
 - label-path hit times within 1e-6 relative of the brentq oracle, and
@@ -41,7 +40,6 @@ from qwalk import (
     Trace,
     WalkConfig,
     classical_variant,
-    hitting_time,
     label_graph,
     line_graph,
     permute_free_vertices,
@@ -302,50 +300,6 @@ def test_label_march_matches_oracle_at_benchmark_sizes(n):
         assert err < 1e-12, f"n={n} t={t:g}: oracle mismatch {err:.2e}"
 
 
-# ====== hitting times ======
-
-
-def test_hitting_time_never_crossed():
-    trace = Trace(np.linspace(0, 10, 11), np.zeros(11))
-    assert hitting_time(trace, 0.5) is None
-
-
-def test_hitting_time_interpolates():
-    """Crossing between grid points is located by linear interpolation."""
-    trace = Trace(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.4, 0.8]))
-    t = hitting_time(trace, 0.5)
-    # 0.4 -> 0.8 over [1, 2]; 0.5 is a quarter of the way
-    assert abs(t - 1.25) < 1e-12, f"got {t}"
-
-
-def test_hitting_time_strictly_greater():
-    """Touching the threshold exactly does not count as a crossing."""
-    trace = Trace(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 0.5]))
-    assert hitting_time(trace, 0.5) is None
-    trace = Trace(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 0.5, 0.5, 0.6]))
-    # the rise past p_th starts at t=2; interpolation pins the crossing there
-    assert hitting_time(trace, 0.5) == 2.0
-
-
-def test_hitting_time_first_sample():
-    """A curve already above threshold at t=0 hits at the first grid time."""
-    trace = Trace(np.array([0.0, 1.0]), np.array([0.9, 1.0]))
-    assert hitting_time(trace, 0.5) == 0.0
-
-
-def test_hitting_time_flat_jump():
-    """A flat segment that sits above p_th reports the grid point itself."""
-    trace = Trace(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.7, 0.7]))
-    t = hitting_time(trace, 0.7 - 1e-12)
-    assert t <= 1.0
-
-
-def test_hitting_time_respects_t_max():
-    trace = Trace(np.array([0.0, 5.0, 10.0]), np.array([0.0, 0.2, 0.9]))
-    assert hitting_time(trace, 0.5, t_max=6.0) is None
-    assert hitting_time(trace, 0.5, t_max=10.0) is not None
-
-
 # ====== labeling ======
 
 
@@ -523,13 +477,10 @@ def test_label_records_traces_on_request():
         assert trace.times[0] == 0.0
         assert trace.values[0] == 0.0  # walker starts away from the target
         assert np.all(np.diff(trace.values) >= -1e-9)
-        # the recorded curve brackets the located hit time ...
+        # the recorded curve brackets the located hit time
         k = int(np.searchsorted(trace.times, t_hit))
         assert 0 < k < len(trace.times)
         assert trace.values[k - 1] <= out.p_threshold < trace.values[k]
-        # ... and its interpolated crossing lies within that record interval
-        interval = trace.times[k] - trace.times[k - 1]
-        assert abs(hitting_time(trace, out.p_threshold) - t_hit) <= interval
     # default run skips the storage
     bare = label_graph(line_graph(3, [0, 2, 1]))
     assert bare.classical_trace is None and bare.quantum_trace is None
