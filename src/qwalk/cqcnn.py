@@ -12,28 +12,30 @@ hidden layer. Both end in two output neurons (classical, quantum) and
 train by stochastic gradient descent on class-weighted cross entropy.
 
 A graph is encoded once into a fixed input row (`encode`); `forward`,
-`score_loss` and `loss_and_gradients` then work on batches of rows. The
+`score_loss` and the training steps then work on batches of rows. The
 full variant's convolution and the vertex collapse after it are both
 linear, so the row holds the collapsed one-pixel shifts of each channel
 map and the convolution becomes a matrix product with the kernel.
 Rows are written by one private kernel (`_encode`) from adjacency stacks,
 one per vertex count, in blocks of graphs: `encode` stacks its graphs by
 vertex count for it, and a dataset hands it the stacks it holds. The
-vertex features have a closed form in the degrees; the full variant's
-filters are row and column sums over the last two axes, so they run on
-blocks of zero-padded graphs at once, and each shift's collapse comes from
-window sums of those sums, without building the shifted maps. The kernel
-also refuses a graph larger than n_max.
+filters live where the rows are made. The vertex features are the two
+filters in closed form in the degrees (`_vertex_features`). The full
+variant's edge-to-edge filter (`_ete`) and edge-to-vertex collapses are
+row and column sums over the last two axes, so they run on blocks of
+zero-padded graphs at once, and each shift's collapse comes from window
+sums of those sums, without building the shifted maps. `tests/oracles.py`
+transcribes both filters with plain loops as their brute-force reference.
+The kernel also refuses a graph larger than n_max.
 
-All gradients are hand-derived; there is no autodiff anywhere.
-`loss_and_gradients` and `sgd_step` check their arguments, then call one
-private backpropagation (`_backprop`) and one private update (`_step`) on
-plain weight arrays; `evaluation.train` checks once per call and then steps
-through the same two.
+All gradients are hand-derived; there is no autodiff anywhere. One
+private backpropagation (`_backprop`) and one private update (`_step`)
+work on plain weight arrays; `evaluation.train` checks its arguments once
+per call and then steps through the two.
 
 `CqcnnModel` states a model's fields, defaults and rules once; `new_model`,
-`sgd_step` (which steps by the model's own rate), the model file and the CLI
-take theirs from it. `load_model` also refuses non-finite weights.
+the model file and the CLI take theirs from it. `load_model` also refuses
+non-finite weights.
 """
 
 from __future__ import annotations
@@ -54,15 +56,11 @@ from .walkers import CLASSICAL, LABEL_NAMES, QUANTUM
 __all__ = [
     "CqcnnModel",
     "ModelFormatError",
-    "ete_filter",
-    "etv_filter",
     "feature_slot",
     "new_model",
     "encode",
     "forward",
     "score_loss",
-    "loss_and_gradients",
-    "sgd_step",
     "predicted_class",
     "export_last_layer",
     "save_model",
@@ -80,41 +78,15 @@ class ModelFormatError(ValueError):
 
 
 # ====== fixed graph filters ======
-# Each filter is one formula over the last two axes, so it runs on a single
-# matrix or on a stack of them; the public functions check one square matrix.
-
-
-def _square(m) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
 
 
 def _ete(m: np.ndarray) -> np.ndarray:
+    """Edge-to-edge filter over the last two axes, of one matrix or a stack:
+    each entry weighted by its neighboring-edge total,
+    out[i][j] = (rowsum[i] + colsum[j] - 2*m[i][j]) * m[i][j]."""
     rows = m.sum(axis=-1, keepdims=True)
     cols = m.sum(axis=-2, keepdims=True)
     return (rows + cols - 2.0 * m) * m
-
-
-def _etv(m: np.ndarray) -> np.ndarray:
-    return m.sum(axis=-1) + m.sum(axis=-2) - 2.0 * np.diagonal(m, axis1=-2, axis2=-1)
-
-
-def ete_filter(m: np.ndarray) -> np.ndarray:
-    """Edge-to-edge filter: weight each entry by its neighboring-edge total.
-
-    out[i][j] = (rowsum[i] + colsum[j] - 2*m[i][j]) * m[i][j]
-    """
-    return _ete(_square(m))
-
-
-def etv_filter(m: np.ndarray) -> np.ndarray:
-    """Edge-to-vertex filter: collapse an edge map onto its vertices.
-
-    out[i] = rowsum[i] + colsum[i] - 2*m[i][i]
-    """
-    return _etv(_square(m))
 
 
 def feature_slot(vertex: int, feature: int) -> int:
@@ -127,10 +99,11 @@ def _vertex_features(a: np.ndarray, v_init, v_target, n_max: int) -> np.ndarray:
     matrices, zero-padded to n_max vertices: degree, neighboring-edge
     total, start and target adjacency.
 
-    They are `etv_filter` of the desymmetrized matrix and of its desymmetrized
-    `ete_filter`, in closed form: on 0/1, symmetric, zero-diagonal matrices
-    the degrees are d = A 1 and the neighboring-edge totals d^2 - 2d + A d,
-    exact integers.
+    They are the edge-to-vertex filter, out[i] = rowsum[i] + colsum[i] -
+    2*m[i][i], of the desymmetrized matrix and of its desymmetrized `_ete`,
+    in closed form: on 0/1, symmetric, zero-diagonal matrices the degrees
+    are d = A 1 and the neighboring-edge totals d^2 - 2d + A d, exact
+    integers.
     """
     b, n = a.shape[:2]
     take = np.arange(b)
@@ -322,7 +295,7 @@ def _encoding_key(model: CqcnnModel) -> tuple:
 
 
 def encode(model: CqcnnModel, graphs: Sequence[Graph]) -> np.ndarray:
-    """Fixed input rows, one per graph, read by forward and loss_and_gradients.
+    """Fixed input rows, one per graph, read by forward and the training steps.
 
     Simple variant: a bias slot, then four features per vertex, zero for
     vertices past the graph's n up to n_max: the degree, the
@@ -455,8 +428,9 @@ def _backprop(
     labels: np.ndarray,
     weight: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """`loss_and_gradients` of plain weight arrays of the architecture, over
-    a nonempty batch of rows of its width and their `_class_weights`."""
+    """Batch-mean loss and its analytic gradient for every weight, of plain
+    weight arrays of the architecture, over a nonempty batch of rows of its
+    width and their `_class_weights`."""
     if not arch.block:  # the simple variant
         value, g_x = _cross_entropy(inputs @ weights["last"], labels, weight)
         return value, {"last": inputs.T @ g_x}
@@ -479,45 +453,10 @@ def _backprop(
     }
 
 
-def loss_and_gradients(
-    model: CqcnnModel,
-    inputs: np.ndarray,
-    labels,
-    kappas: Sequence[float] = (0.5, 0.5),
-    inverse_class_weights: bool = False,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Batch-mean loss and matching analytic gradients for every weight,
-    over encoded input rows and their labels."""
-    arch = _check_inputs(model, inputs)
-    if len(inputs) == 0:
-        raise ValueError("batch must be nonempty")
-    labels, weight = _class_weights(labels, len(inputs), kappas, inverse_class_weights)
-    return _backprop(model.weights, arch, inputs, labels, weight)
-
-
 def _step(weights: Mapping, grads: Mapping, rate: float) -> None:
     """One gradient-descent update, `w - rate * g`, in place."""
     for name, w in weights.items():
         w -= rate * grads[name]
-
-
-def sgd_step(model: CqcnnModel, grads: dict[str, np.ndarray]) -> CqcnnModel:
-    """One gradient-descent update by the model's learning rate; returns a
-    new model."""
-    if set(grads) != set(model.weights):
-        raise ValueError("gradient set does not match model weights")
-    checked = {}
-    for name, w in model.weights.items():
-        g = np.asarray(grads[name])
-        if g.shape != w.shape:
-            # `w - step * g` would broadcast it silently
-            raise ValueError(
-                f"gradient for weight {name!r} has shape {g.shape}, expected {w.shape}"
-            )
-        checked[name] = g
-    updated = {name: w.copy() for name, w in model.weights.items()}
-    _step(updated, checked, model.learning_rate)
-    return replace(model, weights=updated)
 
 
 def predicted_class(scores: np.ndarray) -> np.ndarray:

@@ -82,6 +82,8 @@ _SPLIT_TAGS = ("train", "test", "unsplit")
 # zlib level 6 compresses an n=7 line dataset about 6x faster than level 9,
 # into a file about 6% larger.
 _GZIP_LEVEL = 6
+# Record lines `save` compresses at once.
+_SAVE_BLOCK_LINES = 256
 # Record key of each `Example` field a dataset line carries besides its
 # graph. `save` writes every one, with the derived "label" and
 # "indeterminate"; `load` passes on the keys a record has, so an absent
@@ -186,6 +188,8 @@ class Example(_HitTimes):
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.graph, Graph):
+            raise TypeError(f"graph must be a Graph, got {self.graph!r}")
         for name in ("classical_hit_time", "quantum_hit_time"):
             if (t := getattr(self, name)) is not None:
                 object.__setattr__(self, name, _real(name, t, 0))
@@ -454,21 +458,23 @@ def save(d: Dataset, path) -> None:
     Output bytes are a pure function of the dataset (sorted keys, shortest
     round-trip floats, zeroed gzip timestamp, fixed compression level 6), so
     identical datasets give identical files. The file is replaced atomically.
+    A gzip file's lines are compressed in blocks as they are made, so its
+    text is never held whole.
     """
     header = {"format": _FORMAT, "version": _VERSION, "count": len(d)}
     header.update((key, getattr(d, name)) for key, name in _HEADER_KEYS)
-    lines = [compact_json(header)]
-    lines.extend(map(compact_json, _records(d)))
-    lines.append("")  # for the final newline
-    data = "\n".join(lines).encode("utf-8")
+    lines = map(compact_json, itertools.chain([header], _records(d)))
     if str(path).endswith(".gz"):
         raw = io.BytesIO()
         # filename="" keeps the gzip header free of the output path
         with gzip.GzipFile(
             fileobj=raw, filename="", mode="wb", compresslevel=_GZIP_LEVEL, mtime=0
         ) as zf:
-            zf.write(data)
+            while block := list(itertools.islice(lines, _SAVE_BLOCK_LINES)):
+                zf.write(("\n".join(block) + "\n").encode("utf-8"))
         data = raw.getvalue()
+    else:
+        data = "\n".join([*lines, ""]).encode("utf-8")  # "" for the final newline
     write_atomic(path, data)
 
 

@@ -5,12 +5,9 @@ epoch/batch schedule of with-replacement SGD and records a history row
 per epoch: training loss always, test metrics on a fixed cadence and on
 the final epoch. It checks its arguments once per call (the model's
 fields, the row width and the class weight of every training row), then
-steps a private copy of the weights through the private backpropagation
-and update (`cqcnn._backprop`, `cqcnn._step`) that `loss_and_gradients`
-and `sgd_step` call after their own checks, so its weights and history
-equal those of the public step path bit for bit. It builds a model only
-to score test columns and to return. Both score a dataset's encoded
-input rows in batches; a training batch is a slice of the encoded
+steps a copy of the model in place through the private backpropagation
+and update (`cqcnn._backprop`, `cqcnn._step`). Both score a dataset's
+encoded input rows in batches; a training batch is a slice of the encoded
 training rows. A dataset's rows
 depend only on its graphs and on the model's encoding key (variant and
 n_max), so they are encoded (`cqcnn.encode`) once and kept read-only with
@@ -29,7 +26,7 @@ and deviation NaN. The history and metrics CSV writers go through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -178,10 +175,10 @@ def train(
     """
     if schedule.epochs == 0:
         return model, []
-    # The checks of the public step path, once: the model's fields (as
-    # `sgd_step` applies them), the row width and the class weights. The
-    # steps then update a private copy of the weights in place.
-    model = replace(model)
+    # The checks, once: the model's fields (as its copy applies them), the
+    # row width and the class weights. The steps then update the copy's
+    # weights in place.
+    model = model.copy()
     kappas = train_set.class_fractions
     rng = np.random.default_rng(schedule.seed)
     rows = _rows(model, train_set)
@@ -203,23 +200,22 @@ def train(
     _test_columns(model, tests, first)
     history = [first]
 
-    weights = {name: w.copy() for name, w in model.weights.items()}
     for epoch in range(1, schedule.epochs + 1):
         epoch_loss = 0.0
         for _ in range(schedule.batches_per_epoch):
             picks = rng.integers(0, len(rows), size=schedule.batch_size)
             value, grads = _backprop(
-                weights, arch, rows[picks], labels[picks], class_weight[picks]
+                model.weights, arch, rows[picks], labels[picks], class_weight[picks]
             )
             if not math.isfinite(value):
                 raise TrainingError(f"loss became non-finite at epoch {epoch}")
-            _step(weights, grads, model.learning_rate)
+            _step(model.weights, grads, model.learning_rate)
             epoch_loss += value
         row: dict = {"epoch": epoch, "train_loss": epoch_loss / schedule.batches_per_epoch}
         if tests and (epoch % schedule.eval_every == 0 or epoch == schedule.epochs):
-            _test_columns(replace(model, weights=weights), tests, row)
+            _test_columns(model, tests, row)
         history.append(row)
-    return replace(model, weights=weights), history
+    return model, history
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,9 +13,8 @@ target's leak into the sink.
 The seven `Graph` rules (`_first_fault`) run where graphs come in from
 outside: in `Graph` and in `datasets.load`. The constructors check their
 arguments and build graphs valid by construction without checking them
-again: a path through every vertex breaks no rule, a relabeling of a valid
-graph is valid, and a random draw is tested for connectivity, the one rule
-it can break.
+again: a path through every vertex breaks no rule, and a random draw is
+tested for connectivity, the one rule it can break.
 """
 
 from __future__ import annotations
@@ -31,10 +30,8 @@ import numpy as np
 __all__ = [
     "Graph",
     "line_graph",
-    "enumerate_line_graphs",
     "random_graph",
     "random_connected_graph",
-    "permute_free_vertices",
     "classical_variant",
     "quantum_variant",
 ]
@@ -335,10 +332,6 @@ class Graph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -353,14 +346,6 @@ class Graph:
 # ====== constructors ======
 
 
-def _permutation(name: str, seq, n: int) -> list:
-    """`seq` as a list, once its entries are integers that permute range(n)."""
-    entries = list(seq)
-    if not all(map(_is_index, entries)) or sorted(entries) != list(range(n)):
-        raise ValueError(f"{name} {seq!r} is not a permutation of range({n})")
-    return entries
-
-
 def line_graph(n: int, labeling) -> Graph:
     """Build the path graph whose vertex sequence along the path is `labeling`.
 
@@ -369,7 +354,10 @@ def line_graph(n: int, labeling) -> Graph:
     permutation controls where they land on the path.
     """
     n = _integer("n", n, 3)
-    return list(_path_graphs(np.array([_permutation("labeling", labeling, n)])))[0]
+    entries = list(labeling)
+    if not all(map(_is_index, entries)) or sorted(entries) != list(range(n)):
+        raise ValueError(f"labeling {labeling!r} is not a permutation of range({n})")
+    return list(_path_graphs(np.array([entries])))[0]
 
 
 def _path_graphs(labelings: np.ndarray) -> _Stacks:
@@ -392,15 +380,6 @@ def _line_labelings(n: int) -> np.ndarray:
     # reads first is the one that starts with the smaller end.
     kept = (perm for perm in itertools.permutations(range(n)) if perm[0] < perm[-1])
     return np.fromiter(itertools.chain.from_iterable(kept), np.int64).reshape(-1, n)
-
-
-def enumerate_line_graphs(n: int) -> list[Graph]:
-    """All distinct path graphs on n vertices, one per reversal pair.
-
-    A labeling and its reverse describe the same path, so exactly n!/2
-    graphs come back, in lexicographic order of the kept labeling.
-    """
-    return list(_path_graphs(_line_labelings(_integer("n", n, 3, 12))))
 
 
 def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
@@ -435,21 +414,6 @@ def random_graph(n: int, rng_seed) -> Graph:
     rng = rng_seed if is_rng else np.random.default_rng(_integer("seed", rng_seed, 0))
     m = int(rng.integers(n - 1, n * (n - 1) // 2 + 1))
     return random_connected_graph(n, m, rng)
-
-
-def permute_free_vertices(g: Graph, perm) -> Graph:
-    """Relabel vertices by `perm` (old index -> new index).
-
-    The start and target vertices must stay fixed; walk dynamics are
-    invariant under any such relabeling.
-    """
-    n = g.n
-    p = _permutation("perm", perm, n)
-    if p[g.v_init] != g.v_init or p[g.v_target] != g.v_target:
-        raise ValueError("perm must fix v_init and v_target")
-    inv = np.argsort(np.asarray(p))
-    a = g.adjacency[np.ix_(inv, inv)]
-    return _unchecked_stack(a[np.newaxis], [g.v_init], [g.v_target])[0]
 
 
 # ====== walk models ======

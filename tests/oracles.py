@@ -18,7 +18,8 @@ over stacked blocks, and the full classifier's scores come from an
 explicit 3x3 convolution loop over the channel maps instead of
 kernel-weighted sums of precomputed, collapsed shifts, and the conv-weight
 gradient is a scalar-by-scalar backward pass ending in its sum over rows and
-vertices instead of one matrix product.
+vertices instead of one matrix product. A relabeled graph is a reindexed
+adjacency matrix passed through the checked `Graph` constructor.
 """
 
 from __future__ import annotations
@@ -260,6 +261,17 @@ def _connected(a: np.ndarray) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == n
+
+
+# ====== relabeling ======
+
+
+def permute_free_vertices(g: Graph, perm) -> Graph:
+    """g with each vertex v renamed perm[v], built by the checked `Graph`
+    constructor; perm fixes the start and the target, which keep their
+    indices."""
+    inv = np.argsort(np.asarray(perm))
+    return Graph(g.adjacency[np.ix_(inv, inv)], g.v_init, g.v_target)
 
 
 # ====== encoded rows and full-variant forward pass: explicit loops ======

@@ -27,27 +27,27 @@ from qwalk import (
     build_random_dataset,
     classical_variant,
     ensemble_stats,
-    ete_filter,
-    etv_filter,
     evaluate,
     feature_slot,
     label_graph,
     line_graph,
     merge,
     new_model,
-    permute_free_vertices,
     quantum_variant,
     random_graph,
     split,
     train,
 )
 from qwalk.cli import main as cli_main
+from qwalk.cqcnn import _ete, _vertex_features
 
 from oracles import (
+    brute_ete,
     brute_ete_from_edges,
     brute_etv,
     connected_graphs,
     liouvillian_expm_density,
+    permute_free_vertices,
 )
 from test_cqcnn import _example, _finite_difference_check
 from test_walkers import _rungs
@@ -130,19 +130,27 @@ def test_criterion_2_simulation_properties():
 
 
 def test_criterion_3_filter_oracles():
-    """Filters match brute-force edge counting on every n <= 5 graph and
-    reproduce the worked path-4 values."""
+    """Filters match brute-force edge counting on every connected graph with
+    n <= 5 and reproduce the worked path-4 values: the edge-to-edge filter
+    `_ete` the full variant runs, and the closed-form degree and
+    neighboring-edge features, the edge-to-vertex filter of the
+    desymmetrized adjacency and of its desymmetrized edge-to-edge map."""
     checked = 0
     for n in (3, 4, 5):
-        for g in connected_graphs(n):
+        graphs = connected_graphs(n)
+        ends = np.zeros(len(graphs), dtype=np.int64), np.ones(len(graphs), dtype=np.int64)
+        features = _vertex_features(np.stack([g.adjacency for g in graphs]), *ends, n)
+        for g, f in zip(graphs, features):
             a = g.adjacency.astype(float)
-            assert np.array_equal(ete_filter(a), brute_ete_from_edges(g.adjacency))
-            assert np.array_equal(etv_filter(a), brute_etv(a))
+            assert np.array_equal(_ete(a), brute_ete_from_edges(g.adjacency))
+            assert np.array_equal(f[:, 0], brute_etv(np.triu(a)))
+            assert np.array_equal(f[:, 1], brute_etv(np.triu(brute_ete(a))))
             checked += 1
-    path4 = line_graph(4, [0, 1, 2, 3]).adjacency.astype(float)
-    ete = ete_filter(path4)
+    path4 = line_graph(4, [0, 1, 2, 3]).adjacency
+    ete = _ete(path4.astype(float))
     assert sorted(ete[path4 == 1]) == [1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
-    assert np.array_equal(etv_filter(np.triu(path4)), [1.0, 2.0, 2.0, 1.0])
+    degree = _vertex_features(path4[np.newaxis], [0], [1], 4)[0, :, 0]
+    assert np.array_equal(degree, [1.0, 2.0, 2.0, 1.0])
     print(f"criterion 3: {checked} graphs, worked values exact - pass")
 
 

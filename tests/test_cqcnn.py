@@ -5,12 +5,15 @@ Every forward, loss and gradient check scores rows from `encode`, so the
 batched path is the only one under test.
 
 Tests verify:
-- ETE/ETV filter worked values and brute-force oracle agreement
+- ETE/ETV filter worked values and brute-force oracle agreement, on the
+  edge-to-edge filter the full variant runs (`_ete`), the closed-form
+  vertex features and the unshifted edge-to-vertex collapse of a map
 - feature extraction layout, padding, and relabeling equivariance
 - encoded row widths and full-variant weight shapes wherever the channel
   count steps, batch consistency, and width checks
-- the closed-form vertex features against the etv/ete filter route on
-  padded random stacks, bit for bit
+- the closed-form vertex features against the filter route (the
+  unshifted collapse of the desymmetrized map and of its desymmetrized
+  `_ete`) on padded random stacks, bit for bit
 - encoded rows against a graph-by-graph loop oracle at n_max 4, 7, 15, 20
   over lists that mix vertex counts and cross a 64-graph block, bit for
   bit wherever the arithmetic is exact; rows independent of the list a
@@ -19,13 +22,13 @@ Tests verify:
 - a full-variant model without hidden units is refused
 - full-variant scores against a loop-convolution oracle at n_max 4, 7, 15
 - weighted cross-entropy worked values and limits
-- analytic gradients against central finite differences (both variants),
-  and the conv-weight gradient against a loop oracle at n_max 4 and 15,
-  batches of 1 and 3
+- analytic gradients of the backpropagation `train` steps by against
+  central finite differences (both variants), and the conv-weight gradient
+  against a loop oracle at n_max 4 and 15, batches of 1 and 3
 - SGD update arithmetic by the model's own rate, the descent property,
-  and misshapen, missing or unknown gradients or a rate set below 0 refused
-- an empty batch, a label count that does not match the rows, and inverse
-  class weights over a zero class fraction refused
+  a rate set below 0 refused by `train`, whose input model keeps its weights
+- a label count that does not match the rows, and inverse class weights
+  over a zero class fraction refused
 - prediction tie-breaking and monotone-transform invariance
 - last-layer export layout (29 rows per class at n_max=7)
 - model file round-trips (bit-exact weights over generated models,
@@ -60,26 +63,31 @@ from qwalk import (
     Example,
     Graph,
     ModelFormatError,
+    Schedule,
     build_line_dataset,
     encode,
-    ete_filter,
-    etv_filter,
     export_last_layer,
     feature_slot,
     forward,
     line_graph,
     load_model,
-    loss_and_gradients,
     new_model,
-    permute_free_vertices,
     predicted_class,
     random_graph,
     save_model,
     score_loss,
-    sgd_step,
+    train,
 )
 
-from qwalk.cqcnn import _ete, _etv, _vertex_features
+from qwalk.cqcnn import (
+    _backprop,
+    _check_inputs,
+    _class_weights,
+    _ete,
+    _shift_collapses,
+    _step,
+    _vertex_features,
+)
 
 from oracles import (
     brute_ete,
@@ -89,6 +97,7 @@ from oracles import (
     connected_graphs,
     loop_conv_gradient,
     loop_encoded_row,
+    permute_free_vertices,
 )
 
 PATH4 = np.array([
@@ -121,8 +130,24 @@ def _scores(model, g):
     return forward(model, encode(model, [g]))[0]
 
 
+def _loss_and_gradients(model, rows, labels, kappas=(0.5, 0.5), inverse=False):
+    """The batch loss and gradients `train` steps by: `_backprop` of the
+    model's weights over the rows and their `_class_weights`."""
+    arch = _check_inputs(model, rows)
+    labels, weight = _class_weights(labels, len(rows), kappas, inverse)
+    return _backprop(model.weights, arch, rows, labels, weight)
+
+
+def _stepped(model, grads):
+    """A copy of the model after the update `train` makes, one `_step` by
+    the model's own rate."""
+    stepped = model.copy()
+    _step(stepped.weights, grads, stepped.learning_rate)
+    return stepped
+
+
 def _gradients(model, examples, kappas):
-    return loss_and_gradients(model, *_rows(model, examples), kappas=kappas)[1]
+    return _loss_and_gradients(model, *_rows(model, examples), kappas=kappas)[1]
 
 
 def _batch_loss(model, examples, kappas):
@@ -133,9 +158,17 @@ def _batch_loss(model, examples, kappas):
 # ====== fixed filters ======
 
 
+def _etv(m):
+    """The edge-to-vertex collapse of one map or a stack of maps, as the full
+    variant computes it: the unshifted one of the nine shift collapses,
+    out[i] = rowsum[i] + colsum[i] - 2*m[i][i]."""
+    m = np.asarray(m, dtype=float)
+    return _shift_collapses(m.reshape(-1, *m.shape[-2:]))[:, 1, 1].reshape(m.shape[:-1])
+
+
 def test_ete_on_path4():
     """Path 1-2-3-4: four edge entries count one neighbor, two count two."""
-    out = ete_filter(PATH4)
+    out = _ete(PATH4)
     values = sorted(out[PATH4 == 1])
     assert values == [1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
     assert np.all(out[PATH4 == 0] == 0)
@@ -143,55 +176,53 @@ def test_ete_on_path4():
 
 def test_ete_on_triangle():
     """Every K_3 edge has exactly two neighboring edges."""
-    out = ete_filter(K3)
+    out = _ete(K3)
     assert np.all(out[K3 == 1] == 2.0)
     assert np.all(np.diag(out) == 0)
 
 
 def test_ete_zero_matrix():
-    assert np.array_equal(ete_filter(np.zeros((4, 4))), np.zeros((4, 4)))
+    assert np.array_equal(_ete(np.zeros((4, 4))), np.zeros((4, 4)))
 
 
 def test_ete_matches_brute_force():
     rng = np.random.default_rng(3)
     for _ in range(20):
         m = rng.normal(size=(5, 5))
-        assert np.allclose(ete_filter(m), brute_ete(m))
+        assert np.allclose(_ete(m), brute_ete(m))
 
 
 def test_ete_matches_edge_list_counts_on_small_graphs():
     """On adjacency input the filter counts neighboring edges exactly."""
     for g in connected_graphs(4):
         a = g.adjacency.astype(float)
-        assert np.array_equal(ete_filter(a), brute_ete_from_edges(g.adjacency))
+        assert np.array_equal(_ete(a), brute_ete_from_edges(g.adjacency))
 
 
 def test_etv_on_desymmetrized_path4():
-    out = etv_filter(np.triu(PATH4))
-    assert np.array_equal(out, [1.0, 2.0, 2.0, 1.0])
+    """The degree feature is the collapse of the desymmetrized adjacency,
+    and the neighboring-edge feature that of its desymmetrized `_ete`."""
+    features = _vertex_features(PATH4.astype(np.int64)[np.newaxis], [0], [1], 4)[0]
+    assert np.array_equal(features[:, 0], [1.0, 2.0, 2.0, 1.0])
+    assert np.array_equal(features[:, 0], brute_etv(np.triu(PATH4)))
+    assert np.array_equal(features[:, 1], [1.0, 3.0, 3.0, 1.0])
+    assert np.array_equal(features[:, 1], brute_etv(np.triu(brute_ete(PATH4))))
 
 
 def test_etv_on_identity():
-    assert np.array_equal(etv_filter(np.eye(5)), np.zeros(5))
+    assert np.array_equal(_etv(np.eye(5)), np.zeros(5))
 
 
 def test_etv_on_symmetric_path4():
     """On the raw symmetric adjacency the reduction doubles the degrees."""
-    assert np.array_equal(etv_filter(PATH4), [2.0, 4.0, 4.0, 2.0])
+    assert np.array_equal(_etv(PATH4), [2.0, 4.0, 4.0, 2.0])
 
 
 def test_etv_matches_brute_force():
     rng = np.random.default_rng(4)
     for _ in range(20):
         m = rng.normal(size=(6, 6))
-        assert np.allclose(etv_filter(m), brute_etv(m))
-
-
-def test_filters_reject_non_square():
-    with pytest.raises(ValueError):
-        ete_filter(np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        etv_filter(np.zeros((3, 4)))
+        assert np.allclose(_etv(m), brute_etv(m))
 
 
 def test_desymmetrize_cases():
@@ -385,7 +416,7 @@ def _mixed_graphs(n_max: int, seed: int) -> tuple[list[Graph], list[int]]:
 
 @pytest.mark.parametrize("n_max", [4, 7, 15, 20])
 def test_encode_matches_loop_oracle(n_max):
-    """The closed-form vertex features equal the `etv`/`ete` filter route
+    """The closed-form vertex features equal the `_etv`/`_ete` filter route
     bit for bit, and rows equal the graph-by-graph loop oracle. Simple
     rows, and the parts of full rows made by exact arithmetic (integer sums
     of the adjacency channel, scaled vertex features, one-step transition
@@ -453,7 +484,7 @@ def test_encoding_key_covers_everything_encode_reads():
         base = new_model(variant, 7, seed=0)
         others = [
             new_model(variant, 7, seed=1, learning_rate=0.5, hidden_width=3),
-            sgd_step(
+            _stepped(
                 dataclasses.replace(base, learning_rate=0.3),
                 {k: np.ones_like(w) for k, w in base.weights.items()},
             ),
@@ -569,24 +600,24 @@ def test_loss_inverse_weighting_switch():
 @pytest.mark.parametrize(
     "rows, labels, kappas, message",
     [
-        (0, [], (0.5, 0.5), "batch must be nonempty"),
         (2, [QUANTUM], (0.5, 0.5), "1 labels for 2 rows of scores"),
         (2, [CLASSICAL, QUANTUM], (1.0, 0.0), "cannot invert zero class fraction for label 1"),
     ],
-    ids=["empty-batch", "label-count", "inverse-of-zero-fraction"],
+    ids=["label-count", "inverse-of-zero-fraction"],
 )
 def test_loss_and_gradients_refuse_a_batch_they_cannot_weigh(rows, labels, kappas, message):
-    """The batch is nonempty with one label per row, and the inverse class
-    weights (always asked for here) need every batch label's fraction > 0."""
+    """A batch has one label per row, and the inverse class weights (always
+    asked for here) need every batch label's fraction > 0. `score_loss` and
+    `train` weigh rows by the same `_class_weights`."""
     model = new_model("simple", n_max=4, seed=0)
-    inputs = encode(model, [line_graph(4, [0, 1, 2, 3])] * rows)
+    scores = forward(model, encode(model, [line_graph(4, [0, 1, 2, 3])] * rows))
     with pytest.raises(ValueError, match=f"^{message}$"):
-        loss_and_gradients(model, inputs, labels, kappas, inverse_class_weights=True)
+        score_loss(scores, labels, kappas, inverse_class_weights=True)
 
 
 def test_loss_of_rows_is_their_mean():
     """score_loss over rows is the mean of its one-row values, and it is the
-    loss that loss_and_gradients reports."""
+    loss that the backpropagation reports."""
     rng = np.random.default_rng(13)
     x = rng.normal(size=(5, 2))
     labels = [0, 1, 1, 0, 1]
@@ -599,7 +630,7 @@ def test_loss_of_rows_is_their_mean():
     for variant in ("simple", "full"):
         model = new_model(variant, n_max=5, seed=2)
         rows, batch_labels = _rows(model, batch)
-        value, _ = loss_and_gradients(model, rows, batch_labels, kappas=(0.6, 0.4))
+        value, _ = _loss_and_gradients(model, rows, batch_labels, kappas=(0.6, 0.4))
         assert value == score_loss(forward(model, rows), batch_labels, kappas=(0.6, 0.4))
 
 
@@ -617,7 +648,7 @@ def _finite_difference_check(variant: str, pairs: int, seed: int) -> float:
         ex = _example(labelings[k % 3], QUANTUM if k % 2 else CLASSICAL)
         kappas = (0.7, 0.3)
         rows, labels = _rows(model, [ex])
-        _, grads = loss_and_gradients(model, rows, labels, kappas=kappas)
+        _, grads = _loss_and_gradients(model, rows, labels, kappas=kappas)
         for name, grad in grads.items():
             flat = model.weights[name].reshape(-1)
             gflat = grad.reshape(-1)
@@ -656,7 +687,7 @@ def test_conv_gradient_matches_loop_oracle(n_max, batch):
     model = new_model("full", n_max, seed=n_max + batch, hidden_width=8)
     rows = encode(model, graphs)
     kappas = (0.7, 0.3)
-    conv = loss_and_gradients(model, rows, labels, kappas)[1]["conv"]
+    conv = _loss_and_gradients(model, rows, labels, kappas)[1]["conv"]
     want = loop_conv_gradient(model, rows, labels, kappas)
     assert np.abs(want).max() > 0
     assert np.abs(conv - want).max() <= 1e-12 * np.abs(want).max()
@@ -704,7 +735,7 @@ def test_sgd_scalar_arithmetic():
     base.weights["last"][0, 0] = 1.0
     grads = {"last": np.zeros_like(base.weights["last"])}
     grads["last"][0, 0] = 2.0
-    stepped = sgd_step(base, grads)
+    stepped = _stepped(base, grads)
     assert abs(stepped.weights["last"][0, 0] - 0.8) < 1e-15
     assert np.all(stepped.weights["last"].reshape(-1)[1:] == 0.0)
 
@@ -712,19 +743,18 @@ def test_sgd_scalar_arithmetic():
 def test_sgd_zero_lr_is_identity():
     model = new_model("full", n_max=4, seed=2, learning_rate=0.0)
     grads = _gradients(model, [_example([0, 1, 2, 3], CLASSICAL)], kappas=(0.5, 0.5))
-    same = sgd_step(model, grads)
+    same = _stepped(model, grads)
     for name in model.weights:
         assert np.array_equal(same.weights[name], model.weights[name])
 
 
 def test_sgd_rejects_negative_lr():
-    """A rate set below 0 after the model was made does not step: the
-    stepped model passes through CqcnnModel's rate rule."""
+    """A rate set below 0 after the model was made does not step: the copy
+    `train` steps passes through CqcnnModel's rate rule."""
     model = new_model("simple", n_max=3, seed=0)
     model.learning_rate = -0.1
-    grads = {"last": np.zeros_like(model.weights["last"])}
     with pytest.raises(ValueError, match="learning rate must be finite and >= 0, got -0.1"):
-        sgd_step(model, grads)
+        train(model, build_line_dataset(3), None, Schedule(epochs=1))
 
 
 @pytest.mark.parametrize("lr", [-0.1, math.nan, math.inf, -math.inf])
@@ -747,36 +777,12 @@ def test_models_refuse_a_rate_that_is_not_finite_and_nonnegative(tmp_path, lr):
 
 
 def test_sgd_leaves_input_model_alone():
+    """`train` steps a copy: the model it is given keeps its weights."""
     model = new_model("simple", n_max=3, seed=4, learning_rate=0.5)
     before = model.weights["last"].copy()
-    grads = _gradients(model, [_example([0, 2, 1], QUANTUM)], kappas=(0.5, 0.5))
-    sgd_step(model, grads)
+    trained, _ = train(model, build_line_dataset(3), None, Schedule(epochs=3))
+    assert not np.array_equal(trained.weights["last"], before)
     assert np.array_equal(model.weights["last"], before)
-
-
-_NOT_THE_WEIGHTS = "^gradient set does not match model weights$"
-
-
-@pytest.mark.parametrize(
-    "name, grad, message",
-    [("last", np.ones((1, 2)), "gradient for weight 'last'"),
-     ("last", np.float64(1.0), "gradient for weight 'last'"),
-     ("conv", np.ones((3, 3)), "gradient for weight 'conv'"),
-     ("hidden", None, _NOT_THE_WEIGHTS),
-     ("bias", np.ones(2), _NOT_THE_WEIGHTS)],
-    ids=["broadcast-row", "scalar", "broadcast-kernel", "missing-weight", "unknown-weight"],
-)
-def test_sgd_rejects_misshapen_gradients(name, grad, message):
-    """A gradient must have its weight's shape; one that would broadcast is
-    refused, naming the weight. The gradients must name exactly the model's
-    weights (a None gradient is dropped here)."""
-    model = new_model("full", n_max=4, seed=0, learning_rate=0.1)
-    grads = {k: np.zeros_like(w) for k, w in model.weights.items()}
-    grads[name] = grad
-    if grad is None:
-        del grads[name]
-    with pytest.raises(ValueError, match=message):
-        sgd_step(model, grads)
 
 
 def test_sgd_descends_on_a_fixed_batch():
@@ -786,7 +792,7 @@ def test_sgd_descends_on_a_fixed_batch():
         batch = [_example([0, 2, 1, 3], QUANTUM), _example([0, 1, 2, 3], CLASSICAL)]
         kappas = (0.5, 0.5)
         before = _batch_loss(model, batch, kappas)
-        stepped = sgd_step(model, _gradients(model, batch, kappas=kappas))
+        stepped = _stepped(model, _gradients(model, batch, kappas=kappas))
         after = _batch_loss(stepped, batch, kappas)
         assert after < before, f"{variant}: loss rose from {before} to {after}"
 

@@ -292,8 +292,12 @@ def test_example_rejects_inconsistent_label(tmp_path):
 
 def test_example_rejects_values_a_dataset_file_cannot_hold():
     """A numpy hit time is stored as the Python number it holds, so `save`
-    can encode it; an indeterminate flag, bool or not, is not taken."""
+    can encode it; an indeterminate flag, bool or not, is not taken; a graph
+    that is not a `Graph` is refused where it comes in."""
     g = line_graph(3, [0, 1, 2])
+    for graph in ("not a graph", g.adjacency, None):
+        with pytest.raises(TypeError, match="^graph must be a Graph, got "):
+            Example(graph, 1.0)
     e = Example(graph=g, classical_hit_time=np.float32(2.0), quantum_hit_time=np.int64(3))
     assert type(e.classical_hit_time) is float and e.classical_hit_time == 2.0
     assert type(e.quantum_hit_time) is int and e.quantum_hit_time == 3

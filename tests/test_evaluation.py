@@ -6,9 +6,10 @@ Tests verify:
 - evaluate leaves the model bit-identical
 - history rows: untrained epoch-0 baseline, eval cadence, final epoch
 - divergence raises a training error naming the epoch
-- `train` gives the weights and history of the public step path
-  (`loss_and_gradients`, `sgd_step`, `evaluate`) bit for bit, and
-  diverges at the same epoch
+- `train` gives the weights and history of a hand-driven step path (the
+  same batch draws through `cqcnn._backprop` over `cqcnn._class_weights`,
+  `cqcnn._step` on a fresh copy per batch, and `evaluate`) bit for bit,
+  and diverges at the same epoch
 - a dataset is encoded once per encoding key, however many train and
   evaluate calls read it in a row; it keeps one key's rows only; the kept
   rows are read-only, leave `==` and `repr` alone, and train exactly as
@@ -40,16 +41,16 @@ from qwalk import (
     forward,
     line_graph,
     load,
-    loss_and_gradients,
     new_model,
     save,
     score_loss,
-    sgd_step,
     split,
     train,
     write_history_csv,
     write_metrics_csv,
 )
+
+from test_cqcnn import _loss_and_gradients, _stepped
 
 LINES4 = build_line_dataset(4)
 
@@ -224,9 +225,10 @@ def test_divergence_raises_with_epoch_index():
 
 
 def _train_by_hand(model, train_set, test_sets, schedule):
-    """`train`'s schedule driven through the public step path: the same
-    batch draws, one `loss_and_gradients` and one `sgd_step` per batch, and
-    `evaluate` for the test columns."""
+    """`train`'s schedule driven by hand: the same batch draws, one
+    backpropagation over the batch's class weights and one update of a
+    fresh copy of the model per batch, and `evaluate` for the test
+    columns."""
     kappas, inverse = train_set.class_fractions, schedule.inverse_class_weights
     rng = np.random.default_rng(schedule.seed)
     rows = encode(model, [e.graph for e in train_set])
@@ -249,12 +251,12 @@ def _train_by_hand(model, train_set, test_sets, schedule):
         epoch_loss = 0.0
         for _ in range(schedule.batches_per_epoch):
             picks = rng.integers(0, len(rows), size=schedule.batch_size)
-            value, grads = loss_and_gradients(
+            value, grads = _loss_and_gradients(
                 model, rows[picks], labels[picks], kappas, inverse
             )
             if not math.isfinite(value):
                 raise TrainingError(f"loss became non-finite at epoch {epoch}")
-            model = sgd_step(model, grads)
+            model = _stepped(model, grads)
             epoch_loss += value
         scored = epoch % schedule.eval_every == 0 or epoch == schedule.epochs
         history.append(row_of(epoch, epoch_loss / schedule.batches_per_epoch, scored))
@@ -264,9 +266,10 @@ def _train_by_hand(model, train_set, test_sets, schedule):
 @pytest.mark.parametrize("variant", ["simple", "full"])
 @pytest.mark.parametrize("inverse", [False, True], ids=["kappa", "inverse"])
 def test_train_equals_the_public_step_path(variant, inverse):
-    """`train` steps through the cores of `loss_and_gradients` and
-    `sgd_step` after checking once: its weights and every history row equal
-    the public functions' own, bit for bit, over two test sets."""
+    """`train` checks once and then steps one copy of the model in place:
+    its weights and every history row equal those of the hand-driven loop,
+    which checks and copies on every batch, bit for bit, over two test sets,
+    and the model it is given keeps its weights."""
     train_set, holdout = split(build_line_dataset(5), 0.8, seed=2)
     schedule = Schedule(epochs=12, batches_per_epoch=4, batch_size=3, seed=3, eval_every=5,
                         inverse_class_weights=inverse)

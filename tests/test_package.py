@@ -28,7 +28,6 @@ from qwalk import (
     WalkConfig,
     build_line_dataset,
     build_random_dataset,
-    enumerate_line_graphs,
     feature_slot,
     line_graph,
     load,
@@ -117,17 +116,18 @@ SCALAR_RULES = [
     ("split seed", lambda v: split(LINES3, 0.5, v)[0].metadata["split_seed"],
      2, INTEGER + [2]),
     ("build_line_dataset n", lambda v: build_line_dataset(v).metadata["n"], 3, INTEGER + [3]),
+    # the line graphs on n vertices, which `build_line_dataset` enumerates
+    ("enumerate_line_graphs n", lambda v: len(build_line_dataset(v)), 3, INTEGER + [3]),
     ("build_random_dataset n", lambda v: build_random_dataset(v, 2, 0).metadata["n"],
      3, INTEGER + [3]),
     ("build_random_dataset count", lambda v: build_random_dataset(3, v, 0).metadata["count"],
      2, INTEGER + [2]),
     ("build_random_dataset seed", lambda v: build_random_dataset(3, 2, v).metadata["seed"],
      2, INTEGER + [2]),
-    ("enumerate_line_graphs n", lambda v: len(enumerate_line_graphs(v)), 3, INTEGER + [3]),
     ("feature_slot vertex", lambda v: feature_slot(v, 1), 2, INTEGER + [9]),
     ("feature_slot feature", lambda v: feature_slot(0, v), 2, INTEGER + [2]),
-    ("random_graph seed", lambda v: random_graph(5, v).edge_count,
-     2, INTEGER + [random_graph(5, 2).edge_count]),
+    ("random_graph seed", lambda v: int(random_graph(5, v).adjacency.sum()) // 2,
+     2, INTEGER + [int(random_graph(5, 2).adjacency.sum()) // 2]),
 ]
 
 

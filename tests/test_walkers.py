@@ -42,7 +42,6 @@ from qwalk import (
     classical_variant,
     label_graph,
     line_graph,
-    permute_free_vertices,
     quantum_variant,
     random_graph,
     write_trace_csv,
@@ -54,6 +53,7 @@ from oracles import (
     euler_classical_probabilities,
     liouvillian_expm_density,
     oracle_hit_times,
+    permute_free_vertices,
     spectral_target_probability,
 )
 
