@@ -171,14 +171,15 @@ def train(
     Batches are drawn uniformly with replacement. The class weights come
     from the training set. `test_set` may be one dataset or a sequence;
     each gets its own suffixed history columns. Epoch 0 records the
-    untrained baseline; zero-epoch schedules return an empty history.
+    untrained baseline; zero-epoch schedules return a checked copy of the
+    model and an empty history.
     """
+    # The checks, once: the model's fields (as its copy applies them, so
+    # even a zero-epoch schedule refuses a bad model), the row width and
+    # the class weights. The steps then update the copy's weights in place.
+    model = model.copy()
     if schedule.epochs == 0:
         return model, []
-    # The checks, once: the model's fields (as its copy applies them), the
-    # row width and the class weights. The steps then update the copy's
-    # weights in place.
-    model = model.copy()
     kappas = train_set.class_fractions
     rng = np.random.default_rng(schedule.seed)
     rows = _rows(model, train_set)

@@ -19,14 +19,17 @@ and descending it, and records the curves for `simulate` on the same
 rungs. Each ladder has one anchor, exp(0.1 G), computed in numpy by
 scaling and squaring a truncated Taylor series; its squarings are the
 ladder's shortest rungs, and longer rungs are squared only when a walk
-reaches them. Inside the last step before a crossing the state is the
-same Taylor series, so the crossing is placed on the grid of step
-0.1 * 2**-24 from a polynomial in the step fraction. Walks need no
-library beyond numpy.
+reaches them. Both walkers start on a basis vector e_v, so the climb
+reads the state after each rung as the rung's column v: that is the
+matrix-vector product bit for bit, as every other term is x * 0. Inside
+the last step before a crossing the state is the same Taylor series, so
+the crossing is placed on the grid of step 0.1 * 2**-24 from a
+polynomial in the step fraction. Walks need no library beyond numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,6 +158,14 @@ def _sink_population(psi: np.ndarray) -> float:
     return 1.0 - float(np.vdot(psi, psi).real)
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 # ====== label path: a propagator ladder, descended, then a Taylor series ======
 
 
@@ -169,8 +180,10 @@ class _Ladder:
     truncated tail is at most sum_{k>=25} ||y||^k / k! <= 2**25 / 25! /
     (1 - 2/26) < 3e-18, below 2**-53 whatever the 1-norm of x. Rung
     `squarings` is exp(x), and every rung from it on has a step of
-    _BASE_STEP * 2**j. The powers of y stay, so the same series also gives
-    the state anywhere inside one step of rung 0 (`series`).
+    _BASE_STEP * 2**j. A rung applied to a walker's start e_v is its
+    column v, so a walk from the start reads rungs rather than multiplying
+    by them. The powers of y stay, so the same series also gives the state
+    anywhere inside one step of rung 0 (`series`).
     """
 
     def __init__(self, generator: np.ndarray) -> None:
@@ -178,23 +191,36 @@ class _Ladder:
         n = len(x)
         norm = float(np.abs(x).sum(axis=0).max())
         self.squarings = max(0, math.frexp(norm / 2)[1])  # norm < 2 * 2**squarings
-        y = x * 2.0**-self.squarings  # exact: scaled by a power of two
+        # exact: scaled by a power of two, so 2**0 can be skipped
+        y = x * 2.0**-self.squarings if self.squarings else x
         self.powers = np.empty((5, n, n), dtype=x.dtype)  # [I, y, y**2, y**3, y**4]
-        self.powers[0], self.powers[1] = np.eye(n), y
+        self.powers[0], self.powers[1] = _identity(n), y
+        # Products here and on the walks call BLAS through ndarray.dot
+        # (np.dot with out=), not @: the same gemm/gemv and the same floats,
+        # but @ costs about 1 us more a call at these sizes (numpy 2.4, one
+        # OpenBLAS thread: an n=8 real matrix product 2.05 vs 1.00 us, an
+        # n=8 complex matrix-vector product 1.93 vs 1.02 us), and a graph
+        # is labeled in about 50 such calls.
         for i in range(2, 5):
-            np.matmul(self.powers[i - 1], y, out=self.powers[i])
-        self.y5 = self.powers[4] @ y
+            np.dot(self.powers[i - 1], y, out=self.powers[i])
+        self.y5 = self.powers[4].dot(y)
         # block j is sum_i y**i / (5j + i)!, and the series is sum_j y5**j block_j
-        blocks = (_TAYLOR_BLOCKS @ self.powers.reshape(5, -1)).reshape(5, n, n)
+        blocks = _TAYLOR_BLOCKS.dot(self.powers.reshape(5, -1)).reshape(5, n, n)
         result = blocks[4]
         for block in blocks[3::-1]:
-            result = block + self.y5 @ result
+            result = block + self.y5.dot(result)
         self.rungs = [result]
 
     def __getitem__(self, k: int) -> np.ndarray:
         while len(self.rungs) <= k:
-            self.rungs.append(self.rungs[-1] @ self.rungs[-1])
+            self.rungs.append(self.rungs[-1].dot(self.rungs[-1]))
         return self.rungs[k]
+
+    def basis(self, v: int) -> np.ndarray:
+        """The basis vector e_v, in which a walker starts at vertex v."""
+        e = np.zeros(len(self.y5), dtype=self.y5.dtype)
+        e[v] = 1.0
+        return e
 
     def step(self, k: int) -> float:
         return _BASE_STEP * 2.0 ** (k - self.squarings)
@@ -206,16 +232,16 @@ class _Ladder:
         rows = np.empty((5, n), dtype=self.y5.dtype)  # y5**j state, j = 0..4
         rows[0] = state
         for j in range(1, 5):
-            rows[j] = self.y5 @ rows[j - 1]
+            np.dot(self.y5, rows[j - 1], out=rows[j])
         # entry [j, i] is y**i y5**j state, the term of degree 5j + i
-        terms = (rows @ self.powers.reshape(5 * n, n).T).reshape(5, 5, n)
+        terms = rows.dot(self.powers.reshape(5 * n, n).T).reshape(5, 5, n)
         return (terms * _TAYLOR_BLOCKS[..., np.newaxis]).reshape(25, n)
 
 
 def _sink_series(terms: np.ndarray) -> np.ndarray:
     """The coefficients in theta of 1 - ||sum_k theta**k terms[k]||**2,
     from the terms' Gram matrix."""
-    gram = (terms.conj() @ terms.T).real
+    gram = terms.conj().dot(terms.T).real
     coefficients = -np.bincount(_GRAM_DEGREES, weights=gram.ravel())
     coefficients[0] += 1.0
     return coefficients
@@ -256,13 +282,16 @@ def _last_grid_point(coefficients: np.ndarray, p_th: float, per_step: int, top: 
     return lo
 
 
-def _hit_time(ladder: _Ladder, start: np.ndarray, value, series_value, p_th: float, cap: float):
+def _hit_time(ladder: _Ladder, start: int, value, series_value, p_th: float, cap: float):
     """First time value(state) exceeds p_th, or None if not by cap.
 
     The curve is non-decreasing. Time is counted exactly, in units of
     _BASE_STEP * 2**-levels, the grid step or rung 0's if that is finer.
-    The climb applies rungs 0, 1, ... to the start until one overshoots
-    p_th or the horizon, so no rung past the crossing is squared. The
+    The climb applies rungs 0, 1, ... to the walker's start, the basis
+    vector of vertex `start`, until one overshoots p_th or the horizon, so
+    no rung past the crossing is squared. A rung applied to that basis
+    vector is its column `start`, bit for bit (the products with its zero
+    entries add only zeros), so the climb reads that column. The
     descent from the rung below it takes each shorter step that stays
     within the horizon and keeps value <= p_th, and ends inside one step
     of rung 0 before the crossing. There value is a polynomial in the
@@ -274,11 +303,11 @@ def _hit_time(ladder: _Ladder, start: np.ndarray, value, series_value, p_th: flo
     levels = max(_GRID_LEVELS, ladder.squarings)
     last = math.floor(cap / (_BASE_STEP * 2.0**-levels))
     per_step = 2 ** (levels - ladder.squarings)  # units in a step of rung 0
-    state, ticks, k = start, 0, 0
-    while per_step << k <= last and value(ahead := ladder[k] @ start) <= p_th:
+    state, ticks, k = ladder.basis(start), 0, 0
+    while per_step << k <= last and value(ahead := ladder[k][:, start]) <= p_th:
         state, ticks, k = ahead, per_step << k, k + 1
     for k in reversed(range(k - 1)):
-        if ticks + (per_step << k) <= last and value(ahead := ladder.rungs[k] @ state) <= p_th:
+        if ticks + (per_step << k) <= last and value(ahead := ladder.rungs[k].dot(state)) <= p_th:
             state, ticks = ahead, ticks + (per_step << k)
     top = min(per_step - 1, last - ticks)
     if top > 0:
@@ -288,15 +317,16 @@ def _hit_time(ladder: _Ladder, start: np.ndarray, value, series_value, p_th: flo
     return (grid + 1) * (_BASE_STEP * 2.0**-_GRID_LEVELS) if grid < last // per_grid else None
 
 
-def _record(ladder: _Ladder, state: np.ndarray, value, t_stop: float) -> Trace:
-    """Sample the curve on the window-doubled record grid, up to the first
-    record at or past t_stop."""
+def _record(ladder: _Ladder, start: int, value, t_stop: float) -> Trace:
+    """Sample the curve from the start vertex on the window-doubled record
+    grid, up to the first record at or past t_stop."""
+    state = ladder.basis(start)
     times, values = [0.0], [value(state)]
     k = ladder.squarings
     while True:
         rung, step = ladder[k], ladder.step(k)
         for _ in range(_WINDOW_RECORDS):
-            state = rung @ state
+            state = rung.dot(state)
             times.append(times[-1] + step)
             values.append(value(state))
             if times[-1] >= t_stop:
@@ -305,15 +335,13 @@ def _record(ladder: _Ladder, state: np.ndarray, value, t_stop: float) -> Trace:
 
 
 def _walkers(g: Graph, gamma: float) -> tuple:
-    """(ladder, start, value, series_value) for the classical walker, then
-    for the quantum one."""
-    p0 = np.eye(g.n)[g.v_init]
-    target = g.v_target
+    """(ladder, start vertex, value, series_value) for the classical
+    walker, then for the quantum one."""
+    start, target = g.v_init, g.v_target
     return (
-        (_Ladder(classical_variant(g) - np.eye(g.n)), p0, lambda p: float(p[target]),
+        (_Ladder(classical_variant(g) - _identity(g.n)), start, lambda p: float(p[target]),
          lambda terms: terms[:, target]),
-        (_Ladder(-1j * quantum_variant(g, gamma)), p0.astype(np.complex128), _sink_population,
-         _sink_series),
+        (_Ladder(-1j * quantum_variant(g, gamma)), start, _sink_population, _sink_series),
     )
 
 

@@ -162,8 +162,13 @@ def test_zero_epochs_returns_input_unchanged():
     model = new_model("simple", n_max=4, seed=4)
     trained, history = train(model, LINES4, None, Schedule(epochs=0))
     assert history == []
+    assert trained is not model
     for k in model.weights:
         assert np.array_equal(trained.weights[k], model.weights[k])
+        assert trained.weights[k] is not model.weights[k]
+    model.learning_rate = -0.1
+    with pytest.raises(ValueError, match="^learning rate must be finite and >= 0, got -0.1$"):
+        train(model, LINES4, None, Schedule(epochs=0))
 
 
 def test_history_epoch_zero_is_untrained_baseline():

@@ -18,6 +18,8 @@ Tests verify:
 - label-path hit times within 1e-6 relative of the brentq oracle, and
   independent of the propagator ladder's base step; each one the end of
   the grid step (0.1 2^-24) that holds the oracle root
+- hit times pinned bit for bit on random graphs n = 8..20 and one path
+  per n = 4..7
 - the never-crossing certificate: a quantum walker whose bright-state
   weight eta lies below p_th never crosses, and one above it does
 - recorded traces that bracket the located hit times
@@ -376,6 +378,48 @@ def test_hit_times_end_the_grid_step_holding_the_root():
                 outside.append(f"n={g.n}: {got!r} is {(got - root) / GRID_STEP:+.2f} grid steps from {root!r}")
     assert crossings == 130
     assert not outside, outside
+
+
+# float.hex of (classical, quantum) hit times, None for a walker that
+# never crosses. They are grid points, so any change to the propagators
+# that keeps every float the same keeps them.
+PINNED_RANDOM = [
+    ((8, 1), "0x1.5ce0c5199999ap+2", "0x1.29fe39e000000p+3"),
+    ((8, 2), "0x1.73fc294cccccdp+2", None),
+    ((8, 3), "0x1.ecebd58cccccdp+1", "0x1.e79bf124ccccdp+6"),
+    ((12, 1), "0x1.da991dc000000p+2", "0x1.91b9ade666667p+3"),
+    ((12, 2), "0x1.f62d961333334p+2", "0x1.2cfc293333333p+2"),
+    ((12, 3), "0x1.2efabbf99999ap+2", "0x1.3f31c1099999ap+4"),
+    ((16, 1), "0x1.e762d9b333334p+2", "0x1.e87616ccccccdp+3"),
+    ((16, 2), "0x1.3f796b1000000p+3", "0x1.47b9e18666667p+2"),
+    ((16, 3), "0x1.9e2161f99999ap+2", "0x1.4bb52b0cccccdp+3"),
+    ((20, 1), "0x1.6fc9eb799999ap+3", "0x1.ad76af5000000p+3"),
+    ((20, 2), "0x1.42cf170333334p+3", "0x1.9001c8799999ap+3"),
+    ((20, 3), "0x1.bc9619ccccccdp+2", "0x1.aa85b32e66667p+4"),
+    ((20, 7), "0x1.ee0d50599999ap+2", None),
+]
+PINNED_LINES = [
+    ([0, 2, 3, 1], "0x1.65598c1333334p+3", "0x1.c8bf198cccccdp+1"),
+    ([0, 2, 3, 4, 1], "0x1.f850054666667p+3", "0x1.e2762c3333334p+1"),
+    ([0, 2, 3, 4, 5, 1], "0x1.573505599999ap+4", "0x1.0b119fa666667p+2"),
+    ([0, 2, 3, 4, 5, 6, 1], "0x1.c158e1d800000p+4", "0x1.283ae48cccccdp+2"),
+]
+
+
+@pytest.mark.parametrize(
+    "g, t_c, t_q",
+    [(random_graph(n, s), t_c, t_q) for (n, s), t_c, t_q in PINNED_RANDOM]
+    + [(line_graph(len(lab), lab), t_c, t_q) for lab, t_c, t_q in PINNED_LINES],
+    ids=[f"random{n}-{s}" for (n, s), _, _ in PINNED_RANDOM] + [f"line{len(lab)}" for lab, _, _ in PINNED_LINES],
+)
+def test_hit_times_pinned(g, t_c, t_q):
+    """Hit times are pinned bit for bit, so a faster route to the same
+    floats keeps every label: random graphs n = 8..20 (random_graph(20, 7)'s
+    quantum walker never crosses) and one path per n = 4..7 with start and
+    target at its ends."""
+    out = label_graph(g)
+    got = [None if t is None else t.hex() for t in (out.classical_hit_time, out.quantum_hit_time)]
+    assert got == [t_c, t_q]
 
 
 def test_never_crossing_certificate():
